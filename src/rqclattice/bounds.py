@@ -391,6 +391,11 @@ def conjecture_evidence(n: int, q: int, t: int, k: int) -> dict:
         * brickwork_single_wall_count(n, t)
         * Fraction(q, q * q + 1) ** (2 * (t - 1))
     )
+    if truncation:
+        ratio = float(Fraction(excess) / truncation)
+    else:
+        # n=2 has no wall: a zero truncation of a zero excess is exact
+        ratio = 1.0 if excess == 0 else math.inf
     return {
         "n": n,
         "q": q,
@@ -399,5 +404,5 @@ def conjecture_evidence(n: int, q: int, t: int, k: int) -> dict:
         "frame_potential": str(F),
         "excess": str(excess),
         "single_wall_truncation": str(truncation),
-        "ratio": float(Fraction(excess) / truncation) if truncation else math.inf,
+        "ratio": ratio,
     }

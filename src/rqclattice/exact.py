@@ -425,7 +425,3 @@ class RationalFunction:
         if self.den == Polynomial([1]):
             return self.num.format(var)
         return f"({self.num.format(var)}) / ({self.den.format(var)})"
-
-
-RF_ZERO = RationalFunction(Polynomial())
-RF_ONE = RationalFunction(Polynomial([1]))

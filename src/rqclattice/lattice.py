@@ -7,19 +7,21 @@ the contraction
     F = sum over (sigma_g, tau_g) per gate of
         prod_g Wg(sigma_g^-1 tau_g, q^2) * prod_{legs g->h} q^ell(tau_g^-1 sigma_h)
 
-which this module evaluates along two deliberately independent routes:
+which this module evaluates along two routes that differ only in their
+weights:
 
 * :func:`frame_potential_direct` works on the hexagonal (sigma, tau)-per-gate
-  model with numeric Weingarten weights from exact Gram inversion, contracted
-  by a generic factor-sweep over the leg graph.
+  model with numeric Weingarten weights from exact Gram inversion.
 * :func:`frame_potential_transfer` works on the reduced triangular model,
-  looking up symbolic plaquette weights (character-expansion route) and
-  contracting layer by layer with pending-gate state, in exact rationals or
-  floats.
+  looking up symbolic plaquette weights (character-expansion route), in exact
+  rationals or floats.
 
-Their exact equality on every in-budget geometry is the package's central
-oracle; :func:`_frame_potential_bruteforce` additionally checks both against
-raw enumeration on tiny instances.
+Both contract through one planned elimination: :func:`_plan` schedules the
+factors and checks the state budget before any weight table is built, and
+:func:`_sweep_exact` (or the dense float sweep) runs the schedule.  The
+weights stay independent, so their exact equality on every in-budget
+geometry is the package's central oracle; :func:`_frame_potential_bruteforce`
+additionally checks both against raw enumeration on tiny instances.
 
 t = 0 and t = 1 are degenerate (no lattice) and use closed forms.  The t = 1
 formula (k!)^floor(n/2) follows the lattice model's gate-product form; for odd
@@ -34,7 +36,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PoleError, SingularMatrixError
+from .errors import BudgetExceededError, PoleError
 from .perms import group_table
 from .plaquette import PLAQUETTE_CAP, FULL_TABLE_CAP, PlaquetteTable, build_table
 from .weingarten import wg_gram, wg_symbolic
@@ -214,6 +216,100 @@ def _special_result(geom: CircuitGeometry, k: int, method: str) -> FramePotentia
 
 
 # ---------------------------------------------------------------------------
+# shared contraction: one budget-checked plan, one exact dict sweep
+# ---------------------------------------------------------------------------
+
+# Every weight of both models is invariant under a common left multiplication
+# of all spins, so every factor has one shape (anchor, b, c, table_id) with
+# weight tables[table_id][rel(anchor, b)][rel(anchor, c)], rel(a, x) = a^-1 x.
+# A plaquette J^{s_g}_{s_1 s_2} is (g, c_1, c_2); a pair factor f(a^-1 b) is
+# (a, b, a) with a one-column table, since rel(a, a) is the identity, index 0.
+_Factor = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Elimination schedule: variable s enters the state as its last slot at
+    step s; steps[s] holds the factors applied then, in state slots, and the
+    sorted slots summed out after them."""
+
+    steps: list[tuple[list[_Factor], list[int]]]
+    gauge_var: int | None
+
+
+def _plan(
+    n_vars: int, factors: list[_Factor], order: int, gauge_var: int | None, budget: int
+) -> _Plan:
+    """Schedule a contraction over variables 0..n_vars-1 in index order.
+
+    Each factor is applied at the step of its last variable and each variable
+    summed out after its last factor.  The state-size check needs only the
+    scopes and k!, so both routes plan before building any weight table.
+    """
+    step_factors: list[list[_Factor]] = [[] for _ in range(n_vars)]
+    drop_at = list(range(n_vars))
+    for f in factors:
+        s = max(f[:3])
+        step_factors[s].append(f)
+        for v in f[:3]:
+            drop_at[v] = max(drop_at[v], s)
+
+    steps = []
+    alive: list[int] = []
+    for s in range(n_vars):
+        alive.append(s)
+        count = order ** sum(v != gauge_var for v in alive)
+        if count > budget:
+            raise BudgetExceededError(
+                f"contraction state would reach {count} > budget {budget} "
+                f"at step {s}; raise {STATE_BUDGET_ENV} or use gauge_fix"
+            )
+        slot = {v: i for i, v in enumerate(alive)}
+        steps.append((
+            [(slot[a], slot[b], slot[c], tid) for a, b, c, tid in step_factors[s]],
+            sorted(slot[v] for v in alive if drop_at[v] == s),
+        ))
+        alive = [v for v in alive if drop_at[v] > s]
+    return _Plan(steps, gauge_var)
+
+
+def _sweep_exact(plan: _Plan, tables: list[list[list[int]]], gt) -> int:
+    """Contract a plan over integer factor tables with a dict of live states."""
+    rel = [gt.mul[gt.inv[a]] for a in range(gt.order)]
+    state: dict[tuple[int, ...], int] = {(): 1}
+    for s, (factors, drops) in enumerate(plan.steps):
+        fts = [(a, b, c, tables[tid]) for a, b, c, tid in factors]
+        domain = (0,) if s == plan.gauge_var else range(gt.order)  # 0 = identity
+        new_state: dict[tuple[int, ...], int] = {}
+        for key, w in state.items():
+            for val in domain:
+                kk = key + (val,)
+                w2 = w
+                for pa, pb, pc, tab in fts:
+                    row = rel[kk[pa]]
+                    w2 *= tab[row[kk[pb]]][row[kk[pc]]]
+                    if not w2:
+                        break
+                if w2:
+                    new_state[kk] = w2
+        state = new_state
+        if drops:
+            dpos = drops[::-1]
+            merged: dict[tuple[int, ...], int] = {}
+            for key, w in state.items():
+                lk = list(key)
+                for p in dpos:
+                    del lk[p]
+                tk = tuple(lk)
+                if tk in merged:
+                    merged[tk] += w
+                else:
+                    merged[tk] = w
+            state = merged
+    return state.get((), 0)
+
+
+# ---------------------------------------------------------------------------
 # direct route: hexagonal (sigma, tau) model, Gram-inverse Weingarten weights
 # ---------------------------------------------------------------------------
 
@@ -225,8 +321,13 @@ def _wg_values_at(k: int, d: int) -> list[Fraction]:
         gram = wg_gram(k, d)
         return [gram[p] for p in gt.perms]
     values = {}
-    for ct in gt.cycle_types:
-        values[ct] = wg_symbolic(ct, k).evaluate(d)  # PoleError surfaces here
+    try:
+        for ct in gt.cycle_types:
+            values[ct] = wg_symbolic(ct, k).evaluate(d)
+    except PoleError as exc:
+        raise PoleError(
+            f"Weingarten function has a pole at d = q^2 = {d} for k={k}: {exc}"
+        ) from exc
     return [values[gt.cycle_types[gt.ct_index[i]]] for i in range(gt.order)]
 
 
@@ -239,8 +340,8 @@ def frame_potential_direct(
     """Exact frame potential from the hexagonal model.
 
     Sums over a permutation pair (sigma, tau) per gate with a Weingarten
-    factor per gate and a q^ell inner product per leg, contracted by a factor
-    sweep over the leg graph in scaled integer arithmetic.  An explicit budget
+    factor per gate and a q^ell inner product per leg, contracted by the
+    shared planned sweep in scaled integer arithmetic.  An explicit budget
     guards the peak contraction state; raw enumeration of the same sum is kept
     in `_frame_potential_bruteforce` for tiny cross-checks.
 
@@ -252,94 +353,36 @@ def frame_potential_direct(
     if geom.t <= 1:
         return _special_result(geom, k, "direct")
 
-    gt = group_table(k)
-    order = gt.order
-    q = geom.q
-    d = q * q
-    try:
-        wg_vals = _wg_values_at(k, d)
-    except PoleError as exc:
-        raise PoleError(
-            f"Weingarten function has a pole at d = q^2 = {d} for k={k}: {exc}"
-        ) from exc
-
-    denom_lcm = math.lcm(*(v.denominator for v in wg_vals))
-    wg_int = [int(v * denom_lcm) for v in wg_vals]
-
-    # shared 2-variable factor tables: T[a][b] = f(a^-1 b)
-    mul, inv, ncyc = gt.mul, gt.inv, gt.n_cycles
-    wg_tab = [[wg_int[mul[inv[a]][b]] for b in range(order)] for a in range(order)]
-    qpow = [q**e for e in range(k + 1)]
-    leg_tab = [[qpow[ncyc[mul[inv[a]][b]]] for b in range(order)] for a in range(order)]
-
-    # variables: sigma_g -> 2*gid, tau_g -> 2*gid + 1, introduced layer-major
+    # variables sigma_g -> 2*gid, tau_g -> 2*gid + 1, introduced layer-major
     intro: list[int] = []
     for layer in geom.layers:
         intro.extend(2 * g.gid for g in layer)
         intro.extend(2 * g.gid + 1 for g in layer)
     pos = {v: i for i, v in enumerate(intro)}
-
-    factors: list[tuple[int, int, list[list[int]]]] = []
-    for g in geom.gates:
-        factors.append((2 * g.gid, 2 * g.gid + 1, wg_tab))
-    for src, _, dst in geom.legs:
-        factors.append((2 * src + 1, 2 * dst, leg_tab))
-
-    apply_at = [max(pos[a], pos[b]) for a, b, _ in factors]
-    drop_at = {v: pos[v] for v in intro}
-    for f_i, (a, b, _) in enumerate(factors):
-        drop_at[a] = max(drop_at[a], apply_at[f_i])
-        drop_at[b] = max(drop_at[b], apply_at[f_i])
-
-    gauge_var = 2 * geom.gates[0].gid if gauge_fix else None
+    sigma = [pos[2 * g.gid] for g in geom.gates]
+    tau = [pos[2 * g.gid + 1] for g in geom.gates]
+    # table 0: Wg(sigma_g^-1 tau_g) per gate; table 1: q^ell(tau_g^-1 sigma_h) per leg
+    factors = [(sigma[g], tau[g], sigma[g], 0) for g in range(geom.n_gates)]
+    factors += [(tau[src], sigma[dst], tau[src], 1) for src, _, dst in geom.legs]
+    q = geom.q
+    d = q * q
+    # below d = k the values come cheaply from the symbolic route, and a pole
+    # (no finite value exists) is reported ahead of any budget verdict
+    wg_vals = _wg_values_at(k, d) if d < k else None
     budget = _state_budget() if state_budget is None else state_budget
-    _enforce_budget(intro, pos, drop_at, order, gauge_var, budget)
+    plan = _plan(
+        len(intro), factors, math.factorial(k), sigma[0] if gauge_fix else None, budget
+    )
+    if wg_vals is None:
+        wg_vals = _wg_values_at(k, d)  # Gram inversion, only once within budget
 
-    step_factors: list[list[tuple[int, int, list[list[int]]]]] = [[] for _ in intro]
-    for f_i, (a, b, tab) in enumerate(factors):
-        step_factors[apply_at[f_i]].append((a, b, tab))
-    step_drops: list[list[int]] = [[] for _ in intro]
-    for v, s in drop_at.items():
-        step_drops[s].append(v)
-
-    state: dict[tuple[int, ...], int] = {(): 1}
-    alive: list[int] = []
-    for s, v in enumerate(intro):
-        alive.append(v)
-        positions = {var: i for i, var in enumerate(alive)}
-        fts = [(positions[a], positions[b], tab) for a, b, tab in step_factors[s]]
-        domain = (0,) if v == gauge_var else range(order)
-        new_state: dict[tuple[int, ...], int] = {}
-        for key, w in state.items():
-            for val in domain:
-                kk = key + (val,)
-                w2 = w
-                for pa, pb, tab in fts:
-                    w2 *= tab[kk[pa]][kk[pb]]
-                    if not w2:
-                        break
-                if w2:
-                    new_state[kk] = w2
-        state = new_state
-        if step_drops[s]:
-            dpos = sorted((positions[x] for x in step_drops[s]), reverse=True)
-            merged: dict[tuple[int, ...], int] = {}
-            for key, w in state.items():
-                lk = list(key)
-                for p in dpos:
-                    del lk[p]
-                tk = tuple(lk)
-                if tk in merged:
-                    merged[tk] += w
-                else:
-                    merged[tk] = w
-            state = merged
-            for x in step_drops[s]:
-                alive.remove(x)
-
-    assert not alive and set(state) <= {()}
-    total = state.get((), 0)
-    value = Fraction(total, denom_lcm ** geom.n_gates)
+    gt = group_table(k)
+    denom_lcm = math.lcm(*(v.denominator for v in wg_vals))
+    tables = [
+        [[int(v * denom_lcm)] for v in wg_vals],
+        [[q ** gt.n_cycles[r]] for r in range(gt.order)],
+    ]
+    value = Fraction(_sweep_exact(plan, tables, gt), denom_lcm**geom.n_gates)
     if gauge_fix:
         value *= math.factorial(k)
     return FramePotentialResult(
@@ -355,26 +398,8 @@ def frame_potential_direct(
     )
 
 
-def _enforce_budget(intro, pos, drop_at, order, gauge_var, budget):
-    alive_now: set[int] = set()
-    peak = 1
-    for s, v in enumerate(intro):
-        alive_now.add(v)
-        count = 1
-        for x in alive_now:
-            count *= 1 if x == gauge_var else order
-            if count > budget:
-                raise BudgetExceededError(
-                    f"contraction state would reach {count} > budget {budget} "
-                    f"at step {s}; raise {STATE_BUDGET_ENV} or use gauge_fix"
-                )
-        peak = max(peak, count)
-        alive_now = {x for x in alive_now if drop_at[x] > s}
-    return peak
-
-
 # ---------------------------------------------------------------------------
-# transfer route: triangular plaquette model, layer DP with pending-gate state
+# transfer route: triangular plaquette model, one spin per gate
 # ---------------------------------------------------------------------------
 
 
@@ -389,10 +414,10 @@ def frame_potential_transfer(
 
     Each gate carries one S_k spin; eliminating the per-gate tau sums turns
     the weight into a product of plaquette terms J^{spin_g}_{consumer spins},
-    looked up from the symbolic table and evaluated at q.  The layer state
-    carries spins of gates whose plaquette factor or outgoing legs are still
-    pending, which handles open-boundary legs that skip layers without any
-    boundary-specific weights.
+    looked up from the symbolic table and evaluated at q.  The contraction
+    state carries spins of gates whose plaquette factor or outgoing legs are
+    still pending, which handles open-boundary legs that skip layers without
+    any boundary-specific weights.
 
     `backend="exact"` contracts in scaled integers and returns a Fraction;
     `backend="float"` contracts in doubles.
@@ -408,53 +433,29 @@ def frame_potential_transfer(
         res.method = "special"
         return res
 
-    gt = group_table(k)
-    order = gt.order
-    q = geom.q
-    table = build_table(k) if k <= FULL_TABLE_CAP else PlaquetteTable(k)
-
-    n_gates = geom.n_gates
-    cons = geom.consumers
-    # step at which gate g's plaquette factor can be applied (gids are layer-major)
-    apply_at = [max(g, cons[g][0], cons[g][1]) for g in range(n_gates)]
-    needed_until = [apply_at[g] for g in range(n_gates)]
-    for g in range(n_gates):
-        for c in cons[g]:
-            needed_until[c] = max(needed_until[c], apply_at[g])
-    factors_by_step: list[list[int]] = [[] for _ in range(n_gates)]
-    for g in range(n_gates):
-        factors_by_step[apply_at[g]].append(g)
-    drops_by_step: list[list[int]] = [[] for _ in range(n_gates)]
-    for g in range(n_gates):
-        drops_by_step[needed_until[g]].append(g)
-
-    gauge_gate = 0 if gauge_fix else None
+    # gate g's spin is variable g (gids are layer-major), one plaquette per gate
+    factors = [(g, c1, c2, 0) for g, (c1, c2) in enumerate(geom.consumers)]
     default_budget = (
         DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
     )
     budget = _state_budget(default_budget) if state_budget is None else state_budget
-    pending_now: set[int] = set()
-    for g in range(n_gates):
-        pending_now.add(g)
-        count = 1
-        for x in pending_now:
-            count *= 1 if x == gauge_gate else order
-            if count > budget:
-                raise BudgetExceededError(
-                    f"transfer state would reach {count} > budget {budget}; "
-                    f"raise {STATE_BUDGET_ENV} or enable gauge_fix"
-                )
-        pending_now = {x for x in pending_now if needed_until[x] > g}
+    plan = _plan(geom.n_gates, factors, math.factorial(k), 0 if gauge_fix else None, budget)
 
+    gt = group_table(k)
+    q = geom.q
+    table = build_table(k) if k <= FULL_TABLE_CAP else PlaquetteTable(k)
     if backend == "exact":
-        total, denom_lcm = _transfer_exact_sweep(
-            geom, gt, table, factors_by_step, drops_by_step, gauge_gate
+        jfrac = [
+            [table._weight_by_index(ia, ib).evaluate(q) for ib in range(gt.order)]
+            for ia in range(gt.order)
+        ]
+        denom_lcm = math.lcm(*(v.denominator for row in jfrac for v in row))
+        jval = [[int(v * denom_lcm) for v in row] for row in jfrac]
+        value: Fraction | float = Fraction(
+            _sweep_exact(plan, [jval], gt), denom_lcm**geom.n_gates
         )
-        value: Fraction | float = Fraction(total, denom_lcm**n_gates)
     else:
-        value = _transfer_float_sweep(
-            geom, gt, table, factors_by_step, drops_by_step, gauge_gate
-        )
+        value = _transfer_float_sweep(plan, gt, table, q)
     if gauge_fix:
         value *= math.factorial(k)
     return FramePotentialResult(
@@ -470,68 +471,11 @@ def frame_potential_transfer(
     )
 
 
-def _transfer_exact_sweep(geom, gt, table, factors_by_step, drops_by_step, gauge_gate):
-    """Dict-based exact layer sweep in scaled integer arithmetic."""
-    order = gt.order
-    mul, inv = gt.mul, gt.inv
-    q = geom.q
-    cons = geom.consumers
-    jfrac = [
-        [table._weight_by_index(ia, ib).evaluate(q) for ib in range(order)]
-        for ia in range(order)
-    ]
-    denom_lcm = math.lcm(*(v.denominator for row in jfrac for v in row))
-    jval = [[int(v * denom_lcm) for v in row] for row in jfrac]
-
-    # state maps tuples of spins (aligned with `pending` gid list) to weights
-    state: dict[tuple[int, ...], int] = {(): 1}
-    pending: list[int] = []
-    for step in range(geom.n_gates):
-        pending.append(step)
-        slot = {g: i for i, g in enumerate(pending)}
-        plaquettes = [
-            (slot[g], slot[cons[g][0]], slot[cons[g][1]])
-            for g in factors_by_step[step]
-        ]
-        domain = (0,) if step == gauge_gate else range(order)
-        new_state: dict[tuple[int, ...], int] = {}
-        for key, w in state.items():
-            for val in domain:
-                kk = key + (val,)
-                w2 = w
-                for pg, p1, p2 in plaquettes:
-                    row = mul[inv[kk[pg]]]
-                    w2 *= jval[row[kk[p1]]][row[kk[p2]]]
-                    if not w2:
-                        break
-                if w2:
-                    new_state[kk] = w2
-        state = new_state
-        if drops_by_step[step]:
-            dpos = sorted((slot[g] for g in drops_by_step[step]), reverse=True)
-            merged: dict[tuple[int, ...], int] = {}
-            for key, w in state.items():
-                lk = list(key)
-                for p in dpos:
-                    del lk[p]
-                tk = tuple(lk)
-                if tk in merged:
-                    merged[tk] += w
-                else:
-                    merged[tk] = w
-            state = merged
-            for g in drops_by_step[step]:
-                pending.remove(g)
-    return state.get((), 0), denom_lcm
-
-
-def _transfer_float_sweep(geom, gt, table, factors_by_step, drops_by_step, gauge_gate):
-    """Dense numpy layer sweep; one state-tensor axis per pending gate."""
+def _transfer_float_sweep(plan: _Plan, gt, table: PlaquetteTable, q: int) -> float:
+    """Dense numpy sweep of a plaquette plan; one state-tensor axis per live spin."""
     import numpy as np
 
     order = gt.order
-    q = geom.q
-    cons = geom.consumers
     jmat = np.array(
         [
             [table._weight_by_index(ia, ib).evaluate_float(float(q)) for ib in range(order)]
@@ -546,26 +490,19 @@ def _transfer_float_sweep(geom, gt, table, factors_by_step, drops_by_step, gauge
         j3[sg] = jmat[np.ix_(row, row)]
 
     state = np.ones((), dtype=float)
-    pending: list[int] = []
-    for step in range(geom.n_gates):
-        pending.append(step)
-        slot = {g: i for i, g in enumerate(pending)}
-        dom = 1 if step == gauge_gate else order
+    for s, (factors, drops) in enumerate(plan.steps):
+        dom = 1 if s == plan.gauge_var else order
         state = np.multiply.outer(state, np.ones(dom))
         axis_sizes = state.shape
-        for g in factors_by_step[step]:
-            roles = (slot[g], slot[cons[g][0]], slot[cons[g][1]])
+        for roles in factors:
             idx = []
-            for pos in roles:
+            for pos in roles[:3]:
                 shape = [1] * state.ndim
                 shape[pos] = axis_sizes[pos]
                 idx.append(np.arange(axis_sizes[pos]).reshape(shape))
             np.multiply(state, j3[idx[0], idx[1], idx[2]], out=state)
-        if drops_by_step[step]:
-            dpos = tuple(sorted(slot[g] for g in drops_by_step[step]))
-            state = state.sum(axis=dpos)
-            for g in drops_by_step[step]:
-                pending.remove(g)
+        if drops:
+            state = state.sum(axis=tuple(drops))
     return float(state)
 
 

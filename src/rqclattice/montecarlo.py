@@ -3,7 +3,8 @@
 This is the package's floating-point physical oracle: it samples Haar 2-site
 gates, multiplies out the reduced depth-2(t-1) brickwork circuit as a dense
 q^n x q^n matrix, and averages |Tr|^(2k) over independent circuits.  It shares
-no code with the exact lattice evaluators beyond the layer layout convention.
+no code with the exact lattice evaluators beyond the open-chain layer layout
+(`lattice._layer_pairs`).
 
 Sampling is reproducible by construction: the gates of sample i are drawn from
 a counter-based Philox stream keyed by (seed, i), so results are bit-identical
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
+from .lattice import _layer_pairs
 
 DENSE_DIM_BUDGET = 4096
 
@@ -71,11 +73,6 @@ def sample_haar_gate(dim: int, rng: np.random.Generator) -> np.ndarray:
     return u * (diag / np.abs(diag))
 
 
-def _layer_pairs(n: int, layer_index: int) -> list[tuple[int, int]]:
-    start = 1 if layer_index % 2 == 0 else 2
-    return [(a, a + 1) for a in range(start, n, 2) if a + 1 <= n]
-
-
 def _apply_gate(mat: np.ndarray, gate: np.ndarray, a: int, b: int, n: int, q: int) -> np.ndarray:
     """Left-multiply mat by the gate embedded on qudits a, b (1-based)."""
     dim = q**n
@@ -84,8 +81,9 @@ def _apply_gate(mat: np.ndarray, gate: np.ndarray, a: int, b: int, n: int, q: in
     tensor = np.tensordot(g4, tensor, axes=([2, 3], [a - 1, b - 1]))
     # tensordot put the gate output axes in front; restore qudit order
     order = list(range(2, n + 1))
-    order.insert(a - 1, 0)
-    order.insert(b - 1, 1)
+    # insert at the lower position first so the second insert cannot shift it
+    for pos, axis in sorted([(a - 1, 0), (b - 1, 1)]):
+        order.insert(pos, axis)
     tensor = np.transpose(tensor, order)
     return tensor.reshape(dim, dim)
 
@@ -99,7 +97,7 @@ def circuit_trace(n: int, q: int, t: int, rng: np.random.Generator) -> complex:
         raise BudgetExceededError(f"q^n = {dim} exceeds dense budget {DENSE_DIM_BUDGET}")
     mat = np.eye(dim, dtype=complex)
     for layer in range(2 * (t - 1)):
-        for a, b in _layer_pairs(n, layer):
+        for a, b in _layer_pairs(n, layer, "open"):
             mat = _apply_gate(mat, sample_haar_gate(q * q, rng), a, b, n, q)
     return complex(np.trace(mat))
 
@@ -131,7 +129,7 @@ def _dense_circuit(n: int, q: int, t: int, rng: np.random.Generator) -> np.ndarr
     dim = q**n
     mat = np.eye(dim, dtype=complex)
     for layer in range(t):
-        for a, b in _layer_pairs(n, layer):
+        for a, b in _layer_pairs(n, layer, "open"):
             mat = _apply_gate(mat, sample_haar_gate(q * q, rng), a, b, n, q)
     return mat
 

@@ -234,6 +234,14 @@ class TestConjectureEvidence:
                 row = conjecture_evidence(4, q, t, 2)
                 assert Fraction(row["excess"]) == Fraction(row["single_wall_truncation"])
 
+    def test_n2_has_no_wall_and_ratio_one(self):
+        for q in (2, 3):
+            for t in (2, 3):
+                for k in (2, 3):
+                    row = conjecture_evidence(2, q, t, k)
+                    assert Fraction(row["excess"]) == 0 == Fraction(row["single_wall_truncation"])
+                    assert row["ratio"] == 1.0, (q, t, k)
+
 
 def _brickwork_wall_walks(n, t):
     """Single-wall configurations by a layer-by-layer DP on the brickwork geometry.

@@ -237,6 +237,21 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             frame_potential_transfer(g, 3, state_budget=1000)
 
+    def test_budget_checked_before_weight_tables(self, monkeypatch):
+        import rqclattice.lattice as lattice
+
+        def no_tables(*args):
+            raise AssertionError("weight table built before the budget check")
+
+        monkeypatch.setattr(lattice, "_wg_values_at", no_tables)
+        monkeypatch.setattr(lattice, "build_table", no_tables)
+        g = build_geometry(6, 2, 3, "periodic")
+        with pytest.raises(BudgetExceededError):
+            frame_potential_direct(g, 3, state_budget=1000)
+        for backend in ("exact", "float"):
+            with pytest.raises(BudgetExceededError):
+                frame_potential_transfer(g, 3, backend=backend, state_budget=1000)
+
     def test_bruteforce_budget(self):
         g = build_geometry(6, 2, 3, "open")
         with pytest.raises(BudgetExceededError):

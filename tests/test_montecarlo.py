@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,42 @@ from rqclattice.errors import BudgetExceededError
 from rqclattice.lattice import build_geometry, frame_potential_transfer
 from rqclattice.montecarlo import (
     MCEstimate,
+    _apply_gate,
     _sample_rng,
     circuit_trace,
     estimate_frame_potential,
     sample_haar_gate,
 )
+
+
+def _embedded(gate, a, b, n, q):
+    """Gate on qudits a, b (1-based, qudit 1 most significant) as a q^n x q^n matrix."""
+    shape = (q,) * n
+    full = np.zeros((q**n, q**n), dtype=complex)
+    for col in range(q**n):
+        digits = list(np.unravel_index(col, shape))
+        for oa, ob in itertools.product(range(q), repeat=2):
+            out = digits.copy()
+            out[a - 1], out[b - 1] = oa, ob
+            full[np.ravel_multi_index(out, shape), col] += gate[
+                oa * q + ob, digits[a - 1] * q + digits[b - 1]
+            ]
+    return full
+
+
+class TestApplyGate:
+    def test_matches_explicit_embedding_for_every_pair(self):
+        q = 2
+        rng = np.random.default_rng(5)
+        for n in (4, 5):
+            dim = q**n
+            mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for a, b in itertools.permutations(range(1, n + 1), 2):
+                gate = sample_haar_gate(q * q, rng)
+                got = _apply_gate(mat, gate, a, b, n, q)
+                np.testing.assert_allclose(
+                    got, _embedded(gate, a, b, n, q) @ mat, atol=1e-12, err_msg=f"{(a, b)}"
+                )
 
 
 class TestHaarGate:
