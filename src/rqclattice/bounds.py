@@ -268,24 +268,29 @@ def brickwork_single_wall_count(n: int, t: int) -> int:
 
 
 def single_wall_excess_exact(n: int, q: int, t: int, k: int) -> Fraction:
-    """Unconfined-walk single-wall estimate (n_g-1) C(k,2) C(2(t-1), t-1) (q/(q^2+1))^(2(t-1)).
+    """Unconfined-walk single-wall estimate ((n-1)//2) C(k,2) C(2(t-1), t-1) (q/(q^2+1))^(2(t-1)).
 
-    The binomial counts returning walks as if no boundary confined them, so
+    Walls start on the (n-1)//2 layer-0 wall bonds 2, 4, ..., but the
+    binomial counts their returning walks as if no boundary confined them, so
     it is not the brickwork's single-wall count (:func:`brickwork_single_wall_count`):
     for even n it agrees at t=2 and overcounts from t=3 on (6 against 4 at
-    n=4, t=3), and for odd n its n_g-1 starts miss one bond.  It serves the
-    bounds below, not the exact single-wall sector.
+    n=4, t=3); for odd n it overcounts already at t=2 (2 against 1 at n=3).
+    It serves the bounds below, not the exact single-wall sector.
     """
-    n_g = n // 2
     w = Fraction(q, q * q + 1)
     return (
-        Fraction((n_g - 1) * math.comb(k, 2) * math.comb(2 * (t - 1), t - 1))
+        Fraction((n - 1) // 2 * math.comb(k, 2) * math.comb(2 * (t - 1), t - 1))
         * w ** (2 * (t - 1))
     )
 
 
 def single_wall_bound_k(n: int, q: int, t: int, k: int) -> float:
-    """Directed-walk bound on the single-wall sector of the k-th moment."""
+    """Unconfined-walk estimate of the single-wall sector of the k-th moment.
+
+    An estimate, not a bound: it leaves out every multi-wall term, which can
+    outweigh its overcount (at n=8, t=2, q=64 the exact (F-2)/2 = 1.46472e-3
+    exceeds the estimate 1.46413e-3 through the two-wall term).
+    """
     if k < 2:
         raise ValueError("single-wall walls exist only for k >= 2")
     return float(single_wall_excess_exact(n, q, t, k))

@@ -24,7 +24,6 @@ from .errors import BudgetExceededError, PoleError, VerificationError
 from .perms import Perm, group_table
 from .plaquette import (
     FULL_TABLE_CAP,
-    PlaquetteTable,
     asymptotic_check,
     build_table,
     pole_free_report,
@@ -121,7 +120,7 @@ def _cmd_plaquettes(args) -> int:
             f"full plaquette dumps are capped at k={FULL_TABLE_CAP}; "
             "pass --key SIGMA12 SIGMA13 for k=6"
         )
-    table = build_table(k) if k <= FULL_TABLE_CAP else PlaquetteTable(k)
+    table = build_table(k)
     rows = []
     if args.key:
         a = _parse_perm(args.key[0], k)

@@ -18,7 +18,9 @@ weights:
 
 Both contract through one planned elimination: :func:`_plan` schedules the
 factors and checks the state budget before any weight table is built, and
-:func:`_sweep_exact` (or the dense float sweep) runs the schedule.  The
+:func:`_sweep` runs the schedule on dense numpy arrays.  The number ring is
+the dtype of the weight tables: object arrays of Python ints (weights scaled
+to integers) for exact results, float64 for the float backend.  The
 weights stay independent, so their exact equality on every in-budget
 geometry is the package's central oracle; :func:`_frame_potential_bruteforce`
 additionally checks both against raw enumeration on tiny instances.
@@ -35,15 +37,19 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import BudgetExceededError, PoleError
 from .perms import group_table
-from .plaquette import PLAQUETTE_CAP, FULL_TABLE_CAP, PlaquetteTable, build_table
+from .plaquette import PLAQUETTE_CAP, build_table
 from .weingarten import wg_gram, wg_symbolic
 
 STATE_BUDGET_ENV = "RQCLATTICE_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 4_000_000
-# the float backend holds dense numpy state tensors, so it affords more states
+# both rings hold dense numpy states, but an exact entry is a Python int object
+# (often many words), not 8 bytes, so the float backend affords more states
 DEFAULT_FLOAT_STATE_BUDGET = 128_000_000
 
 
@@ -216,7 +222,7 @@ def _special_result(geom: CircuitGeometry, k: int, method: str) -> FramePotentia
 
 
 # ---------------------------------------------------------------------------
-# shared contraction: one budget-checked plan, one exact dict sweep
+# shared contraction: one budget-checked plan, one dense sweep
 # ---------------------------------------------------------------------------
 
 # Every weight of both models is invariant under a common left multiplication
@@ -273,40 +279,51 @@ def _plan(
     return _Plan(steps, gauge_var)
 
 
-def _sweep_exact(plan: _Plan, tables: list[list[list[int]]], gt) -> int:
-    """Contract a plan over integer factor tables with a dict of live states."""
-    rel = [gt.mul[gt.inv[a]] for a in range(gt.order)]
-    state: dict[tuple[int, ...], int] = {(): 1}
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # cached arrays are shared by every caller
+    return a
+
+
+@lru_cache(maxsize=None)
+def _relative(k: int) -> np.ndarray:
+    """rel[a, x] = a^-1 x over the element indices of S_k."""
+    gt = group_table(k)
+    return _read_only(np.array([gt.mul[gt.inv[a]] for a in range(gt.order)]))
+
+
+@lru_cache(maxsize=None)
+def _axis_index(size: int, trailing: int) -> np.ndarray:
+    """0..size-1 along a state axis that has `trailing` axes after it."""
+    return _read_only(np.arange(size).reshape((size,) + (1,) * trailing))
+
+
+def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
+    """Contract a plan over dense factor tables, in the ring of their dtype.
+
+    The state has one axis per live variable; the gauge variable's axis has
+    size 1, its one value being the identity (index 0).  float64 tables give
+    a float, object tables of Python ints the exact integer.
+    """
+    rel = _relative(k)
+    state = np.ones((), dtype=tables[0].dtype)
     for s, (factors, drops) in enumerate(plan.steps):
-        fts = [(a, b, c, tables[tid]) for a, b, c, tid in factors]
-        domain = (0,) if s == plan.gauge_var else range(gt.order)  # 0 = identity
-        new_state: dict[tuple[int, ...], int] = {}
-        for key, w in state.items():
-            for val in domain:
-                kk = key + (val,)
-                w2 = w
-                for pa, pb, pc, tab in fts:
-                    row = rel[kk[pa]]
-                    w2 *= tab[row[kk[pb]]][row[kk[pc]]]
-                    if not w2:
-                        break
-                if w2:
-                    new_state[kk] = w2
-        state = new_state
-        if drops:
-            dpos = drops[::-1]
-            merged: dict[tuple[int, ...], int] = {}
-            for key, w in state.items():
-                lk = list(key)
-                for p in dpos:
-                    del lk[p]
-                tk = tuple(lk)
-                if tk in merged:
-                    merged[tk] += w
-                else:
-                    merged[tk] = w
-            state = merged
-    return state.get((), 0)
+        size = 1 if s == plan.gauge_var else len(rel)
+        state = np.repeat(state[..., None], size, axis=-1)
+        last = state.ndim - 1
+        for a, b, c, tid in factors:
+            ia = _axis_index(state.shape[a], last - a)
+            ib = _axis_index(state.shape[b], last - b)
+            ic = _axis_index(state.shape[c], last - c)
+            np.multiply(state, tables[tid][rel[ia, ib], rel[ia, ic]], out=state)
+        if drops:  # summing out every axis returns a scalar, not a 0-d array
+            state = np.asarray(state.sum(axis=tuple(drops)), dtype=state.dtype)
+    return state[()]
+
+
+def _scaled_ints(values: list[Fraction]) -> tuple[np.ndarray, int]:
+    """The integers v * D over the least common denominator D, in the exact ring."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return np.array([int(v * denom) for v in values], dtype=object), denom
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +394,9 @@ def frame_potential_direct(
         wg_vals = _wg_values_at(k, d)  # Gram inversion, only once within budget
 
     gt = group_table(k)
-    denom_lcm = math.lcm(*(v.denominator for v in wg_vals))
-    tables = [
-        [[int(v * denom_lcm)] for v in wg_vals],
-        [[q ** gt.n_cycles[r]] for r in range(gt.order)],
-    ]
-    value = Fraction(_sweep_exact(plan, tables, gt), denom_lcm**geom.n_gates)
+    wg, denom = _scaled_ints(wg_vals)
+    qpow = np.array([q**c for c in gt.n_cycles], dtype=object)
+    value = Fraction(_sweep(plan, [wg[:, None], qpow[:, None]], k), denom**geom.n_gates)
     if gauge_fix:
         value *= math.factorial(k)
     return FramePotentialResult(
@@ -441,21 +455,15 @@ def frame_potential_transfer(
     budget = _state_budget(default_budget) if state_budget is None else state_budget
     plan = _plan(geom.n_gates, factors, math.factorial(k), 0 if gauge_fix else None, budget)
 
-    gt = group_table(k)
     q = geom.q
-    table = build_table(k) if k <= FULL_TABLE_CAP else PlaquetteTable(k)
+    # each distinct plaquette weight is evaluated once, then gathered per key
+    weights, cls = build_table(k).key_classes()
     if backend == "exact":
-        jfrac = [
-            [table._weight_by_index(ia, ib).evaluate(q) for ib in range(gt.order)]
-            for ia in range(gt.order)
-        ]
-        denom_lcm = math.lcm(*(v.denominator for row in jfrac for v in row))
-        jval = [[int(v * denom_lcm) for v in row] for row in jfrac]
-        value: Fraction | float = Fraction(
-            _sweep_exact(plan, [jval], gt), denom_lcm**geom.n_gates
-        )
+        jval, denom = _scaled_ints([w.evaluate(q) for w in weights])
+        value: Fraction | float = Fraction(_sweep(plan, [jval[cls]], k), denom**geom.n_gates)
     else:
-        value = _transfer_float_sweep(plan, gt, table, q)
+        jval = np.array([w.evaluate_float(float(q)) for w in weights])
+        value = float(_sweep(plan, [jval[cls]], k))
     if gauge_fix:
         value *= math.factorial(k)
     return FramePotentialResult(
@@ -469,41 +477,6 @@ def frame_potential_transfer(
         backend=backend,
         gauge_fixed=gauge_fix,
     )
-
-
-def _transfer_float_sweep(plan: _Plan, gt, table: PlaquetteTable, q: int) -> float:
-    """Dense numpy sweep of a plaquette plan; one state-tensor axis per live spin."""
-    import numpy as np
-
-    order = gt.order
-    jmat = np.array(
-        [
-            [table._weight_by_index(ia, ib).evaluate_float(float(q)) for ib in range(order)]
-            for ia in range(order)
-        ]
-    )
-    # j3[sg, s1, s2] = J^{sg}_{s1 s2}
-    inv_rows = np.array([gt.mul[gt.inv[sg]] for sg in range(order)])
-    j3 = np.empty((order, order, order))
-    for sg in range(order):
-        row = inv_rows[sg]
-        j3[sg] = jmat[np.ix_(row, row)]
-
-    state = np.ones((), dtype=float)
-    for s, (factors, drops) in enumerate(plan.steps):
-        dom = 1 if s == plan.gauge_var else order
-        state = np.multiply.outer(state, np.ones(dom))
-        axis_sizes = state.shape
-        for roles in factors:
-            idx = []
-            for pos in roles[:3]:
-                shape = [1] * state.ndim
-                shape[pos] = axis_sizes[pos]
-                idx.append(np.arange(axis_sizes[pos]).reshape(shape))
-            np.multiply(state, j3[idx[0], idx[1], idx[2]], out=state)
-        if drops:
-            state = state.sum(axis=tuple(drops))
-    return float(state)
 
 
 # ---------------------------------------------------------------------------

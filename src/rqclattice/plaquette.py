@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .exact import Polynomial, RationalFunction, poly_gcd
 from .perms import Perm, group_table
@@ -120,6 +122,7 @@ class PlaquetteTable:
         self.k = k
         self._gt = group_table(k)
         self._weights: dict[tuple[int, int], RationalFunction] = {}
+        self._classes: tuple[list[tuple[int, int]], np.ndarray] | None = None
 
     # -- raw computation ---------------------------------------------------
 
@@ -157,12 +160,33 @@ class PlaquetteTable:
         return self._weight_by_index(self._gt.idx(a), self._gt.idx(b))
 
     def _weight_by_index(self, ia: int, ib: int) -> RationalFunction:
-        rep = self._canonical(ia, ib)
+        return self._weight_of(self._canonical(ia, ib))
+
+    def _weight_of(self, rep: tuple[int, int]) -> RationalFunction:
         w = self._weights.get(rep)
         if w is None:
             w = self._weight_raw(*rep)
             self._weights[rep] = w
         return w
+
+    def key_classes(self) -> tuple[list[RationalFunction], np.ndarray]:
+        """Distinct weights and the (k!, k!) array of each raw key's position among them.
+
+        Every raw key is canonicalized once, on the first call; the weights
+        of the representatives are computed (or looked up) on every call.
+        """
+        if self._classes is None:
+            order = self._gt.order
+            pos: dict[tuple[int, int], int] = {}
+            cls = np.array([
+                pos.setdefault(self._canonical(ia, ib), len(pos))
+                for ia in range(order)
+                for ib in range(order)
+            ]).reshape(order, order)
+            cls.setflags(write=False)  # shared by every caller of the table
+            self._classes = (list(pos), cls)
+        reps, cls = self._classes
+        return [self._weight_of(rep) for rep in reps], cls
 
     def weight(self, s1: Perm, s2: Perm, s3: Perm) -> RationalFunction:
         inv1 = s1.inverse()
@@ -174,10 +198,7 @@ class PlaquetteTable:
             raise BudgetExceededError(
                 f"full tables capped at k={FULL_TABLE_CAP}; k=6 is computed per key"
             )
-        gt = self._gt
-        for ia in range(gt.order):
-            for ib in range(gt.order):
-                self._weight_by_index(ia, ib)
+        self.key_classes()
         return self
 
     def entries(self):
@@ -200,8 +221,9 @@ class PlaquetteTable:
 
 @lru_cache(maxsize=None)
 def build_table(k: int) -> PlaquetteTable:
-    """Fully populated plaquette table for k <= 5; use PlaquetteTable(6) for lazy k=6."""
-    return PlaquetteTable(k).populate()
+    """The shared plaquette table: fully populated for k <= 5, lazy (per key) for k = 6."""
+    table = PlaquetteTable(k)
+    return table.populate() if k <= FULL_TABLE_CAP else table
 
 
 def plaquette_weight(s1: Perm, s2: Perm, s3: Perm) -> RationalFunction:
@@ -209,9 +231,7 @@ def plaquette_weight(s1: Perm, s2: Perm, s3: Perm) -> RationalFunction:
     k = s1.degree
     if not (k == s2.degree == s3.degree):
         raise ValueError("plaquette permutations must share a degree")
-    _check_k(k)
-    table = build_table(k) if k <= FULL_TABLE_CAP else PlaquetteTable(k)
-    return table.weight(s1, s2, s3)
+    return build_table(k).weight(s1, s2, s3)
 
 
 def classify(s1: Perm, s2: Perm, s3: Perm) -> WallSignature:
@@ -244,7 +264,7 @@ def verify_rules(
     _check_k(k)
     report = RuleReport(name=f"plaquette rules k={k}")
     gt = group_table(k)
-    table = build_table(k) if k <= FULL_TABLE_CAP else PlaquetteTable(k)
+    table = build_table(k)
     rng = random.Random(seed)
 
     one = RationalFunction.constant(1)

@@ -129,6 +129,15 @@ class TestSingleWallSector:
         base = single_wall_bound_k(6, 2, 3, 2)
         assert single_wall_bound_k(6, 2, 3, 4) == pytest.approx(base * math.comb(4, 2))
 
+    def test_odd_n_counts_every_wall_start(self):
+        # (n-1)//2 layer-0 wall bonds: at q=64 the estimate sits above the
+        # exact single-wall-dominated excess (F-2)/2 for odd n as well
+        for n in (3, 5, 7):
+            for t in (2, 3):
+                F = frame_potential_transfer(build_geometry(n, 64, t, "open"), 2).value
+                assert float((F - 2) / 2) < single_wall_bound_k(n, 64, t, 2), (n, t)
+        assert single_wall_bound_k(3, 64, 2, 2) == single_wall_bound_k(4, 64, 2, 2)
+
     def test_fp_k_leading(self):
         assert fp_k_leading(6, 2, 3, 1) == 1.0
         # t large: sector vanishes, leaving k!

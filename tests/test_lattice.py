@@ -252,6 +252,23 @@ class TestGuards:
             with pytest.raises(BudgetExceededError):
                 frame_potential_transfer(g, 3, backend=backend, state_budget=1000)
 
+    def test_each_distinct_plaquette_weight_evaluated_once(self, monkeypatch):
+        from rqclattice.exact import RationalFunction
+        from rqclattice.plaquette import build_table
+
+        g = build_geometry(4, 2, 2, "open")
+        frame_potential_transfer(g, 5, gauge_fix=True)  # warm tables
+        calls = []
+        evaluate = RationalFunction.evaluate
+
+        def counting(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(RationalFunction, "evaluate", counting)
+        frame_potential_transfer(g, 5, gauge_fix=True)
+        assert 0 < len(calls) <= len(build_table(5)._weights)
+
     def test_bruteforce_budget(self):
         g = build_geometry(6, 2, 3, "open")
         with pytest.raises(BudgetExceededError):

@@ -233,6 +233,15 @@ class TestCapsAndLazy:
         t = Perm.from_cycles(6, (1, 2))
         assert table.weight(id6, t, id6) == SINGLE_WALL
 
+    def test_build_table_k6_is_shared_and_lazy(self):
+        table = build_table(6)
+        assert table is build_table(6)
+        id6 = Perm.identity(6)
+        t = Perm.from_cycles(6, (1, 2))
+        assert table.weight(id6, t, id6) == SINGLE_WALL
+        with pytest.raises(BudgetExceededError):
+            table.populate()
+
     def test_raw_spot_check_catches_cache(self):
         # raw recomputation equals cached class value on arbitrary keys
         table = build_table(3)
