@@ -187,8 +187,10 @@ def _cmd_weingarten(args) -> int:
 
 
 def _cmd_framepotential(args) -> int:
-    if args.method != "montecarlo" and (args.samples is not None or args.seed is not None):
-        raise _ArgumentError("--samples/--seed only apply to the montecarlo method")
+    if args.method != "montecarlo" and any(
+        v is not None for v in (args.samples, args.seed, args.threads)
+    ):
+        raise _ArgumentError("--samples/--seed/--threads only apply to the montecarlo method")
     params = {
         "method": args.method,
         "n": args.n,
@@ -202,7 +204,8 @@ def _cmd_framepotential(args) -> int:
         seed = 0 if args.seed is None else args.seed
         est = estimate_frame_potential(
             args.n, args.q, args.t, args.k, samples=samples, seed=seed,
-            threads=args.threads, two_sided=args.two_sided,
+            threads=1 if args.threads is None else args.threads,
+            two_sided=args.two_sided, bc=args.bc,
         )
         params.update({"samples": samples, "seed": seed, "two_sided": args.two_sided})
         result = est.to_json_dict()
@@ -340,7 +343,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("plaquettes", help="dump plaquette weight table")
     p.add_argument("--k", type=int, required=True)
@@ -367,6 +369,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
+    p.add_argument("--threads", type=int)
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--gauge-fix", action="store_true")
     common(p)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import PoleError
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:

@@ -207,7 +207,7 @@ def _check_moment(k: int):
         raise BudgetExceededError(f"moment order capped at k={PLAQUETTE_CAP}")
 
 
-def _special_result(geom: CircuitGeometry, k: int, method: str) -> FramePotentialResult:
+def _special_result(geom: CircuitGeometry, k: int) -> FramePotentialResult:
     value = Fraction(frame_potential_special(geom.n, geom.q, geom.t, k))
     return FramePotentialResult(
         value=value,
@@ -368,7 +368,7 @@ def frame_potential_direct(
     """
     _check_moment(k)
     if geom.t <= 1:
-        return _special_result(geom, k, "direct")
+        return _special_result(geom, k)
 
     # variables sigma_g -> 2*gid, tau_g -> 2*gid + 1, introduced layer-major
     intro: list[int] = []
@@ -440,11 +440,10 @@ def frame_potential_transfer(
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     if geom.t <= 1:
-        res = _special_result(geom, k, "transfer")
+        res = _special_result(geom, k)
         if backend == "float":
             res.value = float(res.value)
             res.backend = "float"
-        res.method = "special"
         return res
 
     # gate g's spin is variable g (gids are layer-major), one plaquette per gate

@@ -69,8 +69,7 @@ class WeingartenTable:
     def __init__(self, k: int):
         _check_k(k)
         self.k = k
-        gt = group_table(k)
-        self.values = {ct: _wg_by_cycle_type(k, ct) for ct in gt.cycle_types}
+        self.values = {ct: _wg_by_cycle_type(k, ct) for ct in partitions(k)}
 
     def __getitem__(self, key) -> RationalFunction:
         if isinstance(key, Perm):

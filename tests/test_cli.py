@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rqclattice.cli import main
+from rqclattice.montecarlo import estimate_frame_potential
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,22 @@ class TestFramePotentialCommand:
                                "--n", "4", "--q", "2", "--t", "2", "--k", "2",
                                "--samples", "10")
         assert code == 4
+
+    def test_threads_flag_requires_montecarlo(self, capsys):
+        code, _, _ = run_cli(capsys, "framepotential", "exact-transfer",
+                             "--n", "4", "--q", "2", "--t", "2", "--k", "2",
+                             "--threads", "2")
+        assert code == 4
+        code, _, _ = run_cli(capsys, "plaquettes", "--k", "2", "--threads", "2")
+        assert code == 4
+
+    def test_montecarlo_honours_bc(self, capsys):
+        env = run_json(capsys, "framepotential", "montecarlo", "--bc", "periodic",
+                       "--n", "4", "--q", "2", "--t", "2", "--k", "2",
+                       "--samples", "200", "--seed", "3", "--threads", "2")
+        est = estimate_frame_potential(4, 2, 2, 2, samples=200, seed=3, bc="periodic")
+        assert env["result"]["mean"] == est.mean
+        assert "jackknife_error" not in env["result"]
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "framepotential", "exact-transfer",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import rqclattice.montecarlo
 from rqclattice.errors import BudgetExceededError
 from rqclattice.lattice import build_geometry, frame_potential_transfer
 from rqclattice.montecarlo import (
@@ -68,6 +69,14 @@ class TestHaarGate:
         assert abs(np.mean(v2) - 1.0) < 4 * se2
         assert abs(np.mean(v4) - 2.0) < 4 * se4
 
+    def test_stack_matches_single_draws(self):
+        stack = sample_haar_gate(4, _sample_rng(8, 0), 5)
+        rng = _sample_rng(8, 0)
+        assert stack.shape == (5, 4, 4)
+        for gate in stack:
+            np.testing.assert_array_equal(gate, sample_haar_gate(4, rng))
+        assert sample_haar_gate(4, rng, 0).shape == (0, 4, 4)
+
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             sample_haar_gate(1, np.random.default_rng(0))
@@ -102,6 +111,27 @@ class TestCircuitTrace:
         with pytest.raises(ValueError):
             circuit_trace(4, 2, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    def test_gates_follow_lattice_geometry(self, monkeypatch, bc):
+        applied = []
+
+        def record(mat, gate, a, b, n, q):
+            applied.append((a, b))
+            return mat
+
+        monkeypatch.setattr(rqclattice.montecarlo, "_apply_gate", record)
+        for n in range(2, 8):
+            for t in range(1, 5):
+                applied.clear()
+                circuit_trace(n, 2, t, np.random.default_rng(0), bc)
+                assert applied == [g.qudits for g in build_geometry(n, 2, t, bc).gates], (n, t)
+
+    def test_unknown_bc_rejected(self):
+        with pytest.raises(ValueError):
+            circuit_trace(4, 2, 1, np.random.default_rng(0), "twisted")
+        with pytest.raises(ValueError):
+            estimate_frame_potential(4, 2, 2, 2, samples=2, seed=0, bc="twisted")
+
 
 class TestEstimator:
     def test_seed_determinism_across_threads(self):
@@ -121,8 +151,6 @@ class TestEstimator:
         assert est.samples == 200 and est.seed == 9
         assert est.max_sample >= est.mean
         assert est.std_error > 0
-        # jackknife of the plain mean coincides with the standard error
-        assert est.jackknife_error == pytest.approx(est.std_error, rel=1e-9)
 
     def test_agreement_with_exact(self):
         est = estimate_frame_potential(4, 2, 2, 2, samples=20000, seed=314)
@@ -135,6 +163,12 @@ class TestEstimator:
         # hence the larger sample count)
         est = estimate_frame_potential(n, 2, t, k, samples=samples, seed=20240613)
         exact = float(frame_potential_transfer(build_geometry(n, 2, t, "open"), k).value)
+        assert abs(est.mean - exact) < 4 * est.std_error
+
+    def test_agreement_with_exact_periodic(self):
+        est = estimate_frame_potential(4, 2, 2, 2, samples=20000, seed=11, bc="periodic")
+        exact = float(frame_potential_transfer(build_geometry(4, 2, 2, "periodic"), 2).value)
+        assert exact == pytest.approx(2.1024)
         assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_k1_estimates_one(self):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import rqclattice.weingarten
 from rqclattice.errors import SingularMatrixError
 from rqclattice.exact import Polynomial, RationalFunction
 from rqclattice.perms import Perm, cycle_type, enumerate_sk, group_table, sign
 from rqclattice.weingarten import (
+    WeingartenTable,
     weingarten_table,
     wg_gram,
     wg_in_q,
@@ -139,3 +141,13 @@ def test_wg_in_q_substitution():
 def test_wg_depends_only_on_cycle_type():
     for p in enumerate_sk(4):
         assert wg_symbolic(p, 4) == wg_symbolic(cycle_type(p), 4)
+
+
+def test_table_needs_no_group_table(monkeypatch):
+    # cycle types come from the partitions of k; S_6 has 720^2 products
+    def refuse(k):
+        raise AssertionError("group table built")
+
+    monkeypatch.setattr(rqclattice.weingarten, "group_table", refuse)
+    table = WeingartenTable(6)
+    assert list(dict(table.items())) == list(group_table(6).cycle_types)
