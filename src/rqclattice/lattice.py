@@ -16,8 +16,12 @@ weights:
   looking up symbolic plaquette weights (character-expansion route), in exact
   rationals or floats.
 
-Both contract through one planned elimination: :func:`_plan` schedules the
-factors and checks the state budget before any weight table is built, and
+Both contract through one planned elimination.  :func:`_plan` eliminates the
+spins in the cheaper of two orders, the one whose live state peaks lower:
+layer-major (a whole layer is live, which a short ring at long t favours) or
+column-major, a spatial transfer matrix that keeps about 2t - 1 spins live on
+an open chain whatever n is.  It plans each lattice shape once and checks the
+state budget on every call, before any weight table is built.
 :func:`_sweep` runs the schedule on dense numpy arrays.  The number ring is
 the dtype of the weight tables: object arrays of Python ints (weights scaled
 to integers) for exact results, float64 for the float backend.  The
@@ -237,46 +241,109 @@ _Factor = tuple[int, int, int, int]
 class _Plan:
     """Elimination schedule: variable s enters the state as its last slot at
     step s; steps[s] holds the factors applied then, in state slots, and the
-    sorted slots summed out after them."""
+    sorted slots summed out after them.
 
-    steps: list[tuple[list[_Factor], list[int]]]
+    `order` names the candidate elimination order the variables were
+    relabelled by.  live[s] counts the state axes at step s other than the
+    gauge variable's, so that state holds (k!)^live[s] entries; `peak` is the
+    largest of them.
+    """
+
+    steps: tuple[tuple[tuple[_Factor, ...], tuple[int, ...]], ...]
     gauge_var: int | None
+    order: str
+    live: tuple[int, ...]
+    peak: int
 
 
 def _plan(
-    n_vars: int, factors: list[_Factor], order: int, gauge_var: int | None, budget: int
+    n_vars: int,
+    factors: list[_Factor],
+    candidates: dict[str, list[int]],
+    gauge_var: int | None,
+    group_order: int,
+    budget: int,
 ) -> _Plan:
-    """Schedule a contraction over variables 0..n_vars-1 in index order.
+    """Schedule a contraction over variables 0..n_vars-1 in the candidate
+    order of least peak state, and check the state budget.
 
-    Each factor is applied at the step of its last variable and each variable
-    summed out after its last factor.  The state-size check needs only the
-    scopes and k!, so both routes plan before building any weight table.
+    `candidates` maps the name of each elimination order to the variables in
+    that order.  Each factor is applied at the step of its last variable and
+    each variable summed out after its last factor.  The schedule depends on
+    the scopes alone, not on q, k or the number ring, so it is memoized per
+    lattice shape; the budget needs only the memoized peak and k!, so both
+    routes plan, and every call is checked, before any weight table is built.
     """
-    step_factors: list[list[_Factor]] = [[] for _ in range(n_vars)]
-    drop_at = list(range(n_vars))
-    for f in factors:
-        s = max(f[:3])
-        step_factors[s].append(f)
-        for v in f[:3]:
-            drop_at[v] = max(drop_at[v], s)
+    plan = _planned(
+        n_vars,
+        tuple(factors),
+        tuple((name, tuple(order)) for name, order in candidates.items()),
+        gauge_var,
+    )
+    if group_order**plan.peak > budget:
+        s = next(s for s, m in enumerate(plan.live) if group_order**m > budget)
+        raise BudgetExceededError(
+            f"contraction state would reach {group_order ** plan.live[s]} > budget "
+            f"{budget} at step {s} of the {plan.order} order; raise "
+            f"{STATE_BUDGET_ENV} or use gauge_fix"
+        )
+    return plan
 
+
+@lru_cache(maxsize=256)
+def _planned(
+    n_vars: int,
+    factors: tuple[_Factor, ...],
+    candidates: tuple[tuple[str, tuple[int, ...]], ...],
+    gauge_var: int | None,
+) -> _Plan:
+    """The plan of the candidate order with the least peak (the first on a tie)."""
+    options = []
+    for name, order in candidates:
+        pos = [0] * n_vars
+        for step, v in enumerate(order):
+            pos[v] = step
+        relabelled = [(pos[a], pos[b], pos[c], tid) for a, b, c, tid in factors]
+        gauge = None if gauge_var is None else pos[gauge_var]
+        drop_at = list(range(n_vars))
+        for f in relabelled:
+            s = max(f[:3])
+            for v in f[:3]:
+                drop_at[v] = max(drop_at[v], s)
+        # live counts in linear time: +1 where a variable enters, -1 after it drops
+        delta = [0] * (n_vars + 1)
+        for v, d in enumerate(drop_at):
+            if v != gauge:
+                delta[v] += 1
+                delta[d + 1] -= 1
+        live = tuple(itertools.accumulate(delta[:n_vars]))
+        options.append((max(live), name, live, relabelled, gauge, drop_at))
+    peak, name, live, relabelled, gauge, drop_at = min(options, key=lambda o: o[0])
+
+    step_factors: list[list[_Factor]] = [[] for _ in range(n_vars)]
+    for f in relabelled:
+        step_factors[max(f[:3])].append(f)
     steps = []
     alive: list[int] = []
     for s in range(n_vars):
         alive.append(s)
-        count = order ** sum(v != gauge_var for v in alive)
-        if count > budget:
-            raise BudgetExceededError(
-                f"contraction state would reach {count} > budget {budget} "
-                f"at step {s}; raise {STATE_BUDGET_ENV} or use gauge_fix"
-            )
         slot = {v: i for i, v in enumerate(alive)}
         steps.append((
-            [(slot[a], slot[b], slot[c], tid) for a, b, c, tid in step_factors[s]],
-            sorted(slot[v] for v in alive if drop_at[v] == s),
+            tuple((slot[a], slot[b], slot[c], tid) for a, b, c, tid in step_factors[s]),
+            tuple(sorted(slot[v] for v in alive if drop_at[v] == s)),
         ))
         alive = [v for v in alive if drop_at[v] > s]
-    return _Plan(steps, gauge_var)
+    return _Plan(tuple(steps), gauge, name, live, peak)
+
+
+def _column_major(geom: CircuitGeometry) -> list[Gate]:
+    """Gates sorted by (leftmost qudit, layer); the ring's wrap gate (n, 1)
+    counts as column 0.  Sweeping columns keeps about 2t - 1 spins live on an
+    open chain, where the layer-major order keeps a whole layer."""
+    wrap = (geom.n, 1)
+    return sorted(
+        geom.gates, key=lambda g: (0 if g.qudits == wrap else g.qudits[0], g.layer)
+    )
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -370,17 +437,17 @@ def frame_potential_direct(
     if geom.t <= 1:
         return _special_result(geom, k)
 
-    # variables sigma_g -> 2*gid, tau_g -> 2*gid + 1, introduced layer-major
-    intro: list[int] = []
-    for layer in geom.layers:
-        intro.extend(2 * g.gid for g in layer)
-        intro.extend(2 * g.gid + 1 for g in layer)
-    pos = {v: i for i, v in enumerate(intro)}
-    sigma = [pos[2 * g.gid] for g in geom.gates]
-    tau = [pos[2 * g.gid + 1] for g in geom.gates]
-    # table 0: Wg(sigma_g^-1 tau_g) per gate; table 1: q^ell(tau_g^-1 sigma_h) per leg
-    factors = [(sigma[g], tau[g], sigma[g], 0) for g in range(geom.n_gates)]
-    factors += [(tau[src], sigma[dst], tau[src], 1) for src, _, dst in geom.legs]
+    # variables sigma_g -> 2g, tau_g -> 2g + 1; table 0: Wg(sigma_g^-1 tau_g) per
+    # gate; table 1: q^ell(tau_g^-1 sigma_h) per leg
+    factors = [(2 * g, 2 * g + 1, 2 * g, 0) for g in range(geom.n_gates)]
+    factors += [(2 * src + 1, 2 * dst, 2 * src + 1, 1) for src, _, dst in geom.legs]
+    # layer-major takes a layer's sigmas, then its taus; column-major each
+    # gate's pair in turn
+    layer_major = [
+        2 * g.gid + side for layer in geom.layers for side in (0, 1) for g in layer
+    ]
+    column_major = [2 * g.gid + side for g in _column_major(geom) for side in (0, 1)]
+    candidates = {"layer-major": layer_major, "column-major": column_major}
     q = geom.q
     d = q * q
     # below d = k the values come cheaply from the symbolic route, and a pole
@@ -388,7 +455,12 @@ def frame_potential_direct(
     wg_vals = _wg_values_at(k, d) if d < k else None
     budget = _state_budget() if state_budget is None else state_budget
     plan = _plan(
-        len(intro), factors, math.factorial(k), sigma[0] if gauge_fix else None, budget
+        2 * geom.n_gates,
+        factors,
+        candidates,
+        0 if gauge_fix else None,
+        math.factorial(k),
+        budget,
     )
     if wg_vals is None:
         wg_vals = _wg_values_at(k, d)  # Gram inversion, only once within budget
@@ -446,13 +518,24 @@ def frame_potential_transfer(
             res.backend = "float"
         return res
 
-    # gate g's spin is variable g (gids are layer-major), one plaquette per gate
+    # gate g's spin is variable g, one plaquette per gate
     factors = [(g, c1, c2, 0) for g, (c1, c2) in enumerate(geom.consumers)]
+    candidates = {
+        "layer-major": [g.gid for layer in geom.layers for g in layer],
+        "column-major": [g.gid for g in _column_major(geom)],
+    }
     default_budget = (
         DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
     )
     budget = _state_budget(default_budget) if state_budget is None else state_budget
-    plan = _plan(geom.n_gates, factors, math.factorial(k), 0 if gauge_fix else None, budget)
+    plan = _plan(
+        geom.n_gates,
+        factors,
+        candidates,
+        0 if gauge_fix else None,
+        math.factorial(k),
+        budget,
+    )
 
     q = geom.q
     # each distinct plaquette weight is evaluated once, then gathered per key

@@ -145,11 +145,21 @@ def estimate_frame_potential(
     trace.  `bc` selects the open chain or the periodic ring (an odd-n ring has
     no wrap gate).  The heavy-tailed |Tr|^(2k) distribution is why the max
     sample rides along with the standard error.
+
+    The single-circuit form needs t >= 2: at t = 1 the reduced circuit is
+    empty and its trace moment is q^(2nk), not the frame potential.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
+    if t < 2 and not two_sided:
+        raise ValueError(
+            f"the single-circuit estimate needs t >= 2 (got t={t}); "
+            "use the two-sided form (--two-sided) for t < 2"
+        )
     values = np.empty(samples, dtype=float)
-    if threads <= 1:
+    if threads == 1:
         for i in range(samples):
             values[i] = _one_sample(n, q, t, k, seed, i, two_sided, bc)
     else:

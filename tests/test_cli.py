@@ -118,6 +118,19 @@ class TestFramePotentialCommand:
         code, _, _ = run_cli(capsys, "plaquettes", "--k", "2", "--threads", "2")
         assert code == 4
 
+    def test_montecarlo_rejects_threads_below_one(self, capsys):
+        code, _, err = run_cli(capsys, "framepotential", "montecarlo",
+                               "--n", "4", "--q", "2", "--t", "2", "--k", "2",
+                               "--samples", "10", "--threads", "-3")
+        assert code == 4
+        assert "threads" in err
+
+    def test_montecarlo_single_sided_t1_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "framepotential", "montecarlo",
+                               "--n", "4", "--q", "2", "--t", "1", "--k", "2")
+        assert code == 4
+        assert "--two-sided" in err
+
     def test_montecarlo_honours_bc(self, capsys):
         env = run_json(capsys, "framepotential", "montecarlo", "--bc", "periodic",
                        "--n", "4", "--q", "2", "--t", "2", "--k", "2",

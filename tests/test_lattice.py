@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import rqclattice.lattice as lattice
 from rqclattice.errors import BudgetExceededError, PoleError
 from rqclattice.lattice import (
+    _plan,
     build_geometry,
     frame_potential_direct,
     frame_potential_special,
@@ -299,3 +303,133 @@ class TestResultMetadata:
         exact = frame_potential_direct(g, 2)
         assert isinstance(exact.value, Fraction)
         assert exact.method == "direct"
+
+
+def _criterion_06_grid():
+    """(n, t, k, q, bc) of acceptance criterion 06."""
+    return itertools.product((4, 5, 6), (2, 3), (2, 3), (2, 3), ("open", "periodic"))
+
+
+class TestPlanner:
+    """The planner picks the cheaper of the layer-major and column-major orders."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Record every plan the routes look up, also when over budget."""
+        seen = []
+        planned = lattice._planned
+
+        def recording(*args):
+            seen.append(planned(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lattice, "_planned", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "n,t,bc,order,peak",
+        [
+            # open chains keep about 2t - 1 spins live column by column
+            (8, 3, "open", "column-major", 5),
+            (18, 3, "open", "column-major", 5),
+            (1024, 4, "open", "column-major", 7),
+            (12, 3, "periodic", "column-major", 9),
+            # a short ring at long t keeps fewer layer by layer
+            (12, 5, "periodic", "layer-major", 14),
+            (6, 3, "periodic", "layer-major", 8),
+        ],
+    )
+    def test_budget_message_names_order_step_and_states(self, plans, n, t, bc, order, peak):
+        geom = build_geometry(n, 2, t, bc)
+        with pytest.raises(BudgetExceededError) as exc:
+            frame_potential_transfer(geom, 3, state_budget=5)
+        assert (plans[-1].order, plans[-1].peak) == (order, peak)
+        step = plans[-1].live.index(1)  # the first state of 6 > 5 entries
+        assert f"reach 6 > budget 5 at step {step} of the {order} order" in str(exc.value)
+
+    def test_plan_memoized_per_shape_budget_checked_per_call(self, plans):
+        # the scopes depend on neither q, k nor the backend
+        for q, k, backend in ((2, 2, "exact"), (3, 3, "float"), (5, 2, "exact")):
+            frame_potential_transfer(build_geometry(10, q, 3, "open"), k, backend=backend)
+        assert plans[0] is plans[1] is plans[2]
+        with pytest.raises(BudgetExceededError):
+            frame_potential_transfer(build_geometry(10, 2, 3, "open"), 3, state_budget=6**4)
+        assert plans[3] is plans[0]
+
+    def test_n8_t3_k3_fits_default_budget(self, plans):
+        geom = build_geometry(8, 2, 3, "open")
+        value = frame_potential_transfer(geom, 3).value
+        assert plans[-1].peak == 5 and 6**5 <= lattice.DEFAULT_STATE_BUDGET
+        assert value == frame_potential_direct(geom, 3, gauge_fix=True).value
+
+    def test_n64_t4_k2_exact_within_default_budget(self, plans):
+        geom = build_geometry(64, 2, 4)
+        exact = frame_potential_transfer(geom, 2).value
+        assert plans[-1].order == "column-major"
+        assert 2 ** plans[-1].peak <= lattice.DEFAULT_STATE_BUDGET
+        assert exact > 2
+        assert frame_potential_transfer(geom, 2, backend="float").value == pytest.approx(
+            float(exact), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "n,t,k,bc",
+        [(8, 3, 3, "open"), (18, 3, 2, "open"), (12, 5, 2, "open"), (12, 3, 2, "periodic")],
+    )
+    def test_float_matches_exact_to_1e12(self, plans, n, t, k, bc):
+        geom = build_geometry(n, 2, t, bc)
+        exact = float(frame_potential_transfer(geom, k).value)
+        approx = frame_potential_transfer(geom, k, backend="float").value
+        assert plans[-1].order == "column-major"
+        assert abs(approx - exact) / exact < 1e-12
+
+    def test_exact_equals_forced_layer_major(self, plans, monkeypatch):
+        """Criterion 06 grid, both routes, both boundaries, gauge on and off."""
+        routes = (frame_potential_direct, frame_potential_transfer)
+        cases = []
+        for n, t, k, q, bc in _criterion_06_grid():
+            geom = build_geometry(n, q, t, bc)
+            for route, gauge_fix in itertools.product(routes, (False, True)):
+                with pytest.raises(BudgetExceededError):
+                    route(geom, k, gauge_fix=gauge_fix, state_budget=0)
+                # a layer-major winner would run the same plan twice
+                if plans[-1].order == "column-major":
+                    cases.append((route, geom, k, gauge_fix))
+        assert {route for route, *_ in cases} == set(routes) and len(cases) > 50
+
+        got = [route(geom, k, gauge_fix=gf).value for route, geom, k, gf in cases]
+
+        def layer_major_only(n_vars, factors, candidates, *rest):
+            return _plan(n_vars, factors, {"layer-major": candidates["layer-major"]}, *rest)
+
+        monkeypatch.setattr(lattice, "_plan", layer_major_only)
+        for (route, geom, k, gauge_fix), value in zip(cases, got):
+            assert route(geom, k, gauge_fix=gauge_fix).value == value, (
+                route.__name__, geom.n, geom.t, k, geom.q, geom.spatial_bc, gauge_fix
+            )
+
+    def test_largest_state_is_k_factorial_to_the_peak(self, plans, monkeypatch):
+        """The sweep's largest state has (k!)^peak entries; the gauge axis has size 1."""
+        repeats = []
+        repeat = np.repeat
+
+        def recording(state, size, axis):
+            repeats.append((size, state.size * size))
+            return repeat(state, size, axis=axis)
+
+        monkeypatch.setattr(np, "repeat", recording)
+        # q moves no state size
+        shapes = {(n, t, bc, k) for n, t, k, _, bc in _criterion_06_grid()}
+        shapes |= {(n, t, "periodic", 2) for n, t in ((8, 3), (10, 3), (12, 3), (12, 5))}
+        for n, t, bc, k in sorted(shapes):
+            geom = build_geometry(n, 2, t, bc)
+            for route, gauge_fix in itertools.product(
+                (frame_potential_direct, frame_potential_transfer), (False, True)
+            ):
+                del repeats[:]
+                route(geom, k, gauge_fix=gauge_fix)
+                plan = plans[-1]
+                assert len(repeats) == len(plan.steps)
+                assert max(size for _, size in repeats) == math.factorial(k) ** plan.peak
+                gauge = [s for s, (size, _) in enumerate(repeats) if size == 1]
+                assert gauge == ([plan.gauge_var] if gauge_fix else [])

@@ -184,3 +184,16 @@ class TestEstimator:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             estimate_frame_potential(4, 2, 2, 2, samples=1, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            estimate_frame_potential(4, 2, 2, 2, samples=10, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_single_sided_needs_t2(self, t):
+        # the reduced t=1 circuit is empty: its moment is q^(2nk), not F = k!^(n/2)
+        with pytest.raises(ValueError, match="--two-sided"):
+            estimate_frame_potential(4, 2, t, 2, samples=10, seed=0)
+        est = estimate_frame_potential(4, 2, t, 1, samples=10, seed=0, two_sided=True)
+        assert est.t == t
