@@ -5,9 +5,9 @@ of `walls` non-intersecting walkers on gate-boundary positions {1..n_g-1},
 each stepping +-1 per layer for 2(t-1) layers, returning to its start and
 never leaving the interval.  Two independent counters are kept (path
 enumeration and a transfer-style DP), and the method-of-images formula is
-calibrated against them once: the calibrated reflection offsets are in
-gate-boundary units (offset scale 1), not the doubled units printed in some
-treatments, and the full image series is required -- truncating at one
+tested against them: its reflection offsets are in gate-boundary units
+(offset scale 1), not the doubled units printed in some treatments, and the
+full image series is required -- truncating at one
 reflection per boundary goes wrong as soon as walkers can bounce twice.
 
 That idealized lattice is not the brickwork's single-wall count.  On the open
@@ -31,9 +31,6 @@ from .errors import BudgetExceededError
 
 WALK_NG_CAP = 8
 WALK_T_CAP = 8
-
-# frozen by calibrate_images_convention against the enumeration oracle
-IMAGES_OFFSET_SCALE = 1
 
 
 @dataclass
@@ -145,93 +142,61 @@ def count_walls_dp(n_g: int, t: int, walls: int) -> int:
     return total
 
 
-def _interval_loop_count(x: int, length: int, steps_half: int, scale: int) -> int:
+def _interval_loop_count(x: int, length: int, steps_half: int) -> int:
     """Returning walks from x confined to (0, length), by the full image series.
 
-    Image offsets are scaled by `scale` (the calibration convention); scale 1
-    is the standard reflection for walkers on gate-boundary positions.
+    Image offsets are in gate-boundary units (offset scale 1): the images of
+    x sit at -x + 2j * length.
     """
     m = steps_half
-    period = scale * length
     total = 0
     j = 0
     while True:
         hit = False
         for jj in (j, -j) if j else (0,):
-            first = math.comb(2 * m, m + jj * period) if abs(jj * period) <= m else 0
-            off = scale * x + jj * period
+            first = math.comb(2 * m, m + jj * length) if abs(jj * length) <= m else 0
+            off = x + jj * length
             second = math.comb(2 * m, m + off) if abs(off) <= m else 0
             if first or second:
                 hit = True
             total += first - second
-        if j and not hit and j * period > m + scale * x:
+        if j and not hit and j * length > m + x:
             break
         j += 1
     return total
 
 
-def c1_images(n: int, t: int, offset_scale: int | None = None) -> int:
+def c1_images(n: int, t: int) -> int:
     """Single-domain-wall count by the method of images, summed over starts.
 
     Counts returning walks of 2(t-1) steps confined to the gate-boundary
     interval, including every repeated reflection (walks can bounce off both
-    boundaries for t large relative to n).  `offset_scale` defaults to the
-    frozen calibrated convention; it must reproduce
+    boundaries for t large relative to n).  It reproduces
     count_walls_bruteforce(n_g, t, 1) exactly.
     """
     if n < 4:
         raise ValueError("n must be >= 4 (at least two gates per even layer)")
     if t < 2:
         raise ValueError("t must be >= 2")
-    scale = IMAGES_OFFSET_SCALE if offset_scale is None else offset_scale
     n_g = n // 2
     m = t - 1
-    return sum(_interval_loop_count(x, n_g, m, scale) for x in range(1, n_g))
+    return sum(_interval_loop_count(x, n_g, m) for x in range(1, n_g))
 
 
-def c1_images_single_reflection(n: int, t: int, offset_scale: int | None = None) -> int:
+def c1_images_single_reflection(n: int, t: int) -> int:
     """Leading truncation of the image series: one reflection per boundary.
 
     This is the commonly printed closed form; it equals the full count only
     while no walk can reach both boundaries, and can even go negative beyond
     that regime, which is why :func:`c1_images` sums the full series.
     """
-    scale = IMAGES_OFFSET_SCALE if offset_scale is None else offset_scale
     n_g = n // 2
     m = t - 1
 
     def _c(j):
         return math.comb(2 * m, j) if 0 <= j <= 2 * m else 0
 
-    return sum(
-        _c(m) - _c(m - scale * x) - _c(m - scale * (n_g - x)) for x in range(1, n_g)
-    )
-
-
-def calibrate_images_convention(max_ng: int = 6, max_t: int = 6) -> dict:
-    """One-time calibration of the reflection offset scale against enumeration.
-
-    Returns the unique scale in {1, 2} that matches count_walls_bruteforce on
-    the whole grid, with the grid evidence; raises if none or both match.
-    """
-    candidates = {1: True, 2: True}
-    evidence = []
-    for n_g in range(3, max_ng + 1):
-        for t in range(2, max_t + 1):
-            brute = count_walls_bruteforce(n_g, t, 1)
-            row = {"n_g": n_g, "t": t, "enumeration": brute}
-            for scale in (1, 2):
-                img = sum(
-                    _interval_loop_count(x, n_g, t - 1, scale) for x in range(1, n_g)
-                )
-                row[f"scale_{scale}"] = img
-                if img != brute:
-                    candidates[scale] = False
-            evidence.append(row)
-    matching = [s for s, ok in candidates.items() if ok]
-    if len(matching) != 1:
-        raise ValueError(f"calibration did not single out a convention: {matching}")
-    return {"offset_scale": matching[0], "series": "full", "grid": evidence}
+    return sum(_c(m) - _c(m - x) - _c(m - (n_g - x)) for x in range(1, n_g))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +228,7 @@ def brickwork_single_wall_count(n: int, t: int) -> int:
     if t < 2:
         raise ValueError("t must be >= 2")
     return sum(
-        _interval_loop_count(x, n, t - 1, IMAGES_OFFSET_SCALE) for x in range(2, n, 2)
+        _interval_loop_count(x, n, t - 1) for x in range(2, n, 2)
     )
 
 

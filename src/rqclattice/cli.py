@@ -245,7 +245,7 @@ def _cmd_bounds(args) -> int:
         if args.n >= 4 and args.t >= 2:
             rows.append({"name": "c1_images",
                          "value": bounds_mod.c1_images(args.n, args.t),
-                         "convention": f"offset_scale={bounds_mod.IMAGES_OFFSET_SCALE}, full series"})
+                         "convention": "offset_scale=1, full series"})
     if args.epsilon is not None:
         t2 = bounds_mod.t2_design_depth(args.n, args.q, args.epsilon)
         rows.append({"name": "t2_design_depth", "value": t2.t, "constant": t2.constant})

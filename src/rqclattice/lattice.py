@@ -134,11 +134,8 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
             layer.append(gate)
         layers.append(layer)
 
-    touching: dict[int, list[Gate]] = {}
-    for g in gates:
-        for u in g.qudits:
-            touching.setdefault(u, []).append(g)
-
+    # owner[ell][u]: the gate of layer ell acting on qudit u
+    owner = [{u: g for g in layer for u in g.qudits} for layer in layers]
     legs: list[tuple[int, int, int]] = []
     consumers: list[tuple[int, int]] = []
     for g in gates:
@@ -146,11 +143,7 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
         for u in g.qudits:
             consumer = None
             for step in range(1, depth + 1):
-                target_layer = (g.layer + step) % depth
-                for h in layers[target_layer]:
-                    if u in h.qudits:
-                        consumer = h
-                        break
+                consumer = owner[(g.layer + step) % depth].get(u)
                 if consumer is not None:
                     break
             assert consumer is not None, f"qudit {u} has no consuming gate"

@@ -6,10 +6,12 @@ A plaquette weight is the tau-sum
 
 with d = q^2 substituted symbolically before reduction, so pole cancellation
 can be certified on the reduced form in q.  J depends on (s1, s2, s3) only
-through the canonical key (s1^-1 s2, s1^-1 s3); keys related by simultaneous
-conjugation share a weight, which cuts the k=5 table from 14400 keys to 161
-distinct computations.  Rule checks recompute a sample of weights from the raw
-tau-sum so the canonicalization itself stays under test.
+through the key (s1^-1 s2, s1^-1 s3), and keys related by simultaneous
+conjugation share a weight.  Each table labels those classes once, in one
+(k!, k!) map that every lookup goes through, so the k=5 table computes 161
+weights for its 14400 keys and k=6 computes 901 for 518400.  Rule checks
+recompute a sample of weights from the raw tau-sum so the class map itself
+stays under test.
 """
 
 from __future__ import annotations
@@ -111,23 +113,41 @@ def _wg_numerators(k: int):
 
 
 class PlaquetteTable:
-    """Memoized map from canonical keys (s1^-1 s2, s1^-1 s3) to weights in q.
+    """Plaquette weights of S_k, stored once per conjugation class of keys.
 
-    After populate() the table is read-only and safe to share across threads;
-    lazy lookups mutate only the internal cache with idempotent values.
+    On creation every raw key (a, b) = (s1^-1 s2, s1^-1 s3) is labelled with
+    its class under simultaneous conjugation; classes are numbered in
+    row-major order of their least key, their representative.  Each class
+    weight is computed on first use.  After populate() the table is
+    read-only and safe to share across threads; lazy lookups mutate only the
+    weight list with idempotent values.
     """
 
     def __init__(self, k: int):
         _check_k(k)
         self.k = k
         self._gt = group_table(k)
-        self._weights: dict[tuple[int, int], RationalFunction] = {}
-        self._classes: tuple[list[tuple[int, int]], np.ndarray] | None = None
+        self._cls, self._reps = self._label_classes()
+        self._weights: list[RationalFunction | None] = [None] * len(self._reps)
 
-    # -- raw computation ---------------------------------------------------
+    def _label_classes(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The (k!, k!) class of every key and each class's least key."""
+        gt = self._gt
+        mul = np.array(gt.mul)
+        # conj[p, a] = index of p^-1 a p
+        conj = mul[mul[gt.inv], np.arange(gt.order)[:, None]]
+        cls = np.full((gt.order, gt.order), -1)
+        reps: list[tuple[int, int]] = []
+        for ia in range(gt.order):
+            for ib in np.flatnonzero(cls[ia] < 0).tolist():
+                if cls[ia, ib] < 0:  # row-major first key of a new orbit is its least
+                    cls[conj[:, ia], conj[:, ib]] = len(reps)
+                    reps.append((ia, ib))
+        cls.setflags(write=False)  # shared by every caller of the table
+        return cls, reps
 
     def _weight_raw(self, ia: int, ib: int) -> RationalFunction:
-        """J^{id}_{a b} from the defining tau-sum, bypassing canonicalization."""
+        """J^{id}_{a b} from the defining tau-sum, bypassing the class map."""
         gt = self._gt
         nums, common = _wg_numerators(self.k)
         # counts[ct][m]: how many tau of each cycle type give q-exponent m
@@ -142,61 +162,34 @@ class PlaquetteTable:
                 total = total + nums[ct_i] * Polynomial(row_counts)
         return RationalFunction(total, common)
 
-    def _canonical(self, ia: int, ib: int) -> tuple[int, int]:
-        """Least key in the simultaneous-conjugation orbit of (a, b)."""
-        gt = self._gt
-        best = (ia, ib)
-        for p in range(gt.order):
-            row = gt.mul[gt.inv[p]]
-            cand = (gt.mul[row[ia]][p], gt.mul[row[ib]][p])
-            if cand < best:
-                best = cand
-        return best
+    def _class_weight(self, c: int) -> RationalFunction:
+        w = self._weights[c]
+        if w is None:
+            w = self._weights[c] = self._weight_raw(*self._reps[c])
+        return w
 
     # -- public surface ----------------------------------------------------
 
     def weight_by_key(self, a: Perm, b: Perm) -> RationalFunction:
-        """J^{id}_{a b} for the canonical key pair."""
+        """J^{id}_{a b} for the key pair (a, b)."""
         return self._weight_by_index(self._gt.idx(a), self._gt.idx(b))
 
     def _weight_by_index(self, ia: int, ib: int) -> RationalFunction:
-        return self._weight_of(self._canonical(ia, ib))
-
-    def _weight_of(self, rep: tuple[int, int]) -> RationalFunction:
-        w = self._weights.get(rep)
-        if w is None:
-            w = self._weight_raw(*rep)
-            self._weights[rep] = w
-        return w
+        return self._class_weight(self._cls[ia, ib])
 
     def key_classes(self) -> tuple[list[RationalFunction], np.ndarray]:
-        """Distinct weights and the (k!, k!) array of each raw key's position among them.
-
-        Every raw key is canonicalized once, on the first call; the weights
-        of the representatives are computed (or looked up) on every call.
-        """
-        if self._classes is None:
-            order = self._gt.order
-            pos: dict[tuple[int, int], int] = {}
-            cls = np.array([
-                pos.setdefault(self._canonical(ia, ib), len(pos))
-                for ia in range(order)
-                for ib in range(order)
-            ]).reshape(order, order)
-            cls.setflags(write=False)  # shared by every caller of the table
-            self._classes = (list(pos), cls)
-        reps, cls = self._classes
-        return [self._weight_of(rep) for rep in reps], cls
+        """Class weights and the read-only (k!, k!) array of each raw key's class."""
+        return [self._class_weight(c) for c in range(len(self._reps))], self._cls
 
     def weight(self, s1: Perm, s2: Perm, s3: Perm) -> RationalFunction:
         inv1 = s1.inverse()
         return self.weight_by_key(inv1 * s2, inv1 * s3)
 
     def populate(self):
-        """Force computation of every canonical key (k <= 5 only)."""
+        """Force computation of every class weight (k <= 5 only)."""
         if self.k > FULL_TABLE_CAP:
             raise BudgetExceededError(
-                f"full tables capped at k={FULL_TABLE_CAP}; k=6 is computed per key"
+                f"full tables capped at k={FULL_TABLE_CAP}; k=6 is computed per class"
             )
         self.key_classes()
         return self
@@ -221,7 +214,7 @@ class PlaquetteTable:
 
 @lru_cache(maxsize=None)
 def build_table(k: int) -> PlaquetteTable:
-    """The shared plaquette table: fully populated for k <= 5, lazy (per key) for k = 6."""
+    """The shared plaquette table: fully populated for k <= 5, lazy (per class) for k = 6."""
     table = PlaquetteTable(k)
     return table.populate() if k <= FULL_TABLE_CAP else table
 
@@ -250,11 +243,11 @@ def verify_rules(
 ) -> RuleReport:
     """Check the structural plaquette rules.
 
-    Exhaustive over all (k!)^2 canonical keys for k <= 4, with right-invariance
+    Exhaustive over all (k!)^2 keys for k <= 4, with right-invariance
     additionally checked against every group translation; for k = 5 the rules
     are checked on `samples` pseudo-random triples.  A deterministic subsample
-    of weights is recomputed from the raw tau-sum so that the canonical-key
-    cache is itself exercised.
+    of weights is recomputed from the raw tau-sum so that the class map is
+    itself exercised.
 
     Rules: (i) J^s_{ss} = 1; (ii) J^s_{s's'} = 0 for s != s'; (iii) a single
     outgoing wall forces a single ingoing wall, with the k=2 weight q/(q^2+1);
@@ -300,7 +293,7 @@ def verify_rules(
             report.note(f"rule iv: J[a,b] != J[b,a] at key {(ia, ib)}")
         report.checked += 1
 
-    # rule v: simultaneous right translation conjugates the canonical key
+    # rule v: simultaneous right translation conjugates the key
     if k <= 4:
         translations = [
             (ia, ib, p)
@@ -320,7 +313,7 @@ def verify_rules(
         if table._weight_by_index(ja, jb) != table._weight_by_index(ia, ib):
             report.note(f"rule v: key {(ia, ib)} changed under translation {p}")
 
-    # spot-check the canonical cache against raw tau-sums
+    # spot-check the class map against raw tau-sums
     for _ in range(raw_spot_checks):
         ia, ib = rng.randrange(gt.order), rng.randrange(gt.order)
         report.checked += 1

@@ -25,6 +25,7 @@ from .exact import Polynomial, RationalFunction
 from .perms import Perm, cycle_type, group_table
 
 WG_CAP = 6
+GRAM_CAP = 5
 
 
 def _check_k(k: int):
@@ -102,8 +103,15 @@ def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
     pivot raises SingularMatrixError.
 
     Deliberately dumb (dense exact elimination) so it can serve as an oracle.
+    Its cost grows as (k!)^3, a few seconds at k=5, so k is capped at
+    GRAM_CAP = 5: k=6 raises BudgetExceededError before any work is done.
     """
     _check_k(k)
+    if k > GRAM_CAP:
+        raise BudgetExceededError(
+            f"Gram-matrix inversion capped at k={GRAM_CAP}: dense exact elimination "
+            f"grows as (k!)^3 and would take over 20 minutes at k={k}"
+        )
     if d < 1:
         raise ValueError("d must be >= 1")
     gt = group_table(k)

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from rqclattice.bounds import (
-    IMAGES_OFFSET_SCALE,
     brickwork_single_wall_count,
     c1_images,
     c1_images_single_reflection,
-    calibrate_images_convention,
     conjecture_evidence,
     count_walls_bruteforce,
     count_walls_dp,
@@ -59,12 +57,6 @@ class TestWallCounting:
 
 
 class TestImagesFormula:
-    def test_calibration_selects_scale_one(self):
-        cal = calibrate_images_convention()
-        assert cal["offset_scale"] == 1
-        assert cal["series"] == "full"
-        assert IMAGES_OFFSET_SCALE == 1
-
     def test_matches_enumeration_on_grid(self):
         for n_g in range(3, 9):
             for t in range(2, 9):
@@ -80,16 +72,6 @@ class TestImagesFormula:
         # for n_g > t-1 no double bounce fits, so the truncation is exact
         for n_g, t in ((6, 3), (7, 4), (8, 4)):
             assert c1_images_single_reflection(2 * n_g, t) == c1_images(2 * n_g, t)
-
-    def test_doubled_offsets_rejected_by_oracle(self):
-        mismatches = [
-            (n_g, t)
-            for n_g in range(3, 7)
-            for t in range(2, 7)
-            if c1_images(2 * n_g, t, offset_scale=2)
-            != count_walls_bruteforce(n_g, t, 1)
-        ]
-        assert mismatches  # the doubled-unit convention cannot be calibrated
 
     def test_n2_has_no_interior(self):
         # n_g=2 leaves a single position; a +-1 walker cannot loop there

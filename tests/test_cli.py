@@ -145,6 +145,14 @@ class TestFramePotentialCommand:
         assert code == 2
         assert "budget" in err.lower()
 
+    def test_direct_k6_gram_refused_with_budget_exit(self, capsys):
+        # d = q^2 = 9 >= k sends the direct route to the Gram oracle, which
+        # refuses k=6 instead of running for more than 20 minutes
+        code, _, err = run_cli(capsys, "framepotential", "exact-direct",
+                               "--n", "2", "--q", "3", "--t", "2", "--k", "6")
+        assert code == 2
+        assert "Gram" in err and "k=5" in err
+
 
 class TestBoundsCommand:
     def test_fp2_substitution(self, capsys):

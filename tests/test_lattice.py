@@ -57,6 +57,22 @@ class TestGeometry:
             assert all(count == 2 for count in absorbed.values())
             assert set(absorbed) == set(range(g.n_gates))
 
+    def test_each_leg_goes_to_the_next_gate_on_its_qudit(self):
+        # the consumer acts on the qudit, and no gate of a layer strictly
+        # between source and consumer (counted cyclically) touches it
+        for bc in ("open", "periodic"):
+            for n in range(2, 14):
+                for t in range(0, 6):
+                    g = build_geometry(n, 2, t, bc)
+                    depth = len(g.layers)
+                    for src, qudit, dst in g.legs:
+                        source, consumer = g.gates[src], g.gates[dst]
+                        assert qudit in source.qudits and qudit in consumer.qudits
+                        gap = (consumer.layer - source.layer) % depth or depth
+                        for step in range(1, gap):
+                            layer = g.layers[(source.layer + step) % depth]
+                            assert all(qudit not in h.qudits for h in layer)
+
     def test_open_boundary_skips_layers(self):
         # qudit 1 of n=4 is idle on odd layers; its leg must skip to the next even layer
         g = build_geometry(4, 2, 3, "open")

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
+from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError
 from rqclattice.exact import Polynomial, RationalFunction
-from rqclattice.perms import Perm, enumerate_sk
+from rqclattice.perms import Perm, conjugacy_class_size, enumerate_sk
 from rqclattice.plaquette import (
     PlaquetteTable,
     WallSignature,
@@ -248,3 +251,61 @@ class TestCapsAndLazy:
         gt = table._gt
         for ia, ib in itertools.product(range(6), repeat=2):
             assert table._weight_raw(ia, ib) == table._weight_by_index(ia, ib)
+
+
+def _least_conjugate_key(gt, ia, ib):
+    """Least key in the simultaneous-conjugation orbit of (a, b), scanning all k! conjugators."""
+    best = (ia, ib)
+    for p in range(gt.order):
+        row = gt.mul[gt.inv[p]]
+        cand = (gt.mul[row[ia]][p], gt.mul[row[ib]][p])
+        if cand < best:
+            best = cand
+    return best
+
+
+def _burnside_count(k):
+    """Orbits of S_k x S_k under simultaneous conjugation: sum over classes of k!/|C|."""
+    return sum(math.factorial(k) // conjugacy_class_size(lam) for lam in partitions(k))
+
+
+class TestClassMap:
+    """The table's one class map against an independent per-key orbit scan."""
+
+    @staticmethod
+    def _check(table, keys):
+        gt, cls, reps = table._gt, table._cls, table._reps
+        for ia, ib in keys:
+            assert reps[cls[ia, ib]] == _least_conjugate_key(gt, ia, ib), (ia, ib)
+        for rep in reps:
+            assert _least_conjugate_key(gt, *rep) == rep
+        # classes are numbered in row-major order of their first key, the representative
+        classes, first = np.unique(cls.ravel(), return_index=True)
+        assert classes.tolist() == list(range(len(reps)))
+        assert first.tolist() == [ia * gt.order + ib for ia, ib in reps]
+        assert reps == sorted(reps)
+        assert not cls.flags.writeable
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_key_small_k(self, k):
+        table = build_table(k)
+        n = table._gt.order
+        self._check(table, itertools.product(range(n), repeat=2))
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_sampled_keys(self, k):
+        table = build_table(k)
+        rng = random.Random(100 + k)
+        n = table._gt.order
+        self._check(table, [(rng.randrange(n), rng.randrange(n)) for _ in range(200)])
+
+    def test_burnside_counts(self):
+        assert [_burnside_count(k) for k in (5, 6)] == [161, 901]
+        for k in range(1, 6):
+            weights, _ = build_table(k).key_classes()
+            assert len(weights) == _burnside_count(k)
+
+    def test_k6_classes_without_weights(self):
+        table = PlaquetteTable(6)
+        assert len(table._reps) == 901
+        assert all(w is None for w in table._weights)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import rqclattice.weingarten
-from rqclattice.errors import SingularMatrixError
+from rqclattice.errors import BudgetExceededError, SingularMatrixError
 from rqclattice.exact import Polynomial, RationalFunction
 from rqclattice.perms import Perm, cycle_type, enumerate_sk, group_table, sign
 from rqclattice.weingarten import (
@@ -58,6 +58,17 @@ def test_gram_is_class_function():
 def test_gram_singular_below_k():
     with pytest.raises(SingularMatrixError):
         wg_gram(3, 2)
+
+
+def test_gram_refuses_k6_before_building(monkeypatch):
+    # k=6 would be dense Fraction elimination on a 720x720 matrix; the cap
+    # must fire before the group table or the matrix is touched
+    def no_table(k):
+        raise AssertionError("group table built")
+
+    monkeypatch.setattr(rqclattice.weingarten, "group_table", no_table)
+    with pytest.raises(BudgetExceededError, match="capped at k=5"):
+        wg_gram(6, 9)
 
 
 def test_restricted_equals_unrestricted_for_d_at_least_k():
