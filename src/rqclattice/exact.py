@@ -279,9 +279,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Exact rational function num/den, gcd-reduced with monic denominator."""
+    """Exact rational function num/den, gcd-reduced with monic denominator.
 
-    __slots__ = ("num", "den")
+    Integer evaluation runs on integer coefficients: num and den scaled by the
+    least common denominator of all their coefficients, built on first use.
+    """
+
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -379,12 +383,36 @@ class RationalFunction:
             return RationalFunction(self.den, self.num) ** (-n)
         return RationalFunction(self.num**n, self.den**n)
 
+    def _int_coeffs(self) -> tuple[list[int], list[int]]:
+        try:
+            return self._ints
+        except AttributeError:
+            cs = self.num.coeffs + self.den.coeffs
+            scale = math.lcm(*(c.denominator for c in cs))
+            ints = (
+                [int(c * scale) for c in self.num.coeffs],
+                [int(c * scale) for c in self.den.coeffs],
+            )
+            object.__setattr__(self, "_ints", ints)
+            return ints
+
     def evaluate(self, x) -> Fraction:
         """Exact value at x; raises PoleError at a root of the reduced denominator."""
-        dv = self.den.evaluate(x)
+        if not isinstance(x, int):
+            dv = self.den.evaluate(x)
+            if dv == 0:
+                raise PoleError(f"pole at x = {x}")
+            return self.num.evaluate(x) / dv
+        num, den = self._int_coeffs()
+        dv = 0
+        for c in reversed(den):
+            dv = dv * x + c
         if dv == 0:
             raise PoleError(f"pole at x = {x}")
-        return self.num.evaluate(x) / dv
+        nv = 0
+        for c in reversed(num):
+            nv = nv * x + c
+        return Fraction(nv, dv)
 
     def evaluate_float(self, x: float) -> float:
         dv = 0.0

@@ -11,7 +11,8 @@ which this module evaluates along two routes that differ only in their
 weights:
 
 * :func:`frame_potential_direct` works on the hexagonal (sigma, tau)-per-gate
-  model with numeric Weingarten weights from exact Gram inversion.
+  model with numeric Weingarten weights from the exact Gram system, solved
+  on class functions and checked against all k! rows (k <= 6).
 * :func:`frame_potential_transfer` works on the reduced triangular model,
   looking up symbolic plaquette weights (character-expansion route), in exact
   rationals or floats.

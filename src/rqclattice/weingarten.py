@@ -5,9 +5,10 @@ Two independent routes are kept side by side on purpose:
 * :func:`wg_symbolic` builds Wg(sigma, d) from the character expansion
   (1/k!) sum_lambda chi_lambda(sigma) f_lambda / c_lambda(d), as an exact
   rational function of d.
-* :func:`wg_gram` inverts the k! x k! Gram matrix G[sigma, tau] = d^ell(sigma^-1 tau)
+* :func:`wg_gram` solves the k! x k! Gram system G[sigma, tau] = d^ell(sigma^-1 tau)
   at an integer dimension, with exact fraction arithmetic and no character
-  theory at all.
+  theory at all: reduced to the p(k) class sums (G is convolution by a class
+  function), then checked against every one of the k! rows of G.
 
 Their agreement is the central cross-oracle of the package.  Wg is a class
 function, so symbolic values are stored per cycle type.
@@ -20,12 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import character, content_polynomial, irrep_dimension, partitions
-from .errors import BudgetExceededError, SingularMatrixError
+from .errors import BudgetExceededError, SingularMatrixError, VerificationError
 from .exact import Polynomial, RationalFunction
 from .perms import Perm, cycle_type, group_table
 
 WG_CAP = 6
-GRAM_CAP = 5
 
 
 def _check_k(k: int):
@@ -94,40 +94,16 @@ def wg_in_q(k: int) -> dict[tuple[int, ...], RationalFunction]:
     }
 
 
-def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
-    """Weingarten values at integer dimension d from exact Gram-matrix inversion.
+def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Exact Gauss-Jordan solve of rows x = rhs; None when the matrix is singular.
 
-    Solves G x = e_id for the k! x k! matrix G[sigma, tau] = d^ell(sigma^-1 tau);
-    by symmetry of G the solution vector is the identity-indexed row of G^-1,
-    i.e. x[sigma] = Wg(sigma, d).  Requires d >= k for invertibility; a zero
-    pivot raises SingularMatrixError.
-
-    Deliberately dumb (dense exact elimination) so it can serve as an oracle.
-    Its cost grows as (k!)^3, a few seconds at k=5, so k is capped at
-    GRAM_CAP = 5: k=6 raises BudgetExceededError before any work is done.
+    Pivots on the first nonzero entry of each column and works in place.
     """
-    _check_k(k)
-    if k > GRAM_CAP:
-        raise BudgetExceededError(
-            f"Gram-matrix inversion capped at k={GRAM_CAP}: dense exact elimination "
-            f"grows as (k!)^3 and would take over 20 minutes at k={k}"
-        )
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    gt = group_table(k)
-    m = gt.order
-    powers = [Fraction(d**e) for e in range(k + 1)]
-    rows = [
-        [powers[gt.n_cycles[gt.mul[gt.inv[i]][j]]] for j in range(m)] for i in range(m)
-    ]
-    rhs = [Fraction(1 if i == 0 else 0) for i in range(m)]
-
+    m = len(rows)
     for col in range(m):
         pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
         if pivot is None:
-            raise SingularMatrixError(
-                f"Gram matrix singular for k={k}, d={d} (need d >= k)"
-            )
+            return None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
@@ -143,8 +119,65 @@ def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
             rr, rc = rows[r], rows[col]
             rows[r] = [rr[j] - factor * rc[j] for j in range(m)]
             rhs[r] -= factor * rhs[col]
+    return rhs
 
-    return {gt.perms[i]: rhs[i] for i in range(m)}
+
+def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
+    """Weingarten values at integer dimension d from the exact Gram system.
+
+    Wg(., d) is the solution x of G x = e_id for the k! x k! matrix
+    G[sigma, tau] = d^ell(sigma^-1 tau); by symmetry of G it is the
+    identity-indexed row of G^-1.  G is convolution by the class function
+    d^ell, so x is a class function and the system reduces to p(k) equations
+    in the class values y_mu (7 at k=5, 11 at k=6):
+
+        M[nu][mu] = sum over tau in class mu of d^ell(g_nu^-1 tau),
+        M y = e_(class of id),
+
+    with g_nu any element of class nu.  M is the action of d^ell on the
+    centre of the group algebra, so it is singular exactly when G is, i.e.
+    for d < k; a zero pivot raises SingularMatrixError.
+
+    The expanded solution is then checked against all k! rows of G in exact
+    integer arithmetic (sum_tau d^ell(sigma^-1 tau) X_tau = D delta(sigma, id)
+    with X = x D over the least common denominator D), on every call; a
+    mismatch raises VerificationError.  Both the reduction and the check use
+    only group multiplication and cycle counts, no character theory, so the
+    result stays an oracle for :func:`wg_symbolic`.
+    """
+    _check_k(k)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    gt = group_table(k)
+    m = gt.order
+    n_classes = len(gt.cycle_types)
+    powers = [d**e for e in range(k + 1)]
+    reps = [gt.ct_index.index(c) for c in range(n_classes)]
+
+    rows = []
+    for g in reps:
+        row = [0] * n_classes
+        for tau, prod in enumerate(gt.mul[gt.inv[g]]):
+            row[gt.ct_index[tau]] += powers[gt.n_cycles[prod]]
+        rows.append([Fraction(c) for c in row])
+    id_class = gt.ct_index[0]
+    rhs = [Fraction(1 if c == id_class else 0) for c in range(n_classes)]
+    y = _solve(rows, rhs)
+    if y is None:
+        raise SingularMatrixError(f"Gram matrix singular for k={k}, d={d} (need d >= k)")
+
+    denom = math.lcm(*(v.denominator for v in y))
+    scaled = [int(v * denom) for v in y]
+    x_scaled = [scaled[c] for c in gt.ct_index]
+    for sigma in range(m):
+        products = gt.mul[gt.inv[sigma]]
+        total = sum(powers[gt.n_cycles[p]] * x for p, x in zip(products, x_scaled))
+        if total != (denom if sigma == 0 else 0):
+            raise VerificationError(
+                f"class-sum solve of the Gram system fails row {gt.perms[sigma]} "
+                f"of the full k!={m} system at k={k}, d={d}"
+            )
+    return {gt.perms[i]: y[gt.ct_index[i]] for i in range(m)}
 
 
 def wg_restricted(sigma: Perm, k: int, d: int) -> Fraction:

@@ -7,6 +7,7 @@ import pytest
 
 from rqclattice.cli import main
 from rqclattice.montecarlo import estimate_frame_potential
+from rqclattice.perms import haar_frame_potential
 
 
 def run_cli(capsys, *argv):
@@ -145,13 +146,12 @@ class TestFramePotentialCommand:
         assert code == 2
         assert "budget" in err.lower()
 
-    def test_direct_k6_gram_refused_with_budget_exit(self, capsys):
-        # d = q^2 = 9 >= k sends the direct route to the Gram oracle, which
-        # refuses k=6 instead of running for more than 20 minutes
-        code, _, err = run_cli(capsys, "framepotential", "exact-direct",
-                               "--n", "2", "--q", "3", "--t", "2", "--k", "6")
-        assert code == 2
-        assert "Gram" in err and "k=5" in err
+    def test_direct_k6_through_gram_oracle(self, capsys):
+        # d = q^2 = 9 >= k sends the direct route to the Gram oracle; the one
+        # gate is a Haar unitary on U(9), whose frame potential is 6! = 720
+        env = run_json(capsys, "framepotential", "exact-direct",
+                       "--n", "2", "--q", "3", "--t", "2", "--k", "6")
+        assert env["result"]["value"] == str(haar_frame_potential(6, 9)) == "720"
 
 
 class TestBoundsCommand:

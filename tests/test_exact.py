@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rqclattice.errors import PoleError
 from rqclattice.exact import Polynomial, RationalFunction, poly_gcd
+from rqclattice.weingarten import weingarten_table, wg_in_q
 
 
 def P(*coeffs):
@@ -80,6 +81,11 @@ class TestRationalFunction:
         with pytest.raises(PoleError):
             f.evaluate(1)
 
+    def test_evaluate_fraction_argument(self):
+        f = RF(P(Fraction(1, 3), 2), P(-2, 0, 1))
+        assert f.evaluate(Fraction(1, 2)) == Fraction(-16, 21)
+        assert f.evaluate(3) == f.evaluate(Fraction(3)) == Fraction(19, 21)
+
     def test_asymptotic_order(self):
         assert RF(P(0, 1), P(1, 0, 1)).asymptotic_order() == (-1, 1)
         assert RF(P(1)).asymptotic_order() == (0, 1)
@@ -145,3 +151,40 @@ def test_evaluate_is_homomorphism(f, g, x):
         return
     assert lhs == fv + gv
     assert (f * g).evaluate(x) == fv * gv
+
+
+def _fraction_horner(f: RationalFunction, x: int) -> Fraction:
+    """Reference evaluation: Horner over the Fraction coefficients."""
+    x = Fraction(x)
+    dv = Fraction(0)
+    for c in reversed(f.den.coeffs):
+        dv = dv * x + c
+    if dv == 0:
+        raise PoleError(f"pole at x = {x}")
+    nv = Fraction(0)
+    for c in reversed(f.num.coeffs):
+        nv = nv * x + c
+    return nv / dv
+
+
+def test_integer_evaluation_matches_fraction_horner():
+    """Integer Horner on scaled coefficients gives the same reduced Fraction and poles."""
+    functions = []
+    for k in range(1, 6):
+        functions += [rf for _, rf in weingarten_table(k).items()]
+        functions += list(wg_in_q(k).values())
+    poles = 0
+    for f in functions:
+        for x in range(1, 13):
+            try:
+                want = _fraction_horner(f, x)
+            except PoleError:
+                poles += 1
+                with pytest.raises(PoleError):
+                    f.evaluate(x)
+                continue
+            got = f.evaluate(x)
+            assert type(got) is Fraction
+            assert got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert poles > 0

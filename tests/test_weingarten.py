@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import rqclattice.weingarten
-from rqclattice.errors import BudgetExceededError, SingularMatrixError
+from rqclattice.errors import SingularMatrixError, VerificationError
 from rqclattice.exact import Polynomial, RationalFunction
 from rqclattice.perms import Perm, cycle_type, enumerate_sk, group_table, sign
 from rqclattice.weingarten import (
@@ -56,19 +56,61 @@ def test_gram_is_class_function():
 
 
 def test_gram_singular_below_k():
-    with pytest.raises(SingularMatrixError):
-        wg_gram(3, 2)
+    # the class-sum system is singular exactly when the full Gram matrix is
+    for k in (3, 4, 5, 6):
+        with pytest.raises(SingularMatrixError):
+            wg_gram(k, k - 1)
 
 
-def test_gram_refuses_k6_before_building(monkeypatch):
-    # k=6 would be dense Fraction elimination on a 720x720 matrix; the cap
-    # must fire before the group table or the matrix is touched
-    def no_table(k):
-        raise AssertionError("group table built")
+def test_gram_k6_matches_symbolic():
+    for d in (6, 7, 8):
+        gram = wg_gram(6, d)
+        assert len(gram) == 720
+        for p, val in gram.items():
+            assert wg_symbolic(cycle_type(p), 6).evaluate(d) == val
 
-    monkeypatch.setattr(rqclattice.weingarten, "group_table", no_table)
-    with pytest.raises(BudgetExceededError, match="capped at k=5"):
-        wg_gram(6, 9)
+
+def test_gram_full_system_check_catches_corrupted_solve(monkeypatch):
+    solve = rqclattice.weingarten._solve
+
+    def corrupt_one_class(rows, rhs):
+        y = solve(rows, rhs)
+        y[-1] += Fraction(1, 10**9)
+        return y
+
+    monkeypatch.setattr(rqclattice.weingarten, "_solve", corrupt_one_class)
+    with pytest.raises(VerificationError, match="full k!=24 system"):
+        wg_gram(4, 5)
+
+
+def _dense_gram_inverse(k: int, d: int) -> dict[Perm, Fraction]:
+    """Reference: Gauss-Jordan on the full k! x k! Gram matrix in Fractions."""
+    gt = group_table(k)
+    m = gt.order
+    rows = [
+        [Fraction(d ** gt.n_cycles[gt.mul[gt.inv[i]][j]]) for j in range(m)]
+        for i in range(m)
+    ]
+    rhs = [Fraction(1 if i == 0 else 0) for i in range(m)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inv_p = 1 / rows[col][col]
+        rows[col] = [c * inv_p for c in rows[col]]
+        rhs[col] *= inv_p
+        for r in range(m):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+                rhs[r] -= factor * rhs[col]
+    return {gt.perms[i]: rhs[i] for i in range(m)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_class_sum_solve_equals_dense_gram_inverse(k):
+    for d in (k, k + 1, k + 2):
+        assert wg_gram(k, d) == _dense_gram_inverse(k, d)
 
 
 def test_restricted_equals_unrestricted_for_d_at_least_k():
