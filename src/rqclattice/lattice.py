@@ -11,8 +11,10 @@ which this module evaluates along two routes that differ only in their
 weights:
 
 * :func:`frame_potential_direct` works on the hexagonal (sigma, tau)-per-gate
-  model with numeric Weingarten weights from the exact Gram system, solved
-  on class functions and checked against all k! rows (k <= 6).
+  model with numeric Weingarten weights from the exact Gram system alone,
+  solved on class functions and checked against all k! rows (k <= 6).  For
+  d = q^2 < k the Gram system is singular and the unrestricted Weingarten
+  function has a pole at d, so the route raises PoleError.
 * :func:`frame_potential_transfer` works on the reduced triangular model,
   looking up symbolic plaquette weights (character-expansion route), in exact
   rationals or floats.
@@ -47,8 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError, PoleError
-from .perms import group_table
-from .plaquette import PLAQUETTE_CAP, build_table
+from .perms import check_moment, group_table
+from .plaquette import build_table
 from .weingarten import wg_gram, wg_symbolic
 
 STATE_BUDGET_ENV = "RQCLATTICE_STATE_BUDGET"
@@ -198,11 +200,6 @@ def frame_potential_special(n: int, q: int, t: int, k: int) -> int:
             )
         return math.factorial(k) ** (n // 2)
     raise ValueError("special values exist only for t in {0, 1}")
-
-
-def _check_moment(k: int):
-    if not 1 <= k <= PLAQUETTE_CAP:
-        raise BudgetExceededError(f"moment order capped at k={PLAQUETTE_CAP}")
 
 
 def _special_result(geom: CircuitGeometry, k: int) -> FramePotentialResult:
@@ -393,20 +390,9 @@ def _scaled_ints(values: list[Fraction]) -> tuple[np.ndarray, int]:
 
 
 def _wg_values_at(k: int, d: int) -> list[Fraction]:
-    """Wg(perms[i], d) for every group element, preferring the Gram-inverse route."""
-    gt = group_table(k)
-    if d >= k:
-        gram = wg_gram(k, d)
-        return [gram[p] for p in gt.perms]
-    values = {}
-    try:
-        for ct in gt.cycle_types:
-            values[ct] = wg_symbolic(ct, k).evaluate(d)
-    except PoleError as exc:
-        raise PoleError(
-            f"Weingarten function has a pole at d = q^2 = {d} for k={k}: {exc}"
-        ) from exc
-    return [values[gt.cycle_types[gt.ct_index[i]]] for i in range(gt.order)]
+    """Wg(perms[i], d) for every group element, from the Gram-inverse oracle."""
+    gram = wg_gram(k, d)
+    return [gram[p] for p in group_table(k).perms]
 
 
 def frame_potential_direct(
@@ -426,10 +412,18 @@ def frame_potential_direct(
     With `gauge_fix` the first gate's sigma is pinned to the identity and the
     result multiplied by k! (exact spin-relabelling symmetry; verified against
     the unfixed sum in the test suite).
+
+    For d = q^2 < k the Gram system is singular and, for every k <= 6, the
+    unrestricted Weingarten function has a pole at d; PoleError is raised
+    ahead of any budget verdict.
     """
-    _check_moment(k)
+    check_moment(k)
     if geom.t <= 1:
         return _special_result(geom, k)
+    q = geom.q
+    d = q * q
+    if d < k:
+        raise PoleError(f"Weingarten function has a pole at d = q^2 = {d} for k={k}")
 
     # variables sigma_g -> 2g, tau_g -> 2g + 1; table 0: Wg(sigma_g^-1 tau_g) per
     # gate; table 1: q^ell(tau_g^-1 sigma_h) per leg
@@ -442,11 +436,6 @@ def frame_potential_direct(
     ]
     column_major = [2 * g.gid + side for g in _column_major(geom) for side in (0, 1)]
     candidates = {"layer-major": layer_major, "column-major": column_major}
-    q = geom.q
-    d = q * q
-    # below d = k the values come cheaply from the symbolic route, and a pole
-    # (no finite value exists) is reported ahead of any budget verdict
-    wg_vals = _wg_values_at(k, d) if d < k else None
     budget = _state_budget() if state_budget is None else state_budget
     plan = _plan(
         2 * geom.n_gates,
@@ -456,11 +445,9 @@ def frame_potential_direct(
         math.factorial(k),
         budget,
     )
-    if wg_vals is None:
-        wg_vals = _wg_values_at(k, d)  # Gram inversion, only once within budget
 
     gt = group_table(k)
-    wg, denom = _scaled_ints(wg_vals)
+    wg, denom = _scaled_ints(_wg_values_at(k, d))
     qpow = np.array([q**c for c in gt.n_cycles], dtype=object)
     value = Fraction(_sweep(plan, [wg[:, None], qpow[:, None]], k), denom**geom.n_gates)
     if gauge_fix:
@@ -502,7 +489,7 @@ def frame_potential_transfer(
     `backend="exact"` contracts in scaled integers and returns a Fraction;
     `backend="float"` contracts in doubles.
     """
-    _check_moment(k)
+    check_moment(k)
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     if geom.t <= 1:
@@ -564,7 +551,7 @@ def _frame_potential_bruteforce(
     geom: CircuitGeometry, k: int, config_budget: int = 20_000_000
 ) -> Fraction:
     """Raw (k!)^(2 G) enumeration of the hexagonal model.  Tiny instances only."""
-    _check_moment(k)
+    check_moment(k)
     if geom.t <= 1:
         return Fraction(frame_potential_special(geom.n, geom.q, geom.t, k))
     gt = group_table(k)

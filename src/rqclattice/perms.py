@@ -14,25 +14,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from functools import lru_cache
 
 from .errors import BudgetExceededError
 
-DEFAULT_ENUM_CAP = 8
-ENUM_CAP_ENV = "RQCLATTICE_ENUM_CAP"
+# Largest degree whose k! permutations are listed one by one.
+ENUM_CAP = 8
 
-# Multiplication tables are only tabulated up to this degree; plaquette and
-# Weingarten tables never need more.
-TABLE_CAP = 6
+# The supported moment range, decided here once: group, Weingarten and
+# plaquette tables and both lattice routes stop at this k.  The dense
+# multiplication table of S_7 would hold 5040^2 (about 2.5e7) Python ints.
+MOMENT_CAP = 6
 
 
-def enumeration_cap() -> int:
-    """Current enumeration cap (env var RQCLATTICE_ENUM_CAP overrides the default 8)."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    return int(raw)
+def check_moment(k: int):
+    """Raise BudgetExceededError unless 1 <= k <= MOMENT_CAP."""
+    if not 1 <= k <= MOMENT_CAP:
+        raise BudgetExceededError(f"moment order capped at k={MOMENT_CAP}, got {k}")
 
 
 class Perm:
@@ -157,17 +155,12 @@ def sign(a: Perm) -> int:
     return -1 if (a.degree - num_cycles(a)) % 2 else 1
 
 
-def enumerate_sk(k: int, cap: int | None = None) -> list[Perm]:
-    """All k! permutations of S_k in lexicographic order of image tuples.
-
-    Guarded by the enumeration cap (default 8, overridable via the
-    RQCLATTICE_ENUM_CAP environment variable or the `cap` argument).
-    """
+def enumerate_sk(k: int) -> list[Perm]:
+    """All k! permutations of S_k in lexicographic order of image tuples (k <= ENUM_CAP)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    limit = enumeration_cap() if cap is None else cap
-    if k > limit:
-        raise BudgetExceededError(f"k={k} exceeds enumeration cap {limit}")
+    if k > ENUM_CAP:
+        raise BudgetExceededError(f"k={k} exceeds enumeration cap {ENUM_CAP}")
     return [Perm(p) for p in itertools.permutations(range(1, k + 1))]
 
 
@@ -206,8 +199,8 @@ def haar_frame_potential(k: int, d: int) -> int:
         raise ValueError("k and d must be >= 1")
     if k <= d:
         return math.factorial(k)
-    if k > enumeration_cap():
-        raise BudgetExceededError(f"k={k} exceeds enumeration cap")
+    if k > ENUM_CAP:
+        raise BudgetExceededError(f"k={k} exceeds enumeration cap {ENUM_CAP}")
     count = 0
     for images in itertools.permutations(range(1, k + 1)):
         if _longest_increasing_subsequence(images) <= d:
@@ -229,8 +222,7 @@ class SymmetricGroupTable:
     """
 
     def __init__(self, k: int):
-        if k > TABLE_CAP:
-            raise BudgetExceededError(f"group tables capped at k={TABLE_CAP}")
+        check_moment(k)
         self.k = k
         self.perms = enumerate_sk(k)
         self.order = len(self.perms)
@@ -251,5 +243,5 @@ class SymmetricGroupTable:
 
 @lru_cache(maxsize=None)
 def group_table(k: int) -> SymmetricGroupTable:
-    """Cached SymmetricGroupTable for S_k (k <= 6)."""
+    """Cached SymmetricGroupTable for S_k (k <= MOMENT_CAP)."""
     return SymmetricGroupTable(k)

@@ -7,11 +7,13 @@ A plaquette weight is the tau-sum
 with d = q^2 substituted symbolically before reduction, so pole cancellation
 can be certified on the reduced form in q.  J depends on (s1, s2, s3) only
 through the key (s1^-1 s2, s1^-1 s3), and keys related by simultaneous
-conjugation share a weight.  Each table labels those classes once, in one
-(k!, k!) map that every lookup goes through, so the k=5 table computes 161
-weights for its 14400 keys and k=6 computes 901 for 518400.  Rule checks
-recompute a sample of weights from the raw tau-sum so the class map itself
-stays under test.
+conjugation share a weight and a wall signature.  Each table labels those
+classes once, in one (k!, k!) map that every lookup goes through, and computes
+a class weight on first use, the same way for every k <= 6: the k=5 table has
+161 classes for its 14400 keys and k=6 has 901 for 518400.  The asymptotic
+and pole checks walk the classes, each counting for its size, so they certify
+every k <= 6.  Rule checks recompute a sample of weights from the raw tau-sum
+so the class map itself stays under test.
 """
 
 from __future__ import annotations
@@ -23,13 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .exact import Polynomial, RationalFunction, poly_gcd
 from .perms import Perm, group_table
 from .weingarten import wg_in_q
-
-FULL_TABLE_CAP = 5
-PLAQUETTE_CAP = 6
 
 _SINGLE_WALL = RationalFunction(Polynomial([0, 1]), Polynomial([1, 0, 1]))  # q/(q^2+1)
 
@@ -88,11 +86,6 @@ class RuleReport:
         return f"{self.name}: {self.checked} checks, {status}"
 
 
-def _check_k(k: int):
-    if not 1 <= k <= PLAQUETTE_CAP:
-        raise BudgetExceededError(f"plaquette weights capped at k={PLAQUETTE_CAP}")
-
-
 @lru_cache(maxsize=None)
 def _wg_numerators(k: int):
     """Weingarten numerators in q over one common denominator D(q)."""
@@ -118,15 +111,14 @@ class PlaquetteTable:
     On creation every raw key (a, b) = (s1^-1 s2, s1^-1 s3) is labelled with
     its class under simultaneous conjugation; classes are numbered in
     row-major order of their least key, their representative.  Each class
-    weight is computed on first use.  After populate() the table is
-    read-only and safe to share across threads; lazy lookups mutate only the
-    weight list with idempotent values.
+    weight is computed on first use, for every k; :meth:`key_classes`
+    computes them all.  Lookups mutate only the weight list, each slot once
+    with the same value, so the table is safe to share across threads.
     """
 
     def __init__(self, k: int):
-        _check_k(k)
         self.k = k
-        self._gt = group_table(k)
+        self._gt = group_table(k)  # checks the moment cap
         self._cls, self._reps = self._label_classes()
         self._weights: list[RationalFunction | None] = [None] * len(self._reps)
 
@@ -185,15 +177,6 @@ class PlaquetteTable:
         inv1 = s1.inverse()
         return self.weight_by_key(inv1 * s2, inv1 * s3)
 
-    def populate(self):
-        """Force computation of every class weight (k <= 5 only)."""
-        if self.k > FULL_TABLE_CAP:
-            raise BudgetExceededError(
-                f"full tables capped at k={FULL_TABLE_CAP}; k=6 is computed per class"
-            )
-        self.key_classes()
-        return self
-
     def entries(self):
         """Yield (a, b, signature, weight) for every raw key pair, in index order."""
         gt = self._gt
@@ -214,9 +197,8 @@ class PlaquetteTable:
 
 @lru_cache(maxsize=None)
 def build_table(k: int) -> PlaquetteTable:
-    """The shared plaquette table: fully populated for k <= 5, lazy (per class) for k = 6."""
-    table = PlaquetteTable(k)
-    return table.populate() if k <= FULL_TABLE_CAP else table
+    """The shared plaquette table of S_k, its class weights computed on first use."""
+    return PlaquetteTable(k)
 
 
 def plaquette_weight(s1: Perm, s2: Perm, s3: Perm) -> RationalFunction:
@@ -244,7 +226,7 @@ def verify_rules(
     """Check the structural plaquette rules.
 
     Exhaustive over all (k!)^2 keys for k <= 4, with right-invariance
-    additionally checked against every group translation; for k = 5 the rules
+    additionally checked against every group translation; for k >= 5 the rules
     are checked on `samples` pseudo-random triples.  A deterministic subsample
     of weights is recomputed from the raw tau-sum so that the class map is
     itself exercised.
@@ -254,9 +236,8 @@ def verify_rules(
     (iv) symmetry under s2 <-> s3; (v) invariance under simultaneous right
     translation.
     """
-    _check_k(k)
+    gt = group_table(k)  # checks the moment cap
     report = RuleReport(name=f"plaquette rules k={k}")
-    gt = group_table(k)
     table = build_table(k)
     rng = random.Random(seed)
 
@@ -328,41 +309,37 @@ def asymptotic_check(k: int) -> RuleReport:
 
     Every nonzero weight must decay at least as fast as q^-(ingoing walls),
     with exact equality whenever no walls annihilate (across == total_in).
+    Weight and signature are class invariants, so each key class is checked
+    once, through its representative, and counts for every key it holds.
     """
-    _check_k(k)
-    if k > FULL_TABLE_CAP:
-        raise BudgetExceededError("asymptotic check runs on full tables (k <= 5)")
-    report = RuleReport(name=f"asymptotic orders k={k}")
     table = build_table(k)
-    for a, b, sig, w in table.entries():
+    weights, cls = table.key_classes()
+    sizes = np.bincount(cls.ravel())
+    report = RuleReport(name=f"asymptotic orders k={k}")
+    gt = table._gt
+    for (ia, ib), w, size in zip(table._reps, weights, sizes.tolist()):
         if w.is_zero():
             continue
+        sig = table._signature_by_index(ia, ib)
         order, _ = w.asymptotic_order()
-        report.checked += 1
+        report.checked += size
+        key = f"class of key ({gt.perms[ia]}, {gt.perms[ib]})"
         if order > -sig.total_in:
-            report.note(
-                f"key ({a}, {b}): order {order} slower than -{sig.total_in}"
-            )
+            report.note(f"{key}: order {order} slower than -{sig.total_in}")
         if not sig.annihilating and order != -sig.total_in:
-            report.note(
-                f"key ({a}, {b}): no annihilation but order {order} != -{sig.total_in}"
-            )
+            report.note(f"{key}: no annihilation but order {order} != -{sig.total_in}")
     return report
 
 
 def pole_free_report(k: int, lo: int = 2, hi: int = 1000) -> RuleReport:
-    """Certify that no reduced weight denominator has an integer root q in [lo, hi]."""
-    _check_k(k)
-    if k > FULL_TABLE_CAP:
-        raise BudgetExceededError("pole scan runs on full tables (k <= 5)")
+    """Certify that no reduced weight denominator has an integer root q in [lo, hi].
+
+    Every key's weight is its class weight, so the distinct denominators of the
+    class weights are those of all (k!)^2 keys.
+    """
+    weights, _ = build_table(k).key_classes()
     report = RuleReport(name=f"pole freeness k={k} on [{lo}, {hi}]")
-    table = build_table(k)
-    seen: set = set()
-    for _, _, _, w in table.entries():
-        den = w.den
-        if den in seen:
-            continue
-        seen.add(den)
+    for den in dict.fromkeys(w.den for w in weights):
         report.checked += 1
         roots = den.integer_roots(lo, hi)
         if roots:

@@ -21,16 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import character, content_polynomial, irrep_dimension, partitions
-from .errors import BudgetExceededError, SingularMatrixError, VerificationError
+from .errors import SingularMatrixError, VerificationError
 from .exact import Polynomial, RationalFunction
-from .perms import Perm, cycle_type, group_table
-
-WG_CAP = 6
-
-
-def _check_k(k: int):
-    if not 1 <= k <= WG_CAP:
-        raise BudgetExceededError(f"Weingarten tables capped at k={WG_CAP}, got {k}")
+from .perms import Perm, check_moment, cycle_type, group_table
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +53,7 @@ def wg_symbolic(sigma, k: int | None = None) -> RationalFunction:
         k = sum(ct)
     elif sum(ct) != k:
         raise ValueError(f"cycle type {ct} is not a cycle type of S_{k}")
-    _check_k(k)
+    check_moment(k)
     return _wg_by_cycle_type(k, ct)
 
 
@@ -68,7 +61,7 @@ class WeingartenTable:
     """All Wg(sigma, d) of S_k, one exact rational function per cycle type."""
 
     def __init__(self, k: int):
-        _check_k(k)
+        check_moment(k)
         self.k = k
         self.values = {ct: _wg_by_cycle_type(k, ct) for ct in partitions(k)}
 
@@ -145,7 +138,7 @@ def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
     only group multiplication and cycle counts, no character theory, so the
     result stays an oracle for :func:`wg_symbolic`.
     """
-    _check_k(k)
+    check_moment(k)
     if d < 1:
         raise ValueError("d must be >= 1")
     gt = group_table(k)
@@ -186,7 +179,7 @@ def wg_restricted(sigma: Perm, k: int, d: int) -> Fraction:
     This is the variant that stays finite for every integer d >= 1, including
     d < k; for d >= k it coincides with the unrestricted expansion.
     """
-    _check_k(k)
+    check_moment(k)
     if d < 1:
         raise ValueError("d must be >= 1")
     ct = cycle_type(sigma)

@@ -187,6 +187,17 @@ class TestVerifyCommand:
         assert env["result"]["ok"] is True
         assert any(s["section"] == "pole_freeness" and s["ok"] for s in env["result"]["sections"])
 
+    def test_k6_runs_every_section(self, capsys):
+        env = run_json(capsys, "verify", "--k", "6", "--q", "2")
+        assert env["result"]["ok"] is True
+        sections = env["result"]["sections"]
+        assert [s["section"] for s in sections] == [
+            "plaquette_rules", "asymptotic_orders", "pole_freeness",
+            "weingarten_cross_oracle", "evaluator_equivalence"]
+        assert all(s["ok"] for s in sections)
+        assert "225991 checks" in sections[1]["detail"]
+        assert "35 checks" in sections[2]["detail"]
+
 
 class TestGeometryCommand:
     def test_dump(self, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rqclattice.lattice as lattice
+from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError, PoleError
 from rqclattice.lattice import (
     _plan,
@@ -16,6 +17,8 @@ from rqclattice.lattice import (
     frame_potential_transfer,
     _frame_potential_bruteforce,
 )
+from rqclattice.perms import MOMENT_CAP, haar_frame_potential
+from rqclattice.weingarten import wg_symbolic
 
 
 class TestGeometry:
@@ -300,12 +303,33 @@ class TestGuards:
             frame_potential_transfer(g, 7)
 
     def test_pole_surfaced_for_k_above_q_squared(self):
-        # k=5 at q=2: the unrestricted Weingarten function genuinely has a pole
-        # at d = q^2 = 4, and the direct route must surface it rather than
-        # substitute silently
-        g = build_geometry(4, 2, 2, "open")
-        with pytest.raises(PoleError):
-            frame_potential_direct(g, 5, state_budget=10**9)
+        # for d = q^2 < k the Gram system is singular, and for every such
+        # (k, q) within the moment cap the unrestricted Weingarten function has
+        # a pole at d, so the direct route raises PoleError without trying it,
+        # ahead of any budget verdict
+        cases = [(k, q) for q in range(2, MOMENT_CAP) for k in range(q * q + 1, MOMENT_CAP + 1)]
+        assert cases == [(5, 2), (6, 2)]
+        for k, q in cases:
+            poles = []
+            for ct in partitions(k):
+                try:
+                    wg_symbolic(ct, k).evaluate(q * q)
+                except PoleError:
+                    poles.append(ct)
+            assert poles, (k, q)
+            g = build_geometry(4, q, 2, "open")
+            with pytest.raises(PoleError):
+                frame_potential_direct(g, k, state_budget=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: at k > q^2 the transfer route uses the unrestricted "
+        "plaquette weights and gives 120",
+    )
+    def test_transfer_matches_haar_for_k_above_q_squared(self):
+        # one gate on U(4): the frame potential of a Haar unitary
+        g = build_geometry(2, 2, 2)
+        assert frame_potential_transfer(g, 5).value == haar_frame_potential(5, 4) == 119
 
 
 class TestResultMetadata:

@@ -4,8 +4,11 @@ import math
 import pytest
 
 from rqclattice.errors import BudgetExceededError
+from rqclattice.lattice import build_geometry, frame_potential_direct, frame_potential_transfer
 from rqclattice.perms import (
+    MOMENT_CAP,
     Perm,
+    check_moment,
     compose,
     conjugacy_class_size,
     cycle_type,
@@ -16,6 +19,8 @@ from rqclattice.perms import (
     sign,
     transposition_distance,
 )
+from rqclattice.plaquette import PlaquetteTable
+from rqclattice.weingarten import WeingartenTable, wg_gram
 
 
 def test_compose_identity_neutral():
@@ -116,15 +121,23 @@ def test_enumerate_counts_and_order():
 def test_enumerate_cap():
     with pytest.raises(BudgetExceededError):
         enumerate_sk(9)
-    # an explicit cap overrides the default guard
-    assert len(enumerate_sk(8, cap=8)) == math.factorial(8)
+    assert len(enumerate_sk(8)) == math.factorial(8)
 
 
-def test_enumerate_cap_env(monkeypatch):
-    monkeypatch.setenv("RQCLATTICE_ENUM_CAP", "3")
-    with pytest.raises(BudgetExceededError):
-        enumerate_sk(4)
-    assert len(enumerate_sk(3)) == 6
+@pytest.mark.parametrize("k", [0, MOMENT_CAP + 1])
+def test_one_moment_cap_guards_every_table(k):
+    geom = build_geometry(4, 2, 2)
+    for build in (
+        check_moment,
+        group_table,
+        WeingartenTable,
+        lambda k: wg_gram(k, 8),
+        PlaquetteTable,
+        lambda k: frame_potential_direct(geom, k),
+        lambda k: frame_potential_transfer(geom, k),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"capped at k={MOMENT_CAP}"):
+            build(k)
 
 
 def test_class_sizes_match_enumeration():

@@ -190,6 +190,20 @@ class TestRules:
         report = pole_free_report(k)
         assert report.ok, report.violations[:5]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_class_level_checks_count_every_key(self, k):
+        # the checks walk key classes; the counts are those of a walk over all keys
+        entries = list(build_table(k).entries())
+        nonzero = sum(1 for *_, w in entries if not w.is_zero())
+        denominators = {w.den for *_, w in entries}
+        assert asymptotic_check(k).checked == nonzero
+        assert pole_free_report(k).checked == len(denominators)
+
+    def test_class_level_checks_certify_k6(self):
+        asym, poles = asymptotic_check(6), pole_free_report(6)
+        assert asym.ok and poles.ok, (asym.violations[:5], poles.violations[:5])
+        assert (asym.checked, poles.checked) == (225_991, 35)
+
     def test_right_invariance_perm_level(self):
         elems = enumerate_sk(3)
         rng = random.Random(7)
@@ -226,24 +240,23 @@ class TestCapsAndLazy:
         with pytest.raises(BudgetExceededError):
             plaquette_weight(Perm.identity(7), Perm.identity(7), Perm.identity(7))
 
-    def test_full_table_cap(self):
-        with pytest.raises(BudgetExceededError):
-            PlaquetteTable(6).populate()
-
     def test_k6_lazy_single_key(self):
         table = PlaquetteTable(6)
         id6 = Perm.identity(6)
         t = Perm.from_cycles(6, (1, 2))
         assert table.weight(id6, t, id6) == SINGLE_WALL
 
-    def test_build_table_k6_is_shared_and_lazy(self):
-        table = build_table(6)
-        assert table is build_table(6)
-        id6 = Perm.identity(6)
-        t = Perm.from_cycles(6, (1, 2))
-        assert table.weight(id6, t, id6) == SINGLE_WALL
-        with pytest.raises(BudgetExceededError):
-            table.populate()
+    def test_build_table_is_shared_and_lazy(self):
+        for k in (5, 6):
+            assert build_table(k) is build_table(k)
+            # a fresh table from the same builder, so that no earlier lookup counts
+            table = build_table.__wrapped__(k)
+            assert all(w is None for w in table._weights)
+            idk = Perm.identity(k)
+            t = Perm.from_cycles(k, (1, 2))
+            assert table.weight(idk, t, idk) == SINGLE_WALL
+            filled = [c for c, w in enumerate(table._weights) if w is not None]
+            assert filled == [table._cls[table._gt.idx(t), 0]]
 
     def test_raw_spot_check_catches_cache(self):
         # raw recomputation equals cached class value on arbitrary keys
