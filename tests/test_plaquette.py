@@ -246,17 +246,31 @@ class TestCapsAndLazy:
         t = Perm.from_cycles(6, (1, 2))
         assert table.weight(id6, t, id6) == SINGLE_WALL
 
-    def test_build_table_is_shared_and_lazy(self):
-        for k in (5, 6):
-            assert build_table(k) is build_table(k)
-            # a fresh table from the same builder, so that no earlier lookup counts
-            table = build_table.__wrapped__(k)
-            assert all(w is None for w in table._weights)
-            idk = Perm.identity(k)
-            t = Perm.from_cycles(k, (1, 2))
-            assert table.weight(idk, t, idk) == SINGLE_WALL
-            filled = [c for c, w in enumerate(table._weights) if w is not None]
-            assert filled == [table._cls[table._gt.idx(t), 0]]
+    @staticmethod
+    def _check_shared_and_lazy(k):
+        assert build_table(k) is build_table(k)
+        # a fresh table from the same builder, so that no earlier lookup counts
+        table = build_table.__wrapped__(k)
+        assert all(w is None for w in table._weights)
+        idk = Perm.identity(k)
+        t = Perm.from_cycles(k, (1, 2))
+        assert table.weight(idk, t, idk) == SINGLE_WALL
+        filled = [c for c, w in enumerate(table._weights) if w is not None]
+        assert filled == [table._cls[table._gt.idx(t), 0]]
+
+    def test_build_table_k5_is_shared_and_lazy(self):
+        self._check_shared_and_lazy(5)
+
+    def test_build_table_k6_is_shared_and_lazy(self):
+        self._check_shared_and_lazy(6)
+
+    def test_full_table_cap(self):
+        # full tables stop at the moment cap: k = 6 computes every class, k = 7 is refused
+        weights, cls = build_table(6).key_classes()
+        assert len(weights) == 901 and all(w is not None for w in weights)
+        assert cls.shape == (720, 720)
+        with pytest.raises(BudgetExceededError):
+            build_table(7)
 
     def test_raw_spot_check_catches_cache(self):
         # raw recomputation equals cached class value on arbitrary keys
