@@ -183,22 +183,6 @@ def c1_images(n: int, t: int) -> int:
     return sum(_interval_loop_count(x, n_g, m) for x in range(1, n_g))
 
 
-def c1_images_single_reflection(n: int, t: int) -> int:
-    """Leading truncation of the image series: one reflection per boundary.
-
-    This is the commonly printed closed form; it equals the full count only
-    while no walk can reach both boundaries, and can even go negative beyond
-    that regime, which is why :func:`c1_images` sums the full series.
-    """
-    n_g = n // 2
-    m = t - 1
-
-    def _c(j):
-        return math.comb(2 * m, j) if 0 <= j <= 2 * m else 0
-
-    return sum(_c(m) - _c(m - x) - _c(m - (n_g - x)) for x in range(1, n_g))
-
-
 # ---------------------------------------------------------------------------
 # closed-form bounds and design depths
 # ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ from .errors import PoleError
 _F0 = Fraction(0)
 
 
+def scale_to_ints(values) -> tuple[list[int], int]:
+    """The integers v * D for rationals v over their least common denominator D."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def horner(coeffs: list[int], x: int) -> int:
+    """Integer value at x of the polynomial with integer coefficients, lowest first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -183,16 +197,8 @@ class Polynomial:
         """All integer roots in [lo, hi], by direct evaluation on cleared coefficients."""
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * denom) for c in self.coeffs]
-        roots = set()
-        for x in range(lo, hi + 1):
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * x + c
-            if acc == 0:
-                roots.add(x)
-        return roots
+        ints, _ = scale_to_ints(self.coeffs)
+        return {x for x in range(lo, hi + 1) if horner(ints, x) == 0}
 
     def coeff_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -237,11 +243,6 @@ def _primitive_int(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _to_int_coeffs(p: Polynomial) -> list[int]:
-    denom = math.lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return [int(c * denom) for c in p.coeffs]
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals, via a primitive pseudo-remainder sequence over Z.
 
@@ -252,8 +253,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic() if not b.is_zero() else b
     if b.is_zero():
         return a.monic()
-    fa = _primitive_int(_to_int_coeffs(a))
-    fb = _primitive_int(_to_int_coeffs(b))
+    fa = _primitive_int(scale_to_ints(a.coeffs)[0])
+    fb = _primitive_int(scale_to_ints(b.coeffs)[0])
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -387,12 +388,9 @@ class RationalFunction:
         try:
             return self._ints
         except AttributeError:
-            cs = self.num.coeffs + self.den.coeffs
-            scale = math.lcm(*(c.denominator for c in cs))
-            ints = (
-                [int(c * scale) for c in self.num.coeffs],
-                [int(c * scale) for c in self.den.coeffs],
-            )
+            cs, _ = scale_to_ints(self.num.coeffs + self.den.coeffs)
+            n = len(self.num.coeffs)
+            ints = cs[:n], cs[n:]
             object.__setattr__(self, "_ints", ints)
             return ints
 
@@ -404,15 +402,10 @@ class RationalFunction:
                 raise PoleError(f"pole at x = {x}")
             return self.num.evaluate(x) / dv
         num, den = self._int_coeffs()
-        dv = 0
-        for c in reversed(den):
-            dv = dv * x + c
+        dv = horner(den, x)
         if dv == 0:
             raise PoleError(f"pole at x = {x}")
-        nv = 0
-        for c in reversed(num):
-            nv = nv * x + c
-        return Fraction(nv, dv)
+        return Fraction(horner(num, x), dv)
 
     def evaluate_float(self, x: float) -> float:
         dv = 0.0

@@ -25,8 +25,10 @@ layer-major (a whole layer is live, which a short ring at long t favours) or
 column-major, a spatial transfer matrix that keeps about 2t - 1 spins live on
 an open chain whatever n is.  It plans each lattice shape once and checks the
 state budget on every call, before any weight table is built.
-:func:`_sweep` runs the schedule on dense numpy arrays.  The number ring is
-the dtype of the weight tables: object arrays of Python ints (weights scaled
+:func:`_sweep` runs the schedule on dense numpy arrays, gathering every
+weight at relative elements a^-1 x from the ``rel`` table of
+:func:`rqclattice.perms.group_table`.  The number ring is the dtype of the
+weight tables: object arrays of Python ints (weights scaled
 to integers) for exact results, float64 for the float backend.  The
 weights stay independent, so their exact equality on every in-budget
 geometry is the package's central oracle; :func:`_frame_potential_bruteforce`
@@ -49,6 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError, PoleError
+from .exact import scale_to_ints
 from .perms import check_moment, group_table
 from .plaquette import build_table
 from .weingarten import wg_gram, wg_symbolic
@@ -251,7 +254,7 @@ def _plan(
     n_vars: int,
     factors: list[_Factor],
     candidates: dict[str, list[int]],
-    gauge_var: int | None,
+    gauge_fix: bool,
     group_order: int,
     budget: int,
 ) -> _Plan:
@@ -259,24 +262,32 @@ def _plan(
     order of least peak state, and check the state budget.
 
     `candidates` maps the name of each elimination order to the variables in
-    that order.  Each factor is applied at the step of its last variable and
-    each variable summed out after its last factor.  The schedule depends on
-    the scopes alone, not on q, k or the number ring, so it is memoized per
-    lattice shape; the budget needs only the memoized peak and k!, so both
-    routes plan, and every call is checked, before any weight table is built.
+    that order; `gauge_fix` pins variable 0.  Each factor is applied at the
+    step of its last variable and each variable summed out after its last
+    factor.  The schedule depends on the scopes alone, not on q, k or the
+    number ring, so it is memoized per lattice shape; the budget needs only
+    the memoized peak and k!, so both routes plan, and every call is checked,
+    before any weight table is built.  An over-budget message suggests
+    gauge_fix only to an unfixed call whose pinned plan fits.
     """
-    plan = _planned(
+    shape = (
         n_vars,
         tuple(factors),
         tuple((name, tuple(order)) for name, order in candidates.items()),
-        gauge_var,
     )
+    plan = _planned(*shape, 0 if gauge_fix else None)
     if group_order**plan.peak > budget:
         s = next(s for s, m in enumerate(plan.live) if group_order**m > budget)
+        # pinning one variable lowers the peak by at most one
+        pinned_fits = (
+            not gauge_fix
+            and group_order ** (plan.peak - 1) <= budget
+            and group_order ** _planned(*shape, 0).peak <= budget
+        )
         raise BudgetExceededError(
             f"contraction state would reach {group_order ** plan.live[s]} > budget "
             f"{budget} at step {s} of the {plan.order} order; raise "
-            f"{STATE_BUDGET_ENV} or use gauge_fix"
+            f"{STATE_BUDGET_ENV}" + (" or use gauge_fix" if pinned_fits else "")
         )
     return plan
 
@@ -337,22 +348,12 @@ def _column_major(geom: CircuitGeometry) -> list[Gate]:
     )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)  # cached arrays are shared by every caller
-    return a
-
-
-@lru_cache(maxsize=None)
-def _relative(k: int) -> np.ndarray:
-    """rel[a, x] = a^-1 x over the element indices of S_k."""
-    gt = group_table(k)
-    return _read_only(np.array([gt.mul[gt.inv[a]] for a in range(gt.order)]))
-
-
 @lru_cache(maxsize=None)
 def _axis_index(size: int, trailing: int) -> np.ndarray:
     """0..size-1 along a state axis that has `trailing` axes after it."""
-    return _read_only(np.arange(size).reshape((size,) + (1,) * trailing))
+    index = np.arange(size).reshape((size,) + (1,) * trailing)
+    index.setflags(write=False)  # cached arrays are shared by every caller
+    return index
 
 
 def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
@@ -362,7 +363,7 @@ def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
     size 1, its one value being the identity (index 0).  float64 tables give
     a float, object tables of Python ints the exact integer.
     """
-    rel = _relative(k)
+    rel = group_table(k).rel
     state = np.ones((), dtype=tables[0].dtype)
     for s, (factors, drops) in enumerate(plan.steps):
         size = 1 if s == plan.gauge_var else len(rel)
@@ -380,8 +381,8 @@ def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
 
 def _scaled_ints(values: list[Fraction]) -> tuple[np.ndarray, int]:
     """The integers v * D over the least common denominator D, in the exact ring."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return np.array([int(v * denom) for v in values], dtype=object), denom
+    ints, denom = scale_to_ints(values)
+    return np.array(ints, dtype=object), denom
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +442,14 @@ def frame_potential_direct(
         2 * geom.n_gates,
         factors,
         candidates,
-        0 if gauge_fix else None,
+        gauge_fix,
         math.factorial(k),
         budget,
     )
 
     gt = group_table(k)
     wg, denom = _scaled_ints(_wg_values_at(k, d))
-    qpow = np.array([q**c for c in gt.n_cycles], dtype=object)
+    qpow = np.array([q**c for c in gt.n_cycles.tolist()], dtype=object)
     value = Fraction(_sweep(plan, [wg[:, None], qpow[:, None]], k), denom**geom.n_gates)
     if gauge_fix:
         value *= math.factorial(k)
@@ -513,7 +514,7 @@ def frame_potential_transfer(
         geom.n_gates,
         factors,
         candidates,
-        0 if gauge_fix else None,
+        gauge_fix,
         math.factorial(k),
         budget,
     )
@@ -565,8 +566,8 @@ def _frame_potential_bruteforce(
     wg_vals = {
         ct: wg_symbolic(ct, k).evaluate(q * q) for ct in gt.cycle_types
     }
-    wg_elem = [wg_vals[gt.cycle_types[gt.ct_index[i]]] for i in range(order)]
-    mul, inv, ncyc = gt.mul, gt.inv, gt.n_cycles
+    wg_elem = [wg_vals[gt.cycle_types[c]] for c in gt.ct_index.tolist()]
+    mul, inv, ncyc = gt.mul.tolist(), gt.inv.tolist(), gt.n_cycles.tolist()
     qpow = [Fraction(q**e) for e in range(k + 1)]
 
     total = Fraction(0)

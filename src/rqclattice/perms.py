@@ -5,9 +5,10 @@ convention is fixed here once and for all: ``(a * b)(i) = a(b(i))``.  Every
 other module goes through this module for group operations, so the convention
 cannot drift.
 
-Hot loops elsewhere use :func:`group_table`, which precomputes dense integer
-index tables (multiplication, inverses, cycle counts) for all of S_k in
-lexicographic order.
+Hot loops elsewhere use :func:`group_table`, which owns the indexing of S_k:
+read-only numpy tables of multiplication, inverses, relative elements
+a^-1 x, cycle counts and cycle types over all k! elements in lexicographic
+order.  No other module keeps its own copy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceededError
 
 # Largest degree whose k! permutations are listed one by one.
@@ -23,7 +26,7 @@ ENUM_CAP = 8
 
 # The supported moment range, decided here once: group, Weingarten and
 # plaquette tables and both lattice routes stop at this k.  The dense
-# multiplication table of S_7 would hold 5040^2 (about 2.5e7) Python ints.
+# multiplication table of S_7 would hold 5040^2 (about 2.5e7) entries.
 MOMENT_CAP = 6
 
 
@@ -209,13 +212,19 @@ def haar_frame_potential(k: int, d: int) -> int:
 
 
 class SymmetricGroupTable:
-    """Dense index tables for S_k, elements in lexicographic order.
+    """Dense read-only index tables for S_k, elements in lexicographic order.
+
+    Every table is a numpy integer array over element indices, built by
+    composing image arrays and ranking the results, and shared by every
+    caller.  Convert entries with ``int()`` or ``.tolist()`` before they reach
+    exact arithmetic or JSON.
 
     Attributes:
         perms: list of Perm, perms[0] is the identity.
-        index: dict image-tuple -> element index.
-        mul: mul[i][j] = index of perms[i] * perms[j].
+        mul: mul[i, j] = index of perms[i] * perms[j].
         inv: inv[i] = index of perms[i]^-1.
+        rel: rel[i, j] = index of perms[i]^-1 * perms[j], the relative element
+            every Weingarten and plaquette weight depends on.
         n_cycles: ell(perms[i]).
         cycle_types: list of distinct cycle types (sorted), and
         ct_index: ct_index[i] = position of perms[i]'s cycle type in cycle_types.
@@ -226,19 +235,30 @@ class SymmetricGroupTable:
         self.k = k
         self.perms = enumerate_sk(k)
         self.order = len(self.perms)
-        self.index = {p.images: i for i, p in enumerate(self.perms)}
-        self.inv = [self.index[p.inverse().images] for p in self.perms]
-        self.mul = [
-            [self.index[(a * b).images] for b in self.perms] for a in self.perms
-        ]
-        self.n_cycles = [num_cycles(p) for p in self.perms]
+        images = np.array([p.images for p in self.perms]) - 1
+        # an image row read as a base-k number; lexicographic order sorts them
+        self._place = k ** np.arange(k - 1, -1, -1)
+        self._codes = images @ self._place
+        self.inv = self._rank(np.argsort(images, axis=1) @ self._place)
+        # (a * b)(x) = a(b(x)): column j of images[:, images[j, x]] is a(b_j(x))
+        self.mul = self._rank(
+            sum(images[:, images[:, x]] * self._place[x] for x in range(k))
+        )
+        self.rel = self.mul[self.inv]
+        self.n_cycles = np.array([num_cycles(p) for p in self.perms])
         cts = [cycle_type(p) for p in self.perms]
         self.cycle_types = sorted(set(cts), reverse=True)
         ct_pos = {ct: i for i, ct in enumerate(self.cycle_types)}
-        self.ct_index = [ct_pos[ct] for ct in cts]
+        self.ct_index = np.array([ct_pos[ct] for ct in cts])
+        for table in (self.inv, self.mul, self.rel, self.n_cycles, self.ct_index):
+            table.setflags(write=False)
+
+    def _rank(self, codes: np.ndarray) -> np.ndarray:
+        """Element indices of the permutations with the given image codes."""
+        return np.searchsorted(self._codes, codes)
 
     def idx(self, p: Perm) -> int:
-        return self.index[p.images]
+        return int(self._rank(np.subtract(p.images, 1) @ self._place))
 
 
 @lru_cache(maxsize=None)

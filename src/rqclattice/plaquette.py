@@ -125,9 +125,8 @@ class PlaquetteTable:
     def _label_classes(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """The (k!, k!) class of every key and each class's least key."""
         gt = self._gt
-        mul = np.array(gt.mul)
         # conj[p, a] = index of p^-1 a p
-        conj = mul[mul[gt.inv], np.arange(gt.order)[:, None]]
+        conj = gt.mul[gt.rel, np.arange(gt.order)[:, None]]
         cls = np.full((gt.order, gt.order), -1)
         reps: list[tuple[int, int]] = []
         for ia in range(gt.order):
@@ -143,13 +142,13 @@ class PlaquetteTable:
         gt = self._gt
         nums, common = _wg_numerators(self.k)
         # counts[ct][m]: how many tau of each cycle type give q-exponent m
-        counts = [[0] * (2 * self.k + 1) for _ in gt.cycle_types]
-        for t in range(gt.order):
-            row = gt.mul[gt.inv[t]]
-            m = gt.n_cycles[row[ia]] + gt.n_cycles[row[ib]]
-            counts[gt.ct_index[t]][m] += 1
+        width = 2 * self.k + 1
+        exponents = gt.n_cycles[gt.rel[:, ia]] + gt.n_cycles[gt.rel[:, ib]]
+        counts = np.bincount(
+            gt.ct_index * width + exponents, minlength=len(gt.cycle_types) * width
+        ).reshape(-1, width)
         total = Polynomial()
-        for ct_i, row_counts in enumerate(counts):
+        for ct_i, row_counts in enumerate(counts.tolist()):
             if any(row_counts):
                 total = total + nums[ct_i] * Polynomial(row_counts)
         return RationalFunction(total, common)
@@ -187,12 +186,9 @@ class PlaquetteTable:
 
     def _signature_by_index(self, ia: int, ib: int) -> WallSignature:
         gt = self._gt
-        k = self.k
-        return WallSignature(
-            in_left=k - gt.n_cycles[ia],
-            in_right=k - gt.n_cycles[ib],
-            across=k - gt.n_cycles[gt.mul[gt.inv[ia]][ib]],
-        )
+        # plain ints: the fields reach JSON output
+        in_left, in_right, across = (self.k - gt.n_cycles[[ia, ib, gt.rel[ia, ib]]]).tolist()
+        return WallSignature(in_left=in_left, in_right=in_right, across=across)
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +284,7 @@ def verify_rules(
             for _ in range(samples)
         ]
     for ia, ib, p in translations:
-        row = gt.mul[gt.inv[p]]
-        ja, jb = gt.mul[row[ia]][p], gt.mul[row[ib]][p]
+        ja, jb = gt.mul[gt.rel[p, [ia, ib]], p].tolist()
         report.checked += 1
         if table._weight_by_index(ja, jb) != table._weight_by_index(ia, ib):
             report.note(f"rule v: key {(ia, ib)} changed under translation {p}")

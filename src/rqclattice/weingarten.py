@@ -20,9 +20,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .characters import character, content_polynomial, irrep_dimension, partitions
 from .errors import SingularMatrixError, VerificationError
-from .exact import Polynomial, RationalFunction
+from .exact import Polynomial, RationalFunction, scale_to_ints
 from .perms import Perm, check_moment, cycle_type, group_table
 
 
@@ -142,35 +144,28 @@ def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
     if d < 1:
         raise ValueError("d must be >= 1")
     gt = group_table(k)
-    m = gt.order
+    classes = gt.ct_index.tolist()
+    # G as Python ints in an object array: d^k overflows int64 for large d
+    gram = np.array([d**e for e in range(k + 1)], dtype=object)[gt.n_cycles[gt.rel]]
     n_classes = len(gt.cycle_types)
-    powers = [d**e for e in range(k + 1)]
-    reps = [gt.ct_index.index(c) for c in range(n_classes)]
-
-    rows = []
-    for g in reps:
-        row = [0] * n_classes
-        for tau, prod in enumerate(gt.mul[gt.inv[g]]):
-            row[gt.ct_index[tau]] += powers[gt.n_cycles[prod]]
-        rows.append([Fraction(c) for c in row])
-    id_class = gt.ct_index[0]
-    rhs = [Fraction(1 if c == id_class else 0) for c in range(n_classes)]
+    reps = [classes.index(c) for c in range(n_classes)]
+    members = [gt.ct_index == c for c in range(n_classes)]
+    rows = [[Fraction(sum(gram[g, mu])) for mu in members] for g in reps]
+    rhs = [Fraction(1 if c == classes[0] else 0) for c in range(n_classes)]
     y = _solve(rows, rhs)
     if y is None:
         raise SingularMatrixError(f"Gram matrix singular for k={k}, d={d} (need d >= k)")
 
-    denom = math.lcm(*(v.denominator for v in y))
-    scaled = [int(v * denom) for v in y]
-    x_scaled = [scaled[c] for c in gt.ct_index]
-    for sigma in range(m):
-        products = gt.mul[gt.inv[sigma]]
-        total = sum(powers[gt.n_cycles[p]] * x for p, x in zip(products, x_scaled))
-        if total != (denom if sigma == 0 else 0):
-            raise VerificationError(
-                f"class-sum solve of the Gram system fails row {gt.perms[sigma]} "
-                f"of the full k!={m} system at k={k}, d={d}"
-            )
-    return {gt.perms[i]: y[gt.ct_index[i]] for i in range(m)}
+    scaled, denom = scale_to_ints(y)
+    expected = np.zeros(gt.order, dtype=object)
+    expected[0] = denom
+    wrong = np.flatnonzero(gram.dot(np.array(scaled, dtype=object)[gt.ct_index]) != expected)
+    if wrong.size:
+        raise VerificationError(
+            f"class-sum solve of the Gram system fails row {gt.perms[wrong[0]]} "
+            f"of the full k!={gt.order} system at k={k}, d={d}"
+        )
+    return {p: y[c] for p, c in zip(gt.perms, classes)}
 
 
 def wg_restricted(sigma: Perm, k: int, d: int) -> Fraction:

@@ -6,7 +6,6 @@ import pytest
 from rqclattice.bounds import (
     brickwork_single_wall_count,
     c1_images,
-    c1_images_single_reflection,
     conjecture_evidence,
     count_walls_bruteforce,
     count_walls_dp,
@@ -61,17 +60,6 @@ class TestImagesFormula:
         for n_g in range(3, 9):
             for t in range(2, 9):
                 assert c1_images(2 * n_g, t) == count_walls_bruteforce(n_g, t, 1)
-
-    def test_single_reflection_breaks_down(self):
-        # at n_g=3, t=4 a walker can bounce off both boundaries; the one-bounce
-        # truncation even goes negative while the full series stays exact
-        assert c1_images_single_reflection(6, 4) == -2
-        assert c1_images(6, 4) == count_walls_bruteforce(3, 4, 1) == 2
-
-    def test_single_reflection_exact_far_from_boundaries(self):
-        # for n_g > t-1 no double bounce fits, so the truncation is exact
-        for n_g, t in ((6, 3), (7, 4), (8, 4)):
-            assert c1_images_single_reflection(2 * n_g, t) == c1_images(2 * n_g, t)
 
     def test_n2_has_no_interior(self):
         # n_g=2 leaves a single position; a +-1 walker cannot loop there

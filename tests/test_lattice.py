@@ -178,6 +178,12 @@ class TestOracleStack:
             g = build_geometry(n, 2, t, "open")
             assert frame_potential_transfer(g, k).value >= math.factorial(k)
 
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    def test_routes_agree_at_large_q(self, bc):
+        # q^(2nk) and the scaled weights overflow int64 long before q = 1000
+        g = build_geometry(4, 1000, 2, bc)
+        assert frame_potential_direct(g, 3).value == frame_potential_transfer(g, 3).value
+
     def test_gauge_fix_matches_unfixed(self):
         for bc in ("open", "periodic"):
             g = build_geometry(5, 2, 3, bc)
@@ -291,6 +297,23 @@ class TestGuards:
         monkeypatch.setattr(RationalFunction, "evaluate", counting)
         frame_potential_transfer(g, 5, gauge_fix=True)
         assert 0 < len(calls) <= len(build_table(5)._weights)
+
+    def test_budget_message_omits_gauge_fix_when_pinning_cannot_help(self):
+        # the open n=8, t=3 peak of 24^5 states stays with or without the pin
+        g = build_geometry(8, 2, 3, "open")
+        for gauge_fix in (False, True):
+            with pytest.raises(BudgetExceededError) as exc:
+                frame_potential_transfer(g, 4, gauge_fix=gauge_fix)
+            assert "reach 7962624 >" in str(exc.value)
+            assert "gauge_fix" not in str(exc.value)
+
+    def test_budget_message_suggests_gauge_fix_when_the_pin_fits(self):
+        # a k=3 ring at t=3 needs 6^9 states unfixed and 6^8 pinned
+        g = build_geometry(8, 2, 3, "periodic")
+        with pytest.raises(BudgetExceededError, match="or use gauge_fix"):
+            frame_potential_transfer(g, 3)
+        fixed = frame_potential_transfer(g, 3, gauge_fix=True)
+        assert fixed.gauge_fixed and fixed.value > math.factorial(3)
 
     def test_bruteforce_budget(self):
         g = build_geometry(6, 2, 3, "open")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -184,10 +185,28 @@ def test_haar_frame_potential_is_factorial_for_k_below_d():
 
 
 def test_group_table_consistency():
-    gt = group_table(4)
-    assert gt.order == 24
-    for i in (0, 5, 17):
-        for j in (0, 3, 23):
-            assert gt.perms[gt.mul[i][j]] == gt.perms[i] * gt.perms[j]
-        assert gt.perms[gt.inv[i]] == gt.perms[i].inverse()
-        assert gt.n_cycles[i] == num_cycles(gt.perms[i])
+    """Every table entry is the Perm-level result (k = 6: all inverses, sampled products)."""
+    rng = random.Random(20240613)
+    for k in range(1, MOMENT_CAP + 1):
+        gt = group_table(k)
+        perms = gt.perms
+        assert gt.order == len(perms) == math.factorial(k)
+        assert [p.images for p in perms] == sorted(p.images for p in perms)  # lexicographic
+        assert [gt.idx(p) for p in perms] == list(range(gt.order))
+        assert all(type(gt.idx(p)) is int for p in perms)
+        for table in (gt.mul, gt.inv, gt.rel, gt.n_cycles, gt.ct_index):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+        index = {p: i for i, p in enumerate(perms)}
+        assert gt.inv.tolist() == [index[p.inverse()] for p in perms]
+        assert gt.n_cycles.tolist() == [num_cycles(p) for p in perms]
+        assert [gt.cycle_types[c] for c in gt.ct_index.tolist()] == [cycle_type(p) for p in perms]
+        if k <= 5:
+            pairs = list(itertools.product(range(gt.order), repeat=2))
+        else:
+            pairs = [(rng.randrange(gt.order), rng.randrange(gt.order)) for _ in range(2000)]
+        mul, rel = gt.mul.tolist(), gt.rel.tolist()
+        for i, j in pairs:
+            assert mul[i][j] == index[perms[i] * perms[j]]
+            assert rel[i][j] == index[perms[i].inverse() * perms[j]]

@@ -70,6 +70,13 @@ def test_gram_k6_matches_symbolic():
             assert wg_symbolic(cycle_type(p), 6).evaluate(d) == val
 
 
+def test_gram_exact_at_large_dimension():
+    # d^5 is far beyond 2^63: the Gram entries and the row check must stay Python ints
+    d = 10**6
+    for p, val in wg_gram(5, d).items():
+        assert wg_symbolic(cycle_type(p), 5).evaluate(d) == val
+
+
 def test_gram_full_system_check_catches_corrupted_solve(monkeypatch):
     solve = rqclattice.weingarten._solve
 
