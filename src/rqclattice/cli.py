@@ -195,6 +195,12 @@ def _cmd_framepotential(args) -> int:
         v is not None for v in (args.samples, args.seed, args.threads)
     ):
         raise _ArgumentError("--samples/--seed/--threads only apply to the montecarlo method")
+    if args.method != "montecarlo" and args.two_sided:
+        raise _ArgumentError("--two-sided only applies to the montecarlo method")
+    if args.method == "montecarlo" and (args.gauge_fix or args.backend is not None):
+        raise _ArgumentError("--gauge-fix/--backend only apply to the exact methods")
+    if args.method == "exact-direct" and args.backend == "float":
+        raise _ArgumentError("--backend float only applies to exact-transfer")
     params = {
         "method": args.method,
         "n": args.n,
@@ -224,7 +230,7 @@ def _cmd_framepotential(args) -> int:
         res = frame_potential_direct(geom, args.k, gauge_fix=args.gauge_fix)
     else:
         res = frame_potential_transfer(
-            geom, args.k, backend=args.backend, gauge_fix=args.gauge_fix
+            geom, args.k, backend=args.backend or "exact", gauge_fix=args.gauge_fix
         )
     params.update({"backend": res.backend, "gauge_fix": args.gauge_fix})
     if res.backend == "exact":
@@ -370,7 +376,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bc", choices=("open", "periodic"), default="open")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
+    p.add_argument("--backend", choices=("exact", "float"),
+                   help="exact-transfer number ring (default exact); exact-direct is exact only")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int)

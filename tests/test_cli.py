@@ -119,6 +119,28 @@ class TestFramePotentialCommand:
         code, _, _ = run_cli(capsys, "plaquettes", "--k", "2", "--threads", "2")
         assert code == 4
 
+    @pytest.mark.parametrize("method,flags", [
+        ("montecarlo", ["--gauge-fix"]),
+        ("montecarlo", ["--backend", "exact"]),
+        ("exact-transfer", ["--two-sided"]),
+        ("exact-direct", ["--two-sided"]),
+        ("exact-direct", ["--backend", "float"]),
+    ])
+    def test_ignored_flag_rejected(self, capsys, method, flags):
+        code, out, err = run_cli(capsys, "framepotential", method,
+                                 "--n", "4", "--q", "2", "--t", "2", "--k", "2", *flags)
+        assert code == 4
+        assert out == "" and flags[0] in err
+
+    def test_backend_defaults_to_exact(self, capsys):
+        for method in ("exact-direct", "exact-transfer"):
+            env = run_json(capsys, "framepotential", method,
+                           "--n", "4", "--q", "2", "--t", "2", "--k", "2")
+            assert env["parameters"]["backend"] == "exact"
+        env = run_json(capsys, "framepotential", "exact-direct", "--backend", "exact",
+                       "--n", "4", "--q", "2", "--t", "2", "--k", "2")
+        assert env["result"]["value"] == "66/25"
+
     def test_montecarlo_rejects_threads_below_one(self, capsys):
         code, _, err = run_cli(capsys, "framepotential", "montecarlo",
                                "--n", "4", "--q", "2", "--t", "2", "--k", "2",

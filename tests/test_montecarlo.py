@@ -6,10 +6,11 @@ import pytest
 
 import rqclattice.montecarlo
 from rqclattice.errors import BudgetExceededError
-from rqclattice.lattice import build_geometry, frame_potential_transfer
+from rqclattice.lattice import _layer_pairs, build_geometry, frame_potential_transfer
 from rqclattice.montecarlo import (
+    CHUNK_ENTRIES,
     MCEstimate,
-    _apply_gate,
+    _apply_gates,
     _sample_rng,
     circuit_trace,
     estimate_frame_potential,
@@ -32,19 +33,46 @@ def _embedded(gate, a, b, n, q):
     return full
 
 
+def _one_circuit(gates, pairs, n, q):
+    """Reference: one circuit alone, gate by gate, with a tensordot per gate."""
+    dim = q**n
+    mat = np.eye(dim, dtype=complex)
+    for (a, b), gate in zip(pairs, gates):
+        tensor = np.tensordot(gate.reshape((q,) * 4), mat.reshape((q,) * n + (dim,)),
+                              axes=([2, 3], [a - 1, b - 1]))
+        mat = np.moveaxis(tensor, (0, 1), (a - 1, b - 1)).reshape(dim, dim)
+    return mat
+
+
+def _one_sample(n, q, t, k, seed, index, two_sided, bc):
+    """Reference: sample `index` on its own, as the per-sample loop computed it."""
+    depth = t if two_sided else 2 * (t - 1)
+    pairs = [p for layer in range(depth) for p in _layer_pairs(n, layer, bc)]
+    rng = _sample_rng(seed, index)
+    if two_sided:
+        u = _one_circuit(sample_haar_gate(q * q, rng, len(pairs)), pairs, n, q)
+        v = _one_circuit(sample_haar_gate(q * q, rng, len(pairs)), pairs, n, q)
+        tr = np.trace(u.conj().T @ v)
+    else:
+        tr = np.trace(_one_circuit(sample_haar_gate(q * q, rng, len(pairs)), pairs, n, q))
+    return float(abs(complex(tr)) ** (2 * k))
+
+
 class TestApplyGate:
     def test_matches_explicit_embedding_for_every_pair(self):
-        q = 2
+        # a stack of 3 matrices, each with its own gate; (n, 1) is the ring's wrap pair
         rng = np.random.default_rng(5)
-        for n in (4, 5):
+        for n, q in ((4, 2), (5, 2), (3, 3)):
             dim = q**n
-            mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
             for a, b in itertools.permutations(range(1, n + 1), 2):
-                gate = sample_haar_gate(q * q, rng)
-                got = _apply_gate(mat, gate, a, b, n, q)
-                np.testing.assert_allclose(
-                    got, _embedded(gate, a, b, n, q) @ mat, atol=1e-12, err_msg=f"{(a, b)}"
-                )
+                gates = sample_haar_gate(q * q, rng, 3)
+                got = _apply_gates(stack.copy(), gates[:, None], [(a, b)], n, q)
+                for s in range(3):
+                    np.testing.assert_allclose(
+                        got[s], _embedded(gates[s], a, b, n, q) @ stack[s], atol=1e-12,
+                        err_msg=f"{(n, q)}, {(a, b)}, matrix {s}",
+                    )
 
 
 class TestHaarGate:
@@ -76,6 +104,13 @@ class TestHaarGate:
         for gate in stack:
             np.testing.assert_array_equal(gate, sample_haar_gate(4, rng))
         assert sample_haar_gate(4, rng, 0).shape == (0, 4, 4)
+
+    def test_reused_stream_starts_afresh(self):
+        used = _sample_rng(3, 1)
+        used.random(), used.integers(0, 2**31, dtype=np.uint32), used.standard_normal(3)
+        rekeyed = _sample_rng(8, 5, used)
+        assert rekeyed is used
+        np.testing.assert_array_equal(rekeyed.standard_normal(41), _sample_rng(8, 5).standard_normal(41))
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -115,11 +150,12 @@ class TestCircuitTrace:
     def test_gates_follow_lattice_geometry(self, monkeypatch, bc):
         applied = []
 
-        def record(mat, gate, a, b, n, q):
-            applied.append((a, b))
-            return mat
+        def record(stack, gates, pairs, n, q):
+            assert gates.shape[:2] == (len(stack), len(pairs))
+            applied.extend(pairs)
+            return stack
 
-        monkeypatch.setattr(rqclattice.montecarlo, "_apply_gate", record)
+        monkeypatch.setattr(rqclattice.montecarlo, "_apply_gates", record)
         for n in range(2, 8):
             for t in range(1, 5):
                 applied.clear()
@@ -197,3 +233,116 @@ class TestEstimator:
             estimate_frame_potential(4, 2, t, 2, samples=10, seed=0)
         est = estimate_frame_potential(4, 2, t, 1, samples=10, seed=0, two_sided=True)
         assert est.t == t
+
+
+def _fail_rng(*args):
+    raise AssertionError("a sample stream was created")
+
+
+def _chunked_estimate(monkeypatch, *args, **kwargs):
+    """The estimate, its per-sample values in sample order and its chunk sizes."""
+    chunks = {}
+    run_chunk = rqclattice.montecarlo._chunk_values
+
+    def record(*chunk_args):
+        lo, hi = chunk_args[-2:]
+        chunks[lo] = run_chunk(*chunk_args)
+        assert len(chunks[lo]) == hi - lo
+        return chunks[lo]
+
+    monkeypatch.setattr(rqclattice.montecarlo, "_chunk_values", record)
+    est = estimate_frame_potential(*args, **kwargs)
+    values = [v for lo in sorted(chunks) for v in chunks[lo]]
+    assert len(values) == est.samples
+    return est, values, [len(chunks[lo]) for lo in sorted(chunks)]
+
+
+class TestBatching:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_budget_checked_before_any_stream(self, monkeypatch, threads):
+        monkeypatch.setattr(rqclattice.montecarlo, "_sample_rng", _fail_rng)
+        with pytest.raises(BudgetExceededError):
+            estimate_frame_potential(13, 2, 2, 2, samples=8, seed=0, threads=threads)
+        with pytest.raises(ValueError, match="boundary"):
+            estimate_frame_potential(4, 2, 2, 2, samples=8, seed=0, threads=threads, bc="twisted")
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_values_independent_of_chunks_and_threads(self, monkeypatch, n, bc, two_sided):
+        t = 2
+        depth = t if two_sided else 2 * (t - 1)
+        gates = sum(len(_layer_pairs(n, layer, bc)) for layer in range(depth))
+        per_sample = (2 if two_sided else 1) * max(4**n, gates * 16)
+        samples = 12 if n < 8 else 8
+        reference = None
+        for size in (1, 7, samples):
+            monkeypatch.setattr(rqclattice.montecarlo, "CHUNK_ENTRIES", size * per_sample)
+            for threads in (1, 2, 3):
+                est, values, sizes = _chunked_estimate(monkeypatch, n, 2, t, 2, samples=samples, seed=2024 + n,
+                                                       threads=threads, two_sided=two_sided, bc=bc)
+                assert sizes == [min(size, samples - lo) for lo in range(0, samples, size)]
+                hexes = [v.hex() for v in values]
+                if reference is None:
+                    reference = (hexes, est)
+                assert hexes == reference[0], (size, threads)
+                assert est == reference[1], (size, threads)
+
+    def test_stacked_arrays_within_chunk_bound(self, monkeypatch):
+        seen = []
+        haar, apply = rqclattice.montecarlo._haar_from_normals, rqclattice.montecarlo._apply_gates
+
+        def record_haar(normals):
+            gates = haar(normals)
+            seen.extend([("normals", normals), ("gates", gates)])
+            return gates
+
+        def record_apply(stack, gates, pairs, n, q):
+            out = apply(stack, gates, pairs, n, q)
+            seen.extend([("stack", stack), ("product", out)])
+            return out
+
+        monkeypatch.setattr(rqclattice.montecarlo, "_haar_from_normals", record_haar)
+        monkeypatch.setattr(rqclattice.montecarlo, "_apply_gates", record_apply)
+        for n, samples in ((8, 3), (4, 600)):
+            seen.clear()
+            estimate_frame_potential(n, 2, 3, 1, samples=samples, seed=1, threads=2, bc="periodic")
+            largest = max(array.nbytes for _, array in seen)
+            assert largest <= 16 * CHUNK_ENTRIES  # complex128: 16 bytes an entry
+            if n == 4:
+                assert largest == 16 * CHUNK_ENTRIES  # full chunks of 256 samples
+        # two-sided n=8 needs two 2^16-entry circuits per sample: chunks of one sample
+        seen.clear()
+        estimate_frame_potential(8, 2, 2, 1, samples=2, seed=1, two_sided=True)
+        assert {len(array) for name, array in seen if name == "stack"} == {2}
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_values_equal_one_sample_at_a_time(self, monkeypatch, n, q, bc, two_sided):
+        est, values, _ = _chunked_estimate(monkeypatch, n, q, 3, 2, samples=10, seed=31,
+                                           two_sided=two_sided, bc=bc)
+        want = [_one_sample(n, q, 3, 2, 31, i, two_sided, bc) for i in range(10)]
+        assert values == want
+        assert est.max_sample == max(want)
+
+    # estimates of the per-sample loop this batched estimator replaced, frozen
+    # from its output; a relative tolerance absorbs BLAS rounding but not a
+    # change in the order of the draws
+    FROZEN = [
+        ((4, 2, 2, 2), dict(samples=200, seed=42),
+         (3.7089826905186145, 1.3948833309790514, 262.31376712818917)),
+        ((5, 2, 3, 3), dict(samples=60, seed=7, bc="periodic"),
+         (6.776117192324091, 5.3116086592891625, 319.1464680585978)),
+        ((4, 2, 2, 2), dict(samples=80, seed=9, two_sided=True, bc="periodic"),
+         (1.5710440699091983, 0.28334699755896525, 12.393812071890526)),
+        ((3, 3, 2, 2), dict(samples=40, seed=5),
+         (1.893912060617906, 0.5979529410109155, 18.67042306455764)),
+        ((8, 2, 2, 1), dict(samples=4, seed=3, threads=2),
+         (0.22798118974703935, 0.07032757380898313, 0.33445176245025565)),
+    ]
+
+    @pytest.mark.parametrize("args,kwargs,frozen", FROZEN)
+    def test_streams_stable(self, args, kwargs, frozen):
+        est = estimate_frame_potential(*args, **kwargs)
+        assert (est.mean, est.std_error, est.max_sample) == pytest.approx(frozen, rel=1e-12)
