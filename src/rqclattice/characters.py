@@ -111,14 +111,18 @@ def _border_strip_removals(lam: tuple[int, ...], r: int):
         yield tuple(x for x in newlam if x > 0), height
 
 
+def box_contents(lam: tuple[int, ...]) -> list[int]:
+    """Contents j - i of the boxes (i, j) of the Young diagram, row by row."""
+    _check_partition(lam)
+    return [j - i for i, row in enumerate(lam, start=1) for j in range(1, row + 1)]
+
+
 def content_polynomial(lam: tuple[int, ...]) -> Polynomial:
     """c_lam(d) = prod over boxes (i,j) of (d + j - i), as an exact integer polynomial.
 
     Degree equals |lam|; the roots are the negated box contents.
     """
-    _check_partition(lam)
     poly = Polynomial([1])
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            poly = poly * Polynomial([j - i, 1])
+    for c in box_contents(lam):
+        poly = poly * Polynomial([c, 1])
     return poly

@@ -117,6 +117,24 @@ def _parse_perm(text: str, k: int) -> Perm:
 # ---------------------------------------------------------------------------
 
 
+def _plaquette_fields(sig, w, q) -> dict:
+    """The columns of a plaquette row after its key, from the key's class."""
+    fields = {
+        "in_left": sig.in_left,
+        "in_right": sig.in_right,
+        "across": sig.across,
+        "weight_num": ";".join(w.num.coeff_strings()),
+        "weight_den": ";".join(w.den.coeff_strings()),
+        "weight": w.format("q"),
+    }
+    if q is not None:
+        try:
+            fields["value_at_q"] = _frac(w.evaluate(q))
+        except PoleError:
+            fields["value_at_q"] = "pole"
+    return fields
+
+
 def _cmd_plaquettes(args) -> int:
     k = args.k
     if k > FULL_DUMP_MAX_K and not args.key:
@@ -125,35 +143,29 @@ def _cmd_plaquettes(args) -> int:
             "pass --key SIGMA12 SIGMA13 for k=6"
         )
     table = build_table(k)
-    rows = []
+    gt = group_table(k)
     if args.key:
-        a = _parse_perm(args.key[0], k)
-        b = _parse_perm(args.key[1], k)
-        gt = group_table(k)
-        entries = [
-            (a, b, table._signature_by_index(gt.idx(a), gt.idx(b)), table.weight_by_key(a, b))
-        ]
+        ia, ib = (gt.idx(_parse_perm(text, k)) for text in args.key)
+        weights = [table._weight_by_index(ia, ib)]
+        signatures = [table._signature_by_index(ia, ib)]
+        cells = [(ia, ib, 0)]
     else:
-        entries = table.entries()
-    for a, b, sig, w in entries:
-        if args.nonzero_only and w.is_zero():
-            continue
-        row = {
-            "key_left": "".join(map(str, a.images)),
-            "key_right": "".join(map(str, b.images)),
-            "in_left": sig.in_left,
-            "in_right": sig.in_right,
-            "across": sig.across,
-            "weight_num": ";".join(w.num.coeff_strings()),
-            "weight_den": ";".join(w.den.coeff_strings()),
-            "weight": w.format("q"),
-        }
-        if args.q is not None:
-            try:
-                row["value_at_q"] = _frac(w.evaluate(args.q))
-            except PoleError:
-                row["value_at_q"] = "pole"
-        rows.append(row)
+        weights, classes = table.key_classes()
+        signatures = [table.class_signature(c) for c in range(len(weights))]
+        cells = (
+            (ia, ib, c) for ia, row in enumerate(classes.tolist()) for ib, c in enumerate(row)
+        )
+    # each class is rendered once; its keys share the rendered fields
+    fields = [
+        None if args.nonzero_only and w.is_zero() else _plaquette_fields(sig, w, args.q)
+        for sig, w in zip(signatures, weights)
+    ]
+    names = ["".join(map(str, p.images)) for p in gt.perms]
+    rows = [
+        {"key_left": names[ia], "key_right": names[ib], **fields[c]}
+        for ia, ib, c in cells
+        if fields[c] is not None
+    ]
     env = _envelope(
         "plaquettes",
         {"k": k, "q": args.q, "nonzero_only": args.nonzero_only},

@@ -1,9 +1,13 @@
-"""Exact univariate polynomial and rational-function arithmetic over Fractions.
+"""Exact univariate polynomial and rational-function arithmetic.
 
 Carriers for Weingarten functions Wg(sigma, d) and plaquette weights J(q).
-Coefficients are arbitrary-precision rationals throughout; intermediate sums
-in Weingarten tables have large numerators and silent overflow would corrupt
-the golden tests, so nothing here is ever fixed-width.
+`Polynomial` has arbitrary-precision rational coefficients.  Rational
+functions and the symbolic table builders compute on Python-int polynomials
+(lists of ints, lowest degree first) with one integer kernel: convolution, a
+primitive pseudo-remainder gcd, exact division, lcm, and one reduction to the
+normal form every `RationalFunction` is kept in.  Intermediate sums in
+Weingarten tables have large numerators and silent overflow would corrupt the
+golden tests, so nothing here is ever fixed-width.
 
 Polynomials are dense, lowest degree first, with no trailing zero coefficient;
 the zero polynomial has an empty coefficient tuple.  Rational functions are
@@ -178,12 +182,7 @@ class Polynomial:
         """p(x) -> p(x^m), by spreading coefficients to every m-th slot."""
         if m < 1:
             raise ValueError("power must be >= 1")
-        if not self.coeffs:
-            return self
-        out = [_F0] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
-        return Polynomial(out)
+        return Polynomial(_spread(self.coeffs, m))
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -232,61 +231,156 @@ class Polynomial:
         return out
 
 
-def _primitive_int(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-    if coeffs and coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
-    return coeffs
+# -- integer kernel ------------------------------------------------------------
+# An integer polynomial is a list of Python ints, lowest degree first; [] is 0.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product (convolution) of two integer polynomials."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _spread(a: list, m: int) -> list:
+    """The coefficients of a(x^m): a's spread to every m-th slot."""
+    if not a:
+        return []
+    out = [0] * ((len(a) - 1) * m + 1)
+    out[::m] = a
+    return out
+
+
+def _content(a: list[int]) -> int:
+    return math.gcd(*a)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over its content, with a positive leading coefficient."""
+    g = _content(a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials (positive leading coefficient).
+
+    A primitive pseudo-remainder sequence: content is stripped at every step,
+    which keeps coefficient growth tame for the small degrees that occur here.
+    """
+    fa, fb = _primitive(a), _primitive(b)
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while len(fb) > 1:
+        rem = list(fa)
+        lead = fb[-1]
+        dn = len(fb) - 1
+        while len(rem) > dn:
+            c = rem[-1]
+            g = math.gcd(c, lead)
+            mul_rem, mul_div = lead // g, c // g
+            shift = len(rem) - 1 - dn
+            rem = [x * mul_rem for x in rem]
+            for j, d in enumerate(fb):
+                rem[shift + j] -= mul_div * d
+            _trim(rem)
+        if not rem:
+            return fb
+        fa, fb = fb, _primitive(rem)
+    return [1]
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b of integer polynomials, which must divide exactly over Z."""
+    rem = list(a)
+    lead = b[-1]
+    dn = len(b) - 1
+    quot = [0] * max(len(a) - dn, 0)
+    for i in range(len(a) - 1, dn - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact integer polynomial division")
+            quot[i - dn] = q
+            for j in range(dn):
+                rem[i - dn + j] -= q * b[j]
+    if any(rem[:dn]):
+        raise ArithmeticError("inexact integer polynomial division")
+    return quot
+
+
+def int_lcm(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The lcm L of nonzero integer polynomials over Z, and each cofactor L / p."""
+    content, common = 1, [1]
+    for p in polys:
+        content = math.lcm(content, _content(p))
+        prim = _primitive(p)
+        common = int_mul(common, _divexact(prim, _prs_gcd(common, prim)))
+    common = [c * content for c in common]
+    return common, [_divexact(common, p) for p in polys]
+
+
+def _normal_form(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """num/den as coprime integer polynomials with joint content 1 and den leading > 0."""
+    num, den = _trim(list(num)), _trim(list(den))
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return [], [1]
+    g = _prs_gcd(num, den)
+    if len(g) > 1:
+        num, den = _divexact(num, g), _divexact(den, g)
+    scale = math.gcd(_content(num), _content(den))
+    if den[-1] < 0:
+        scale = -scale
+    if scale != 1:
+        num, den = [c // scale for c in num], [c // scale for c in den]
+    return num, den
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals, via a primitive pseudo-remainder sequence over Z.
-
-    Content is stripped at every step, which keeps coefficient growth tame for
-    the small degrees (<= ~2k in d) that occur here.
-    """
+    """Monic gcd over the rationals, via the primitive PRS gcd over Z."""
     if a.is_zero():
         return b.monic() if not b.is_zero() else b
     if b.is_zero():
         return a.monic()
-    fa = _primitive_int(scale_to_ints(a.coeffs)[0])
-    fb = _primitive_int(scale_to_ints(b.coeffs)[0])
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        # pseudo-remainder of fa by fb
-        rem = list(fa)
-        lead = fb[-1]
-        dn = len(fb) - 1
-        while len(rem) - 1 >= dn and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = rem[-1]
-            g = math.gcd(c, lead)
-            mul_rem, mul_div = lead // g, c // g
-            rem = [x * mul_rem for x in rem]
-            shift = len(rem) - 1 - dn
-            for j, d in enumerate(fb):
-                rem[shift + j] -= mul_div * d
-            while rem and rem[-1] == 0:
-                rem.pop()
-        fa, fb = fb, _primitive_int(rem)
-    return Polynomial(fa).monic()
+    return Polynomial(_prs_gcd(scale_to_ints(a.coeffs)[0], scale_to_ints(b.coeffs)[0])).monic()
 
 
 class RationalFunction:
     """Exact rational function num/den, gcd-reduced with monic denominator.
 
-    Integer evaluation runs on integer coefficients: num and den scaled by the
-    least common denominator of all their coefficients, built on first use.
+    Every construction goes through one integer normal form, `ints`: num and
+    den as coprime integer polynomials with joint content 1 and a positive
+    leading denominator coefficient, i.e. the rational num/den scaled by the
+    least common denominator of all their coefficients.  Arithmetic and
+    integer evaluation run on `ints`; `num` and `den` are its rational,
+    monic-denominator view.
     """
 
-    __slots__ = ("num", "den", "_ints")
+    __slots__ = ("num", "den", "ints")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -295,21 +389,22 @@ class RationalFunction:
             den = Polynomial([1])
         elif isinstance(den, (int, Fraction)):
             den = Polynomial([den])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = Polynomial(), Polynomial([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = divmod(num, g)
-                den, _ = divmod(den, g)
-            lead = den.leading
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        ints, _ = scale_to_ints(num.coeffs + den.coeffs)
+        n = len(num.coeffs)
+        self._set(*_normal_form(ints[:n], ints[n:]))
+
+    @classmethod
+    def from_ints(cls, num: list[int], den: list[int]) -> "RationalFunction":
+        """num/den for integer polynomials, reduced once to the normal form."""
+        rf = object.__new__(cls)
+        rf._set(*_normal_form(num, den))
+        return rf
+
+    def _set(self, num: list[int], den: list[int]):
+        lead = den[-1]
+        object.__setattr__(self, "num", Polynomial([Fraction(c, lead) for c in num]))
+        object.__setattr__(self, "den", Polynomial([Fraction(c, lead) for c in den]))
+        object.__setattr__(self, "ints", (num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -331,11 +426,7 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.constant(other)
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return isinstance(other, RationalFunction) and self.ints == other.ints
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -350,13 +441,15 @@ class RationalFunction:
         raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
 
     def __add__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        (n1, d1), (n2, d2) = self.ints, self._coerce(other).ints
+        num = _int_add(int_mul(n1, d2), int_mul(n2, d1))
+        return RationalFunction.from_ints(num, int_mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        num, den = self.ints
+        return RationalFunction.from_ints([-c for c in num], den)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -365,8 +458,8 @@ class RationalFunction:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        (n1, d1), (n2, d2) = self.ints, self._coerce(other).ints
+        return RationalFunction.from_ints(int_mul(n1, n2), int_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -374,7 +467,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        (n1, d1), (n2, d2) = self.ints, o.ints
+        return RationalFunction.from_ints(int_mul(n1, d2), int_mul(d1, n2))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -384,16 +478,6 @@ class RationalFunction:
             return RationalFunction(self.den, self.num) ** (-n)
         return RationalFunction(self.num**n, self.den**n)
 
-    def _int_coeffs(self) -> tuple[list[int], list[int]]:
-        try:
-            return self._ints
-        except AttributeError:
-            cs, _ = scale_to_ints(self.num.coeffs + self.den.coeffs)
-            n = len(self.num.coeffs)
-            ints = cs[:n], cs[n:]
-            object.__setattr__(self, "_ints", ints)
-            return ints
-
     def evaluate(self, x) -> Fraction:
         """Exact value at x; raises PoleError at a root of the reduced denominator."""
         if not isinstance(x, int):
@@ -401,7 +485,7 @@ class RationalFunction:
             if dv == 0:
                 raise PoleError(f"pole at x = {x}")
             return self.num.evaluate(x) / dv
-        num, den = self._int_coeffs()
+        num, den = self.ints
         dv = horner(den, x)
         if dv == 0:
             raise PoleError(f"pole at x = {x}")
@@ -424,9 +508,9 @@ class RationalFunction:
 
     def substitute_power(self, m: int) -> "RationalFunction":
         """f(x) -> f(x^m), re-reduced."""
-        return RationalFunction(
-            self.num.substitute_power(m), self.den.substitute_power(m)
-        )
+        if m < 1:
+            raise ValueError("power must be >= 1")
+        return RationalFunction.from_ints(*(_spread(p, m) for p in self.ints))
 
     def to_json_dict(self) -> dict:
         return {"num": self.num.coeff_strings(), "den": self.den.coeff_strings()}

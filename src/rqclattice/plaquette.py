@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import Polynomial, RationalFunction, poly_gcd
+from .exact import Polynomial, RationalFunction, int_lcm, int_mul
 from .perms import Perm, group_table
 from .weingarten import wg_in_q
 
@@ -87,22 +87,23 @@ class RuleReport:
 
 
 @lru_cache(maxsize=None)
-def _wg_numerators(k: int):
-    """Weingarten numerators in q over one common denominator D(q)."""
+def _wg_numerators(k: int) -> tuple[np.ndarray, list[int]]:
+    """Integer Weingarten numerators in q over one integer denominator D(q).
+
+    Row (ct, m) of the returned object array holds the numerator of the cycle
+    type with index ct times q^m, for m = 0..2k (the exponents of the tau-sum),
+    so a weight numerator is one integer dot product with its tau counts.
+    """
     wgq = wg_in_q(k)
-    gt = group_table(k)
-    common = Polynomial([1])
-    for ct in gt.cycle_types:
-        den = wgq[ct].den
-        g = poly_gcd(common, den)
-        common = common * (den // g)
-    nums = []
-    for ct in gt.cycle_types:
-        rf = wgq[ct]
-        scale, rem = divmod(common, rf.den)
-        assert rem.is_zero()
-        nums.append(rf.num * scale)
-    return nums, common
+    ints = [wgq[ct].ints for ct in group_table(k).cycle_types]
+    common, cofactors = int_lcm([den for _, den in ints])
+    width = 2 * k + 1
+    nums = [int_mul(num, cof) for (num, _), cof in zip(ints, cofactors)]
+    shifted = np.zeros((len(nums), width, max(map(len, nums)) + width - 1), dtype=object)
+    for ct_i, num in enumerate(nums):
+        for m in range(width):
+            shifted[ct_i, m, m : m + len(num)] = num
+    return shifted.reshape(len(nums) * width, -1), common
 
 
 class PlaquetteTable:
@@ -140,18 +141,14 @@ class PlaquetteTable:
     def _weight_raw(self, ia: int, ib: int) -> RationalFunction:
         """J^{id}_{a b} from the defining tau-sum, bypassing the class map."""
         gt = self._gt
-        nums, common = _wg_numerators(self.k)
-        # counts[ct][m]: how many tau of each cycle type give q-exponent m
+        shifted, common = _wg_numerators(self.k)
+        # counts[ct * width + m]: how many tau of each cycle type give q-exponent m
         width = 2 * self.k + 1
         exponents = gt.n_cycles[gt.rel[:, ia]] + gt.n_cycles[gt.rel[:, ib]]
-        counts = np.bincount(
-            gt.ct_index * width + exponents, minlength=len(gt.cycle_types) * width
-        ).reshape(-1, width)
-        total = Polynomial()
-        for ct_i, row_counts in enumerate(counts.tolist()):
-            if any(row_counts):
-                total = total + nums[ct_i] * Polynomial(row_counts)
-        return RationalFunction(total, common)
+        counts = np.bincount(gt.ct_index * width + exponents, minlength=len(shifted))
+        used = np.flatnonzero(counts)
+        total = np.array(counts[used].tolist(), dtype=object).dot(shifted[used])
+        return RationalFunction.from_ints(total.tolist(), common)
 
     def _class_weight(self, c: int) -> RationalFunction:
         w = self._weights[c]
@@ -176,13 +173,9 @@ class PlaquetteTable:
         inv1 = s1.inverse()
         return self.weight_by_key(inv1 * s2, inv1 * s3)
 
-    def entries(self):
-        """Yield (a, b, signature, weight) for every raw key pair, in index order."""
-        gt = self._gt
-        for ia in range(gt.order):
-            for ib in range(gt.order):
-                sig = self._signature_by_index(ia, ib)
-                yield gt.perms[ia], gt.perms[ib], sig, self._weight_by_index(ia, ib)
+    def class_signature(self, c: int) -> WallSignature:
+        """The wall signature shared by every key of class c."""
+        return self._signature_by_index(*self._reps[c])
 
     def _signature_by_index(self, ia: int, ib: int) -> WallSignature:
         gt = self._gt
@@ -223,9 +216,10 @@ def verify_rules(
 
     Exhaustive over all (k!)^2 keys for k <= 4, with right-invariance
     additionally checked against every group translation; for k >= 5 the rules
-    are checked on `samples` pseudo-random triples.  A deterministic subsample
-    of weights is recomputed from the raw tau-sum so that the class map is
-    itself exercised.
+    are checked on `samples` pseudo-random triples.  Weights of
+    `raw_spot_checks` random keys, and of both sides of `raw_spot_checks`
+    translations spread evenly over the rule-v list, are recomputed from the
+    raw tau-sum, so that the class map and the weights are themselves under test.
 
     Rules: (i) J^s_{ss} = 1; (ii) J^s_{s's'} = 0 for s != s'; (iii) a single
     outgoing wall forces a single ingoing wall, with the k=2 weight q/(q^2+1);
@@ -283,10 +277,15 @@ def verify_rules(
             (rng.randrange(gt.order), rng.randrange(gt.order), rng.randrange(gt.order))
             for _ in range(samples)
         ]
-    for ia, ib, p in translations:
+    # the class map puts a key and its translate in one class by construction,
+    # so the weights of an even spread of translations are recomputed raw
+    spread = {len(translations) * i // raw_spot_checks for i in range(raw_spot_checks)}
+    for i, (ia, ib, p) in enumerate(translations):
         ja, jb = gt.mul[gt.rel[p, [ia, ib]], p].tolist()
         report.checked += 1
-        if table._weight_by_index(ja, jb) != table._weight_by_index(ia, ib):
+        if table._cls[ja, jb] != table._cls[ia, ib] or (
+            i in spread and table._weight_raw(ja, jb) != table._weight_raw(ia, ib)
+        ):
             report.note(f"rule v: key {(ia, ib)} changed under translation {p}")
 
     # spot-check the class map against raw tau-sums

@@ -17,27 +17,50 @@ function, so symbolic values are stored per cycle type.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .characters import character, content_polynomial, irrep_dimension, partitions
+from .characters import box_contents, character, content_polynomial, irrep_dimension, partitions
 from .errors import SingularMatrixError, VerificationError
-from .exact import Polynomial, RationalFunction, scale_to_ints
+from .exact import RationalFunction, int_mul, scale_to_ints
 from .perms import Perm, check_moment, cycle_type, group_table
 
 
 @lru_cache(maxsize=None)
+def _content_lcm(k: int) -> tuple[list[int], dict[tuple[int, ...], list[int]]]:
+    """lcm L(d) of the content polynomials of S_k, and each cofactor L / c_lambda.
+
+    Every c_lambda is a product of linear factors (d + c) over its box
+    contents c, so L takes each factor to its highest multiplicity.
+    """
+    mult = {lam: Counter(box_contents(lam)) for lam in partitions(k)}
+    top = Counter()
+    for m in mult.values():
+        top |= m
+
+    def product(factors: Counter) -> list[int]:
+        poly = [1]
+        for c in sorted(factors.elements()):
+            poly = int_mul(poly, [c, 1])
+        return poly
+
+    return product(top), {lam: product(top - m) for lam, m in mult.items()}
+
+
+@lru_cache(maxsize=None)
 def _wg_by_cycle_type(k: int, ct: tuple[int, ...]) -> RationalFunction:
-    total = RationalFunction(Polynomial())
-    for lam in partitions(k):
-        chi = character(lam, ct)
-        if chi == 0:
-            continue
-        f = irrep_dimension(lam)
-        total = total + RationalFunction(Polynomial([chi * f]), content_polynomial(lam))
-    return total * Fraction(1, math.factorial(k))
+    """(1/k!) sum_lambda chi_lambda(ct) f_lambda / c_lambda(d) over L(d), reduced once."""
+    common, cofactors = _content_lcm(k)
+    num = [0] * len(common)
+    for lam, cof in cofactors.items():
+        weight = character(lam, ct) * irrep_dimension(lam)
+        if weight:
+            for i, c in enumerate(cof):
+                num[i] += weight * c
+    return RationalFunction.from_ints(num, [math.factorial(k) * c for c in common])
 
 
 def wg_symbolic(sigma, k: int | None = None) -> RationalFunction:

@@ -115,7 +115,9 @@ def test_criterion_01_golden_plaquette_tables():
 
         t4 = build_table(4)
         found = {name: set() for name in K4_WEIGHTS}
-        for _, _, sig, w in t4.entries():
+        weights, _ = t4.key_classes()
+        for c, w in enumerate(weights):
+            sig = t4.class_signature(c)
             for name, target in K4_WEIGHTS.items():
                 if w == target:
                     found[name].add((sig.in_left, sig.in_right, sig.across))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -60,6 +61,18 @@ class TestPlaquettesCommand:
         for csv_row, json_row in zip(rows, env["result"]):
             for field in ("key_left", "key_right", "weight_num", "weight_den", "value_at_q"):
                 assert csv_row[field] == str(json_row[field])
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("--k 4 --q 3 --format csv", "27d81bb3fa0ab4ae"),
+        ("--k 4 --nonzero-only --q 2", "e6b1d0c38db10087"),
+        ("--k 3 --nonzero-only --format csv", "5251d5edffa202a7"),
+        ("--k 5 --q 2", "ab4e81154f57437c"),
+    ])
+    def test_dump_bytes_pinned(self, capsys, argv, digest):
+        # sha256 prefixes of the whole stdout, frozen from the per-key renderer
+        code, out, _ = run_cli(capsys, "plaquettes", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_k6_requires_key(self, capsys):
         code, _, err = run_cli(capsys, "plaquettes", "--k", "6")

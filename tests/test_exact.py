@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqclattice.errors import PoleError
-from rqclattice.exact import Polynomial, RationalFunction, poly_gcd
+from rqclattice.exact import Polynomial, RationalFunction, int_lcm, int_mul, poly_gcd
 from rqclattice.weingarten import weingarten_table, wg_in_q
 
 
@@ -70,6 +70,24 @@ class TestRationalFunction:
         assert f.num == P(Fraction(1, 2)) and f.den == P(0, 1)
         g = RationalFunction(f.num, f.den)
         assert g == f  # normalizing twice is a no-op
+
+    def test_integer_normal_form(self):
+        # (-6x - 6) / (-4x^2 + 4): gcd (x + 1) and content 2 removed, denominator lead > 0
+        f = RationalFunction.from_ints([-6, -6], [4, 0, -4])
+        assert f.ints == ([3], [-2, 2])
+        assert f == RF(P(Fraction(3, 2)), P(-1, 1))
+        assert RF(f.num, f.den).ints == f.ints
+        assert RationalFunction.from_ints([0, 0], [5]).ints == ([], [1])
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction.from_ints([1], [0])
+
+    def test_int_lcm_and_cofactors(self):
+        # 2(x - 1)(x + 1), 3(x + 1)^2 and x: lcm 6 x (x - 1)(x + 1)^2
+        polys = [[-2, 0, 2], [3, 6, 3], [0, 1]]
+        common, cofactors = int_lcm(polys)
+        assert common == int_mul([0, 6], int_mul([-1, 1], [1, 2, 1]))
+        for p, cof in zip(polys, cofactors):
+            assert int_mul(p, cof) == common
 
     def test_evaluate(self):
         f = RF(P(0, 1), P(1, 0, 1))

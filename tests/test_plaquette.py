@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -9,6 +11,7 @@ from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError
 from rqclattice.exact import Polynomial, RationalFunction
 from rqclattice.perms import Perm, conjugacy_class_size, enumerate_sk
+from rqclattice.weingarten import weingarten_table, wg_in_q
 from rqclattice.plaquette import (
     PlaquetteTable,
     WallSignature,
@@ -23,6 +26,13 @@ from rqclattice.plaquette import (
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+def every_key(table):
+    """(signature, weight) of every raw key: its own signature, its class weight."""
+    weights, cls = table.key_classes()
+    for (ia, ib), c in np.ndenumerate(cls):
+        yield table._signature_by_index(ia, ib), weights[c]
 
 
 SINGLE_WALL = RationalFunction(P(0, 1), P(1, 0, 1))  # q/(q^2+1)
@@ -99,7 +109,7 @@ class TestK3Golden:
         """Nonzero k=3 entries are exactly the printed ones up to reflections/colorings."""
         table = build_table(3)
         by_sig = {}
-        for _, _, sig, w in table.entries():
+        for sig, w in every_key(table):
             key = (sig.in_left, sig.in_right, sig.across)
             by_sig.setdefault(key, set()).add(w)
         one, zero = RationalFunction.constant(1), RationalFunction.constant(0)
@@ -136,7 +146,7 @@ class TestK4Golden:
     def test_printed_weights_present_with_expected_signatures(self):
         table = build_table(4)
         found = {"A": set(), "B": set(), "C": set(), "D": set()}
-        for _, _, sig, w in table.entries():
+        for sig, w in every_key(table):
             for name, target in (("A", K4_A), ("B", K4_B), ("C", K4_C), ("D", K4_D)):
                 if w == target:
                     found[name].add((sig.in_left, sig.in_right, sig.across))
@@ -193,9 +203,9 @@ class TestRules:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_class_level_checks_count_every_key(self, k):
         # the checks walk key classes; the counts are those of a walk over all keys
-        entries = list(build_table(k).entries())
-        nonzero = sum(1 for *_, w in entries if not w.is_zero())
-        denominators = {w.den for *_, w in entries}
+        weights = [w for _, w in every_key(build_table(k))]
+        nonzero = sum(1 for w in weights if not w.is_zero())
+        denominators = {w.den for w in weights}
         assert asymptotic_check(k).checked == nonzero
         assert pole_free_report(k).checked == len(denominators)
 
@@ -221,10 +231,19 @@ class TestRules:
             pi = p.inverse()
             assert table.weight(p * s1 * pi, p * s2 * pi, p * s3 * pi) == table.weight(s1, s2, s3)
 
+    def test_rule_v_recomputes_translated_weights(self, monkeypatch):
+        table = build_table(3)
+        table.key_classes()  # cache the true class weights before the raw sum is replaced
+        monkeypatch.setattr(
+            PlaquetteTable, "_weight_raw", lambda self, ia, ib: RationalFunction.constant(ia)
+        )
+        report = verify_rules(3)
+        assert report.checked == 338
+        assert any(v.startswith("rule v:") for v in report.violations)
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_negative_weights_only_with_annihilation(self, k):
-        table = build_table(k)
-        for _, _, sig, w in table.entries():
+        for sig, w in every_key(build_table(k)):
             if w.is_zero():
                 continue
             if w.evaluate(100) < 0:
@@ -336,3 +355,32 @@ class TestClassMap:
         table = PlaquetteTable(6)
         assert len(table._reps) == 901
         assert all(w is None for w in table._weights)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the symbolic tables, frozen from the Fraction-polynomial builders
+GOLDEN_TABLE_DIGESTS = {
+    1: ("692bc7dd20c0ed69", "471f9cbfdb440ecf", "f29e1ce1e19faa12"),
+    2: ("c9347d838407ddac", "3dbb48ebedceb73b", "8a0d43e967367a61"),
+    3: ("5be965a49b5232cd", "fe403a936a6c35fc", "b8b0e1f42c1702c6"),
+    4: ("2be3d7210caf7957", "8b9ceebcd8c9e1c7", "c9eed21c4957cbb7"),
+    5: ("b37c40c501f1b89f", "a97a366baabd35d1", "a8576fddea1431d8"),
+    6: ("e10c109ab6f2152e", "6d2d6d317bc0a90e", "d9742440474a30d9"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN_TABLE_DIGESTS))
+def test_golden_table_digests(k):
+    """Weingarten tables in d and in q, and the plaquette class weights, for every k <= 6."""
+    def by_cycle_type(table):
+        return {",".join(map(str, ct)): rf.to_json_dict() for ct, rf in table.items()}
+
+    weights, _ = build_table(k).key_classes()
+    assert (
+        _digest(by_cycle_type(weingarten_table(k))),
+        _digest(by_cycle_type(wg_in_q(k))),
+        _digest([w.to_json_dict() for w in weights]),
+    ) == GOLDEN_TABLE_DIGESTS[k]
