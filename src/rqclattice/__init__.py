@@ -4,75 +4,71 @@ Computes Weingarten functions and triangular-lattice plaquette weights
 symbolically, evaluates frame potentials of brickwork circuits exactly (two
 independent routes) and by Monte Carlo, and evaluates domain-wall counts and
 design-depth formulas.
+
+The public names below, and the submodules that define them, are loaded on
+first use (PEP 562): ``import rqclattice`` imports no submodule and no numpy,
+and ``rqclattice.build_table`` imports ``rqclattice.plaquette`` and returns its
+``build_table``.  No name is copied into this namespace, so the package always
+shows what its submodule holds, a patched or traced function included; the
+price is about 1.5 us a lookup, so a loop should bind the function once.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BudgetExceededError,
-    PoleError,
-    SingularMatrixError,
-    VerificationError,
-)
-from .exact import Polynomial, RationalFunction
-from .perms import Perm, cycle_type, transposition_distance
-from .characters import character, content_polynomial, irrep_dimension, partitions
-from .weingarten import WeingartenTable, weingarten_table, wg_gram, wg_restricted, wg_symbolic
-from .plaquette import (
-    PlaquetteTable,
-    WallSignature,
-    asymptotic_check,
-    build_table,
-    classify,
-    plaquette_weight,
-    verify_rules,
-)
-from .lattice import (
-    CircuitGeometry,
-    FramePotentialResult,
-    build_geometry,
-    frame_potential_direct,
-    frame_potential_special,
-    frame_potential_transfer,
-)
-from .montecarlo import MCEstimate, circuit_trace, estimate_frame_potential, sample_haar_gate
-from . import bounds
+# public name -> the submodule that defines it (a name equal to its submodule
+# is the submodule itself)
+_EXPORTS = {
+    "BudgetExceededError": "errors",
+    "PoleError": "errors",
+    "SingularMatrixError": "errors",
+    "VerificationError": "errors",
+    "Polynomial": "exact",
+    "RationalFunction": "exact",
+    "Perm": "perms",
+    "cycle_type": "perms",
+    "transposition_distance": "perms",
+    "character": "characters",
+    "content_polynomial": "characters",
+    "irrep_dimension": "characters",
+    "partitions": "characters",
+    "WeingartenTable": "weingarten",
+    "weingarten_table": "weingarten",
+    "wg_gram": "weingarten",
+    "wg_restricted": "weingarten",
+    "wg_symbolic": "weingarten",
+    "PlaquetteTable": "plaquette",
+    "WallSignature": "plaquette",
+    "asymptotic_check": "plaquette",
+    "build_table": "plaquette",
+    "classify": "plaquette",
+    "plaquette_weight": "plaquette",
+    "verify_rules": "plaquette",
+    "CircuitGeometry": "lattice",
+    "FramePotentialResult": "lattice",
+    "build_geometry": "lattice",
+    "frame_potential_direct": "lattice",
+    "frame_potential_special": "lattice",
+    "frame_potential_transfer": "lattice",
+    "MCEstimate": "montecarlo",
+    "circuit_trace": "montecarlo",
+    "estimate_frame_potential": "montecarlo",
+    "sample_haar_gate": "montecarlo",
+    "bounds": "bounds",
+}
 
-__all__ = [
-    "BudgetExceededError",
-    "PoleError",
-    "SingularMatrixError",
-    "VerificationError",
-    "Polynomial",
-    "RationalFunction",
-    "Perm",
-    "cycle_type",
-    "transposition_distance",
-    "character",
-    "content_polynomial",
-    "irrep_dimension",
-    "partitions",
-    "WeingartenTable",
-    "weingarten_table",
-    "wg_gram",
-    "wg_restricted",
-    "wg_symbolic",
-    "PlaquetteTable",
-    "WallSignature",
-    "asymptotic_check",
-    "build_table",
-    "classify",
-    "plaquette_weight",
-    "verify_rules",
-    "CircuitGeometry",
-    "FramePotentialResult",
-    "build_geometry",
-    "frame_potential_direct",
-    "frame_potential_special",
-    "frame_potential_transfer",
-    "MCEstimate",
-    "circuit_trace",
-    "estimate_frame_potential",
-    "sample_haar_gate",
-    "bounds",
-]
+__all__ = list(_EXPORTS)
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+
+def __getattr__(name):
+    submodule = _EXPORTS.get(name, name)
+    if submodule not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{submodule}")
+    return module if name == submodule else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -7,6 +7,12 @@ Exact rationals are serialized as "p/q" strings, never floats.  Exit codes:
 violation (including surfaced poles), 4 bad arguments.  `verify` runs every
 section at every k <= 6.
 
+A process imports only what its subcommand uses: each `_cmd_*` imports its own
+modules, so `weingarten` and `bounds` run without numpy, and `plaquettes`
+without the lattice, Monte Carlo and bounds modules.  A result that is a list
+of flat rows is written through the C JSON encoder, byte for byte the indented
+dump every other result gets.
+
 Environment knob: RQCLATTICE_STATE_BUDGET (contraction state budget, default
 4e6).
 """
@@ -22,21 +28,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetExceededError, PoleError, VerificationError
-from .perms import Perm, group_table
-from .plaquette import (
-    asymptotic_check,
-    build_table,
-    pole_free_report,
-    verify_rules,
-)
-from .weingarten import weingarten_table, wg_gram, wg_symbolic
-from .lattice import (
-    build_geometry,
-    frame_potential_direct,
-    frame_potential_transfer,
-)
-from .montecarlo import estimate_frame_potential
-from . import bounds as bounds_mod
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
@@ -73,9 +64,35 @@ def _envelope(command: str, parameters: dict, result, provenance: dict | None = 
     }
 
 
+# One flat row of a list result at the depth the indented dump puts it: its
+# fields on lines of their own, six spaces in.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _dumps(envelope: dict) -> str:
+    """`json.dumps(envelope, indent=2, sort_keys=True)`, byte for byte.
+
+    Python's indented dump runs its pure-Python encoder.  A result that is a
+    list of flat rows (non-empty dicts of scalars) is encoded row by row by the
+    C encoder instead, and the rows are spliced into the indented envelope, in
+    which `result` sorts last; any other result takes the indented dump.
+    """
+    rows = envelope["result"]
+    if (type(rows) is list and rows
+            and all(type(row) is dict and row and _SCALARS.issuperset(map(type, row.values()))
+                    for row in rows)):
+        head = json.dumps({**envelope, "result": None}, indent=2, sort_keys=True)
+        if head.endswith('"result": null\n}'):
+            encode = _ROW_ENCODER.encode
+            body = ",\n    ".join(["{\n      " + encode(row)[1:-1] + "\n    }" for row in rows])
+            return head[: -len("null\n}")] + "[\n    " + body + "\n  ]\n}"
+    return json.dumps(envelope, indent=2, sort_keys=True)
+
+
 def _emit(envelope: dict, fmt: str, csv_rows: list[dict] | None = None) -> None:
     if fmt == "json":
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(_dumps(envelope))
         return
     rows = csv_rows if csv_rows is not None else [_flatten(envelope["result"])]
     buf = io.StringIO()
@@ -105,7 +122,9 @@ def _flatten(obj, prefix: str = "") -> dict:
     return flat
 
 
-def _parse_perm(text: str, k: int) -> Perm:
+def _parse_perm(text: str, k: int):
+    from .perms import Perm
+
     digits = [c for c in text if c.isdigit()]
     if len(digits) != k:
         raise _ArgumentError(f"permutation {text!r} must list {k} images, e.g. '213'")
@@ -136,12 +155,17 @@ def _plaquette_fields(sig, w, q) -> dict:
 
 
 def _cmd_plaquettes(args) -> int:
+    from .perms import group_table
+    from .plaquette import build_table
+
     k = args.k
     if k > FULL_DUMP_MAX_K and not args.key:
         raise _ArgumentError(
             f"full plaquette dumps are capped at k={FULL_DUMP_MAX_K}; "
             "pass --key SIGMA12 SIGMA13 for k=6"
         )
+    if args.q is not None and args.q < 2:
+        raise _ArgumentError(f"--q must be >= 2, got {args.q}")
     table = build_table(k)
     gt = group_table(k)
     if args.key:
@@ -177,6 +201,10 @@ def _cmd_plaquettes(args) -> int:
 
 
 def _cmd_weingarten(args) -> int:
+    from .weingarten import weingarten_table
+
+    if args.d is not None and args.d < 1:
+        raise _ArgumentError(f"--d must be >= 1, got {args.d}")
     table = weingarten_table(args.k)
     rows = []
     for ct, rf in sorted(table.items(), reverse=True):
@@ -222,6 +250,8 @@ def _cmd_framepotential(args) -> int:
         "bc": args.bc,
     }
     if args.method == "montecarlo":
+        from .montecarlo import estimate_frame_potential
+
         samples = 10_000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         est = estimate_frame_potential(
@@ -236,6 +266,8 @@ def _cmd_framepotential(args) -> int:
                         {"seed": seed, "method": "montecarlo", "backend": "float"})
         _emit(env, args.format)
         return EXIT_OK
+
+    from .lattice import build_geometry, frame_potential_direct, frame_potential_transfer
 
     geom = build_geometry(args.n, args.q, args.t, args.bc)
     if args.method == "exact-direct":
@@ -256,6 +288,12 @@ def _cmd_framepotential(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
+    if args.n < 2 or args.q < 2 or args.k < 1:
+        raise _ArgumentError(
+            f"bounds need --n >= 2, --q >= 2 and --k >= 1, got n={args.n}, q={args.q}, k={args.k}"
+        )
     rows = []
     if args.t is not None:
         rows.append({"name": "fp2_upper_bound", "value": bounds_mod.fp2_upper_bound(args.n, args.q, args.t)})
@@ -274,12 +312,11 @@ def _cmd_bounds(args) -> int:
         if args.q >= 3:
             tk = bounds_mod.tk_design_depth_largeq(args.n, args.q, args.k, args.epsilon)
             rows.append({"name": "tk_design_depth_largeq", "value": tk.t, "constant": tk.constant})
-    if args.n * args.k >= 2:
-        low = bounds_mod.tk_lower_bound(args.n, args.q, args.k, args.epsilon)
-        row = {"name": "tk_lower_bound", "value": low.t}
-        if low.caveats:
-            row["caveats"] = json.dumps(low.caveats)
-        rows.append(row)
+    low = bounds_mod.tk_lower_bound(args.n, args.q, args.k, args.epsilon)
+    row = {"name": "tk_lower_bound", "value": low.t}
+    if low.caveats:
+        row["caveats"] = json.dumps(low.caveats)
+    rows.append(row)
     env = _envelope(
         "bounds",
         {"n": args.n, "q": args.q, "k": args.k, "t": args.t, "epsilon": args.epsilon},
@@ -291,6 +328,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .lattice import build_geometry, frame_potential_direct, frame_potential_transfer
+    from .plaquette import asymptotic_check, pole_free_report, verify_rules
+    from .weingarten import wg_gram, wg_symbolic
+
     k, q = args.k, args.q
     sections = []
     ok = True
@@ -339,6 +380,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    from .lattice import build_geometry
+
     geom = build_geometry(args.n, args.q, args.t, args.bc)
     env = _envelope(
         "geometry",

@@ -8,7 +8,9 @@ cannot drift.
 Hot loops elsewhere use :func:`group_table`, which owns the indexing of S_k:
 read-only numpy tables of multiplication, inverses, relative elements
 a^-1 x, cycle counts and cycle types over all k! elements in lexicographic
-order.  No other module keeps its own copy.
+order.  No other module keeps its own copy.  numpy is imported when the first
+table is built, so callers that never build one (the Weingarten table, the
+closed-form bounds) start without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -231,6 +231,8 @@ class SymmetricGroupTable:
     """
 
     def __init__(self, k: int):
+        import numpy as np
+
         check_moment(k)
         self.k = k
         self.perms = enumerate_sk(k)
@@ -253,12 +255,12 @@ class SymmetricGroupTable:
         for table in (self.inv, self.mul, self.rel, self.n_cycles, self.ct_index):
             table.setflags(write=False)
 
-    def _rank(self, codes: np.ndarray) -> np.ndarray:
+    def _rank(self, codes):
         """Element indices of the permutations with the given image codes."""
-        return np.searchsorted(self._codes, codes)
+        return self._codes.searchsorted(codes)
 
     def idx(self, p: Perm) -> int:
-        return int(self._rank(np.subtract(p.images, 1) @ self._place))
+        return int(self._rank(self._place.dot([x - 1 for x in p.images])))
 
 
 @lru_cache(maxsize=None)

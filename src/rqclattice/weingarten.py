@@ -21,8 +21,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .characters import box_contents, character, content_polynomial, irrep_dimension, partitions
 from .errors import SingularMatrixError, VerificationError
 from .exact import RationalFunction, int_mul, scale_to_ints
@@ -163,6 +161,8 @@ def wg_gram(k: int, d: int) -> dict[Perm, Fraction]:
     only group multiplication and cycle counts, no character theory, so the
     result stays an oracle for :func:`wg_symbolic`.
     """
+    import numpy as np
+
     check_moment(k)
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -74,6 +74,12 @@ class TestPlaquettesCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("q", ["1", "0", "-3"])
+    def test_q_below_two_refused(self, capsys, q):
+        code, out, err = run_cli(capsys, "plaquettes", "--k", "2", "--q", q)
+        assert code == 4 and out == ""
+        assert "--q" in err
+
     def test_k6_requires_key(self, capsys):
         code, _, err = run_cli(capsys, "plaquettes", "--k", "6")
         assert code == 4
@@ -92,6 +98,16 @@ class TestWeingartenCommand:
         env = run_json(capsys, "weingarten", "--k", "3", "--d", "2")
         values = {row["value_at_d"] for row in env["result"]}
         assert "pole" in values
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_d_below_one_refused(self, capsys, d):
+        code, out, err = run_cli(capsys, "weingarten", "--k", "2", "--d", d)
+        assert code == 4 and out == ""
+        assert "--d" in err
+
+    def test_d_one_accepted(self, capsys):
+        env = run_json(capsys, "weingarten", "--k", "1", "--d", "1")
+        assert env["result"][0]["value_at_d"] == "1"
 
 
 class TestFramePotentialCommand:
@@ -207,6 +223,20 @@ class TestBoundsCommand:
         env = run_json(capsys, "bounds", "--n", "100", "--q", "2", "--k", "10")
         by_name = {row["name"]: row for row in env["result"]}
         assert by_name["tk_lower_bound"]["value"] == pytest.approx(1.81, abs=0.01)
+
+    @pytest.mark.parametrize("nqk", [("1", "2", "2"), ("4", "1", "2"), ("4", "2", "0"),
+                                     ("0", "2", "1"), ("4", "-2", "2"), ("4", "2", "-1")])
+    @pytest.mark.parametrize("extra", [(), ("--t", "3"), ("--epsilon", "0.01"),
+                                       ("--t", "3", "--epsilon", "0.01")])
+    def test_out_of_range_refused_whatever_the_other_flags(self, capsys, nqk, extra):
+        n, q, k = nqk
+        code, out, err = run_cli(capsys, "bounds", "--n", n, "--q", q, "--k", k, *extra)
+        assert code == 4 and out == ""
+        assert err.startswith("error:")
+
+    def test_smallest_valid_parameters_accepted(self, capsys):
+        env = run_json(capsys, "bounds", "--n", "2", "--q", "2", "--k", "1")
+        assert [row["name"] for row in env["result"]] == ["tk_lower_bound"]
 
 
 class TestVerifyCommand:

@@ -1,0 +1,111 @@
+"""The JSON emitter: its bytes equal `json.dumps(envelope, indent=2, sort_keys=True)`."""
+
+import json
+import math
+
+import pytest
+
+from rqclattice import cli
+
+
+def reference(envelope) -> str:
+    return json.dumps(envelope, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    "plaquettes --k 3 --q 2",
+    "plaquettes --k 3 --nonzero-only",
+    "plaquettes --k 2 --key 21 12 --q 5",
+    "weingarten --k 4 --d 3",
+    "weingarten --k 3 --d 2",
+    "weingarten --k 2",
+    "bounds --n 16 --q 2 --k 2 --t 4 --epsilon 0.01",
+    "bounds --n 100 --q 2 --k 10",
+    "bounds --n 10 --q 3 --k 3 --epsilon 0.01",
+    "verify --k 2 --q 2",
+    "framepotential exact-transfer --n 4 --q 2 --t 2 --k 2",
+    "framepotential exact-transfer --n 4 --q 2 --t 2 --k 2 --backend float",
+    "framepotential exact-direct --n 4 --q 2 --t 2 --k 2 --bc periodic",
+    "framepotential montecarlo --n 4 --q 2 --t 2 --k 2 --samples 20 --seed 1",
+    "geometry --n 4 --t 2 --bc periodic",
+])
+def test_every_subcommand_envelope(capsys, monkeypatch, argv):
+    envelopes = []
+    emit = cli._emit
+
+    def recording(envelope, *args, **kwargs):
+        envelopes.append(envelope)
+        return emit(envelope, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    assert cli.main(argv.split()) == 0
+    out = capsys.readouterr().out
+    (envelope,) = envelopes
+    assert cli._dumps(envelope) == reference(envelope)
+    assert out == reference(envelope) + "\n"
+
+
+def envelope(result, **parameters):
+    return cli._envelope("synthetic", parameters, result, {"method": "test"})
+
+
+ROWS = [
+    {"quote": 'say "hi"', "backslash": "a\\b\\\\c", "newline": "one\ntwo\r\n\tend"},
+    {"text": "Wg(σ, d) ≤ ½ — 𝔽", "control": "\x00\x1f\x7f", "braces": "},\n      {"},
+    {"yes": True, "no": False, "none": None, "zero": 0, "big": 10**40, "neg": -7},
+    {"float": 0.1, "tiny": 5e-324, "huge": 1e300, "neg_zero": -0.0, "whole": 2.0,
+     "inf": math.inf, "ninf": -math.inf, "nan": math.nan},
+    {"z": 1, "a": 2, "M": 3, "é": 4, "": 5},
+    {1: "int key", 2: "another"},
+]
+
+
+@pytest.mark.parametrize("result", [
+    ROWS,
+    ROWS[:1],
+    [{"only": "field"}] * 3,
+    [],
+    [{}],
+    [{"a": 1}, {}],
+    [{"nested": {"b": [1, 2]}}],
+    [{"a": 1}, {"list": [1, "x"]}],
+    [{"tuple": (1, 2)}],
+    ["not", "rows"],
+    [["a", 1]],
+    [[]],
+    ({"a": 1},),
+    {"ok": True, "sections": [{"a": 1}]},
+    "scalar",
+    None,
+    17,
+])
+def test_synthetic_results(result):
+    env = envelope(result, text='"result": null\n}', k=2)
+    assert cli._dumps(env) == reference(env)
+
+
+def test_result_not_last_key_takes_the_indented_dump():
+    env = dict(envelope([{"a": 1}]), zzz="after result")
+    assert cli._dumps(env) == reference(env)
+
+
+def test_rows_take_the_c_encoder(monkeypatch):
+    # only the envelope around the rows goes through the pure-Python indented
+    # encoder, which json.encoder._make_iterencode builds
+    make = json.encoder._make_iterencode
+    encoded = []
+
+    def recording(*args, **kwargs):
+        iterencode = make(*args, **kwargs)
+
+        def run(obj, level):
+            encoded.append(obj)
+            return iterencode(obj, level)
+
+        return run
+
+    env = envelope(ROWS)
+    expected = reference(env)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+    assert cli._dumps(env) == expected
+    assert [obj["result"] for obj in encoded] == [None]

@@ -1,0 +1,112 @@
+"""What a cold process imports, and the package's lazily loaded public names."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rqclattice
+
+SRC = str(Path(rqclattice.__file__).resolve().parents[1])
+
+# runs one CLI command with its output discarded, then prints the loaded modules
+_CLI_PROBE = """
+import contextlib, io, json, sys
+from rqclattice.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded(code: str, *argv: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli_modules(command: str) -> set[str]:
+    report = _loaded(_CLI_PROBE, *command.split())
+    assert report["code"] == 0
+    return set(report["modules"])
+
+
+def _has_numpy(modules: set[str]) -> bool:
+    return any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+
+class TestColdProcessFootprint:
+    @pytest.mark.parametrize("command", [
+        "weingarten --k 5 --d 2",
+        "weingarten --k 3 --format csv",
+        "bounds --n 16 --q 2 --k 2 --t 4 --epsilon 0.01",
+        "bounds --n 10 --q 3 --k 3 --epsilon 0.01 --format csv",
+    ])
+    def test_no_numpy(self, command):
+        assert not _has_numpy(_cli_modules(command))
+
+    def test_bounds_loads_only_bounds(self):
+        ours = {m for m in _cli_modules("bounds --n 4 --q 2 --k 2 --t 3") if m.startswith("rqclattice.")}
+        assert ours == {"rqclattice.cli", "rqclattice.bounds", "rqclattice.errors"}
+
+    @pytest.mark.parametrize("command", [
+        "plaquettes --k 3 --q 2",
+        "plaquettes --k 4 --key 2134 1243 --q 3",
+    ])
+    def test_plaquettes_skip_lattice_montecarlo_bounds(self, command):
+        modules = _cli_modules(command)
+        assert "rqclattice.plaquette" in modules
+        assert not modules & {"rqclattice.lattice", "rqclattice.montecarlo", "rqclattice.bounds"}
+
+    def test_bare_package_import(self):
+        modules = set(_loaded("import json, sys, rqclattice\n"
+                              "print(json.dumps({'modules': sorted(sys.modules)}))")["modules"])
+        assert not _has_numpy(modules)
+        assert not any(m.startswith("rqclattice.") for m in modules)
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("name", rqclattice.__all__)
+    def test_every_name_is_the_submodule_object(self, name):
+        module = importlib.import_module(f"rqclattice.{rqclattice._EXPORTS[name]}")
+        expected = module if module.__name__ == f"rqclattice.{name}" else getattr(module, name)
+        assert getattr(rqclattice, name) is expected
+
+    @pytest.mark.parametrize("name", ["errors", "exact", "perms", "characters", "weingarten",
+                                      "plaquette", "lattice", "montecarlo", "bounds"])
+    def test_submodules_are_attributes(self, name):
+        assert getattr(rqclattice, name) is importlib.import_module(f"rqclattice.{name}")
+
+    def test_names_follow_their_submodule(self, monkeypatch):
+        # nothing is copied into the package: a patch of the defining module,
+        # such as a tracer's wrapper, shows through it and is gone with the patch
+        plaquette = importlib.import_module("rqclattice.plaquette")
+        original = plaquette.build_table
+
+        def wrapper(k):
+            return original(k)
+
+        monkeypatch.setattr(plaquette, "build_table", wrapper)
+        assert rqclattice.build_table is wrapper
+        monkeypatch.undo()
+        assert rqclattice.build_table is original
+        assert "build_table" not in vars(rqclattice)
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from rqclattice import *", namespace)
+        assert set(rqclattice.__all__) <= set(namespace)
+        assert namespace["build_table"] is importlib.import_module("rqclattice.plaquette").build_table
+
+    def test_dir_lists_every_export(self):
+        assert set(rqclattice.__all__) | {"perms", "lattice"} <= set(dir(rqclattice))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rqclattice.no_such_name
+        assert not hasattr(rqclattice, "_no_such_private")
