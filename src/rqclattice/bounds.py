@@ -34,15 +34,6 @@ WALK_T_CAP = 8
 
 
 @dataclass
-class WallCountResult:
-    n_g: int
-    t: int
-    walls: int
-    count: int
-    method: str  # images | enumeration | dp
-
-
-@dataclass
 class DesignDepthResult:
     """Circuit depth (time-step convention t) from a closed-form design bound."""
 

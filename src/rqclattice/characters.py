@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .exact import Polynomial
+from .exact import Polynomial, int_mul
 
 PARTITION_CAP = 10
 
@@ -122,7 +122,12 @@ def content_polynomial(lam: tuple[int, ...]) -> Polynomial:
 
     Degree equals |lam|; the roots are the negated box contents.
     """
-    poly = Polynomial([1])
-    for c in box_contents(lam):
-        poly = poly * Polynomial([c, 1])
+    return Polynomial(_linear_product(box_contents(lam)))
+
+
+def _linear_product(contents) -> list[int]:
+    """prod over c in contents of (d + c), as integer coefficients, lowest first."""
+    poly = [1]
+    for c in contents:
+        poly = int_mul(poly, [c, 1])
     return poly

@@ -91,10 +91,15 @@ def _dumps(envelope: dict) -> str:
 
 
 def _emit(envelope: dict, fmt: str, csv_rows: list[dict] | None = None) -> None:
+    """Print the envelope as JSON, or as CSV rows: `csv_rows`, else a list result's
+    rows, else the flattened result."""
     if fmt == "json":
         print(_dumps(envelope))
         return
-    rows = csv_rows if csv_rows is not None else [_flatten(envelope["result"])]
+    rows = csv_rows
+    if rows is None:
+        result = envelope["result"]
+        rows = result if isinstance(result, list) else [_flatten(result)]
     buf = io.StringIO()
     if rows:
         fieldnames: list[str] = []
@@ -136,22 +141,30 @@ def _parse_perm(text: str, k: int):
 # ---------------------------------------------------------------------------
 
 
+def _rational_fields(rf, name: str, var: str, at) -> dict:
+    """The columns of a rational function: num and den coefficients, its formula
+    in `var`, and, when `at` is given, its value at var = at or "pole"."""
+    fields = {
+        f"{name}_num": ";".join(rf.num.coeff_strings()),
+        f"{name}_den": ";".join(rf.den.coeff_strings()),
+        name: rf.format(var),
+    }
+    if at is not None:
+        try:
+            fields[f"value_at_{var}"] = _frac(rf.evaluate(at))
+        except PoleError:
+            fields[f"value_at_{var}"] = "pole"
+    return fields
+
+
 def _plaquette_fields(sig, w, q) -> dict:
     """The columns of a plaquette row after its key, from the key's class."""
-    fields = {
+    return {
         "in_left": sig.in_left,
         "in_right": sig.in_right,
         "across": sig.across,
-        "weight_num": ";".join(w.num.coeff_strings()),
-        "weight_den": ";".join(w.den.coeff_strings()),
-        "weight": w.format("q"),
+        **_rational_fields(w, "weight", "q", q),
     }
-    if q is not None:
-        try:
-            fields["value_at_q"] = _frac(w.evaluate(q))
-        except PoleError:
-            fields["value_at_q"] = "pole"
-    return fields
 
 
 def _cmd_plaquettes(args) -> int:
@@ -196,7 +209,7 @@ def _cmd_plaquettes(args) -> int:
         rows,
         {"method": "symbolic", "backend": "exact"},
     )
-    _emit(env, args.format, csv_rows=rows)
+    _emit(env, args.format)
     return EXIT_OK
 
 
@@ -206,27 +219,17 @@ def _cmd_weingarten(args) -> int:
     if args.d is not None and args.d < 1:
         raise _ArgumentError(f"--d must be >= 1, got {args.d}")
     table = weingarten_table(args.k)
-    rows = []
-    for ct, rf in sorted(table.items(), reverse=True):
-        row = {
-            "cycle_type": ",".join(map(str, ct)),
-            "wg_num": ";".join(rf.num.coeff_strings()),
-            "wg_den": ";".join(rf.den.coeff_strings()),
-            "wg": rf.format("d"),
-        }
-        if args.d is not None:
-            try:
-                row["value_at_d"] = _frac(rf.evaluate(args.d))
-            except PoleError:
-                row["value_at_d"] = "pole"
-        rows.append(row)
+    rows = [
+        {"cycle_type": ",".join(map(str, ct)), **_rational_fields(rf, "wg", "d", args.d)}
+        for ct, rf in sorted(table.items(), reverse=True)
+    ]
     env = _envelope(
         "weingarten",
         {"k": args.k, "d": args.d},
         rows,
         {"method": "character-expansion", "backend": "exact"},
     )
-    _emit(env, args.format, csv_rows=rows)
+    _emit(env, args.format)
     return EXIT_OK
 
 
@@ -323,7 +326,7 @@ def _cmd_bounds(args) -> int:
         rows,
         {"method": "closed-form", "backend": "float"},
     )
-    _emit(env, args.format, csv_rows=[{k: v for k, v in r.items()} for r in rows])
+    _emit(env, args.format)
     return EXIT_OK
 
 

@@ -1,13 +1,14 @@
-"""Exact univariate polynomial and rational-function arithmetic.
+"""Exact univariate polynomials and rational functions, on one integer kernel.
 
 Carriers for Weingarten functions Wg(sigma, d) and plaquette weights J(q).
-`Polynomial` has arbitrary-precision rational coefficients.  Rational
-functions and the symbolic table builders compute on Python-int polynomials
-(lists of ints, lowest degree first) with one integer kernel: convolution, a
-primitive pseudo-remainder gcd, exact division, lcm, and one reduction to the
-normal form every `RationalFunction` is kept in.  Intermediate sums in
-Weingarten tables have large numerators and silent overflow would corrupt the
-golden tests, so nothing here is ever fixed-width.
+Every computation runs on Python-int polynomials (lists of ints, lowest degree
+first) with one integer kernel: convolution, a primitive pseudo-remainder gcd,
+exact division, lcm, and one reduction to the normal form every
+`RationalFunction` is kept in.  `Polynomial` is an immutable view of exact
+rational coefficients, for display, evaluation and root search; it has no
+arithmetic.  Intermediate sums in Weingarten tables have large numerators and
+silent overflow would corrupt the golden tests, so nothing here is ever
+fixed-width.
 
 Polynomials are dense, lowest degree first, with no trailing zero coefficient;
 the zero polynomial has an empty coefficient tuple.  Rational functions are
@@ -21,8 +22,6 @@ from fractions import Fraction
 
 from .errors import PoleError
 
-_F0 = Fraction(0)
-
 
 def scale_to_ints(values) -> tuple[list[int], int]:
     """The integers v * D for rationals v over their least common denominator D."""
@@ -30,8 +29,8 @@ def scale_to_ints(values) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def horner(coeffs: list[int], x: int) -> int:
-    """Integer value at x of the polynomial with integer coefficients, lowest first."""
+def horner(coeffs: list[int], x: int | Fraction) -> int | Fraction:
+    """Exact value at x of the polynomial with integer coefficients, lowest first."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -43,13 +42,11 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Immutable view of a dense univariate polynomial with exact rational coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -61,14 +58,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
 
     @property
     def degree(self) -> int:
@@ -95,102 +84,10 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [_F0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "Polynomial"):
-        """Exact polynomial division with remainder over the rationals."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dn = len(dv) - 1
-        lead = dv[-1]
-        if len(rem) - 1 < dn:
-            return Polynomial(), self
-        quot = [_F0] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - dn] = q
-            for j, d in enumerate(dv):
-                rem[i - dn + j] -= q * d
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        q, _ = divmod(self, other)
-        return q
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        _, r = divmod(self, other)
-        return r
-
     def evaluate(self, x) -> Fraction:
-        """Exact value at x (Horner)."""
-        x = _as_fraction(x)
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def substitute_power(self, m: int) -> "Polynomial":
-        """p(x) -> p(x^m), by spreading coefficients to every m-th slot."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        return Polynomial(_spread(self.coeffs, m))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ValueError("cannot make zero polynomial monic")
-        lead = self.leading
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self.coeffs])
+        """Exact value at an int or Fraction x, by integer Horner on cleared coefficients."""
+        ints, denom = scale_to_ints(self.coeffs)
+        return Fraction(horner(ints, _as_fraction(x)), denom)
 
     def integer_roots(self, lo: int, hi: int) -> set[int]:
         """All integer roots in [lo, hi], by direct evaluation on cleared coefficients."""
@@ -262,7 +159,7 @@ def _int_add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _spread(a: list, m: int) -> list:
+def _spread(a: list[int], m: int) -> list[int]:
     """The coefficients of a(x^m): a's spread to every m-th slot."""
     if not a:
         return []
@@ -360,15 +257,6 @@ def _normal_form(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return num, den
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals, via the primitive PRS gcd over Z."""
-    if a.is_zero():
-        return b.monic() if not b.is_zero() else b
-    if b.is_zero():
-        return a.monic()
-    return Polynomial(_prs_gcd(scale_to_ints(a.coeffs)[0], scale_to_ints(b.coeffs)[0])).monic()
-
-
 class RationalFunction:
     """Exact rational function num/den, gcd-reduced with monic denominator.
 
@@ -376,7 +264,7 @@ class RationalFunction:
     den as coprime integer polynomials with joint content 1 and a positive
     leading denominator coefficient, i.e. the rational num/den scaled by the
     least common denominator of all their coefficients.  Arithmetic and
-    integer evaluation run on `ints`; `num` and `den` are its rational,
+    evaluation run on `ints`; `num` and `den` are its rational,
     monic-denominator view.
     """
 
@@ -408,10 +296,6 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def x(cls) -> "RationalFunction":
-        return cls(Polynomial.x())
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
@@ -473,18 +357,10 @@ class RationalFunction:
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
 
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
-
     def evaluate(self, x) -> Fraction:
-        """Exact value at x; raises PoleError at a root of the reduced denominator."""
-        if not isinstance(x, int):
-            dv = self.den.evaluate(x)
-            if dv == 0:
-                raise PoleError(f"pole at x = {x}")
-            return self.num.evaluate(x) / dv
+        """Exact value at an int or Fraction x; raises PoleError at a root of the reduced denominator."""
+        if not isinstance(x, int) and not isinstance(x, Fraction):  # int first: the hot case
+            raise TypeError(f"cannot evaluate exactly at a {type(x).__name__}")
         num, den = self.ints
         dv = horner(den, x)
         if dv == 0:
@@ -514,10 +390,6 @@ class RationalFunction:
 
     def to_json_dict(self) -> dict:
         return {"num": self.num.coeff_strings(), "den": self.den.coeff_strings()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RationalFunction":
-        return cls(Polynomial(data["num"]), Polynomial(data["den"]))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -183,9 +183,6 @@ class FramePotentialResult:
     backend: str  # exact | float
     gauge_fixed: bool = False
 
-    def as_float(self) -> float:
-        return float(self.value)
-
 
 def frame_potential_special(n: int, q: int, t: int, k: int) -> int:
     """Closed forms for the degenerate depths: t=0 -> q^(2nk); t=1 -> (k!)^floor(n/2).

@@ -107,9 +107,6 @@ class Perm:
             out.append(tuple(cyc))
         return out
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 

@@ -25,11 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import Polynomial, RationalFunction, int_lcm, int_mul
+from .exact import RationalFunction, int_lcm, int_mul
 from .perms import Perm, group_table
 from .weingarten import wg_in_q
 
-_SINGLE_WALL = RationalFunction(Polynomial([0, 1]), Polynomial([1, 0, 1]))  # q/(q^2+1)
+_SINGLE_WALL = RationalFunction.from_ints([0, 1], [1, 0, 1])  # q/(q^2+1)
 
 
 @dataclass(frozen=True)

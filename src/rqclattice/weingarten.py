@@ -21,9 +21,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import box_contents, character, content_polynomial, irrep_dimension, partitions
+from .characters import (
+    _linear_product, box_contents, character, content_polynomial, irrep_dimension, partitions,
+)
 from .errors import SingularMatrixError, VerificationError
-from .exact import RationalFunction, int_mul, scale_to_ints
+from .exact import RationalFunction, scale_to_ints
 from .perms import Perm, check_moment, cycle_type, group_table
 
 
@@ -38,14 +40,9 @@ def _content_lcm(k: int) -> tuple[list[int], dict[tuple[int, ...], list[int]]]:
     top = Counter()
     for m in mult.values():
         top |= m
-
-    def product(factors: Counter) -> list[int]:
-        poly = [1]
-        for c in sorted(factors.elements()):
-            poly = int_mul(poly, [c, 1])
-        return poly
-
-    return product(top), {lam: product(top - m) for lam, m in mult.items()}
+    return _linear_product(top.elements()), {
+        lam: _linear_product((top - m).elements()) for lam, m in mult.items()
+    }
 
 
 @lru_cache(maxsize=None)

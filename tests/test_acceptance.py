@@ -13,6 +13,7 @@ single-wall count, so the evidence ratios tend to 1 at every t.
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -26,7 +27,7 @@ from rqclattice.bounds import (
     t2_design_depth,
     tk_design_depth_largeq,
 )
-from rqclattice.exact import Polynomial, RationalFunction
+from rqclattice.exact import Polynomial, RationalFunction, int_mul
 from rqclattice.lattice import (
     build_geometry,
     frame_potential_direct,
@@ -60,9 +61,14 @@ def P(*coeffs):
     return Polynomial(coeffs)
 
 
+def PP(*factors):
+    """The product of integer polynomials, each given by its coefficients, lowest first."""
+    return Polynomial(reduce(int_mul, factors))
+
+
 # golden reference weights, in their published factored forms
 SINGLE_WALL = RationalFunction(P(0, 1), P(1, 0, 1))
-K3_DEN = P(2, 0, 1) * P(1, 0, 1) * P(-2, 0, 1)
+K3_DEN = PP((2, 0, 1), (1, 0, 1), (-2, 0, 1))
 K3_WEIGHTS = {
     "two_through": RationalFunction(P(0, 0, -1, 0, 1), K3_DEN),
     "two_same_side": RationalFunction(P(-2, 0, -2, 0, 1), K3_DEN),
@@ -71,18 +77,18 @@ K3_WEIGHTS = {
 }
 K4_WEIGHTS = {
     "three_out_split": RationalFunction(
-        P(-1, 0, 1) * P(2, 0, 2, 0, 1),
-        P(3, 0, 1) * P(2, 0, 1) * P(1, 0, 1) * P(-2, 0, 1) * P(0, 1),
+        PP((-1, 0, 1), (2, 0, 2, 0, 1)),
+        PP((3, 0, 1), (2, 0, 1), (1, 0, 1), (-2, 0, 1), (0, 1)),
     ),
     "four_in_disjoint": RationalFunction(
-        P(-1, 0, 1), P(3, 0, 1) * P(1, 0, 1) * P(-3, 0, 1)
+        P(-1, 0, 1), PP((3, 0, 1), (1, 0, 1), (-3, 0, 1))
     ),
     "three_in_one_side": RationalFunction(
-        P(-1, 0, -4, 0, 1), P(3, 0, 1) * P(1, 0, 1) * P(-2, 0, 1) * P(0, 1)
+        P(-1, 0, -4, 0, 1), PP((3, 0, 1), (1, 0, 1), (-2, 0, 1), (0, 1))
     ),
     "five_in_annihilating": RationalFunction(
-        -1 * (P(1, 0, 2) * P(-1, 0, 1)),
-        P(3, 0, 1) * P(2, 0, 1) * P(1, 0, 1) * P(-2, 0, 1) * P(0, 1),
+        PP((-1,), (1, 0, 2), (-1, 0, 1)),
+        PP((3, 0, 1), (2, 0, 1), (1, 0, 1), (-2, 0, 1), (0, 1)),
     ),
 }
 

@@ -9,7 +9,7 @@ from rqclattice.characters import (
     irrep_dimension,
     partitions,
 )
-from rqclattice.exact import Polynomial
+from rqclattice.exact import Polynomial, int_mul
 from rqclattice.perms import conjugacy_class_size
 
 
@@ -111,11 +111,11 @@ def test_column_orthogonality(k):
 
 
 def test_content_polynomial_examples():
-    d = Polynomial.x()
-    assert content_polynomial((1,)) == d
-    assert content_polynomial((2,)) == d * (d + 1)
-    assert content_polynomial((1, 1)) == d * (d - 1)
-    assert content_polynomial((2, 1)) == d * (d + 1) * (d - 1)
+    d, d_plus, d_minus = [0, 1], [1, 1], [-1, 1]
+    assert content_polynomial((1,)) == Polynomial(d)
+    assert content_polynomial((2,)) == Polynomial(int_mul(d, d_plus))
+    assert content_polynomial((1, 1)) == Polynomial(int_mul(d, d_minus))
+    assert content_polynomial((2, 1)) == Polynomial(int_mul(int_mul(d, d_plus), d_minus))
 
 
 def test_content_polynomial_degree():

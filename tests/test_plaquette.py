@@ -3,13 +3,14 @@ import itertools
 import json
 import math
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError
-from rqclattice.exact import Polynomial, RationalFunction
+from rqclattice.exact import Polynomial, RationalFunction, int_mul
 from rqclattice.perms import Perm, conjugacy_class_size, enumerate_sk
 from rqclattice.weingarten import weingarten_table, wg_in_q
 from rqclattice.plaquette import (
@@ -28,6 +29,11 @@ def P(*coeffs):
     return Polynomial(coeffs)
 
 
+def PP(*factors):
+    """The product of integer polynomials, each given by its coefficients, lowest first."""
+    return Polynomial(reduce(int_mul, factors))
+
+
 def every_key(table):
     """(signature, weight) of every raw key: its own signature, its class weight."""
     weights, cls = table.key_classes()
@@ -38,21 +44,21 @@ def every_key(table):
 SINGLE_WALL = RationalFunction(P(0, 1), P(1, 0, 1))  # q/(q^2+1)
 
 # golden k=3 reference weights, constructed from their published factored forms
-K3_DEN = P(2, 0, 1) * P(1, 0, 1) * P(-2, 0, 1)  # (q^2+2)(q^2+1)(q^2-2)
+K3_DEN = PP((2, 0, 1), (1, 0, 1), (-2, 0, 1))  # (q^2+2)(q^2+1)(q^2-2)
 K3_TWO_THROUGH = RationalFunction(P(0, 0, -1, 0, 1), K3_DEN)  # q^2(q^2-1)/...
 K3_TWO_SAME_SIDE = RationalFunction(P(-2, 0, -2, 0, 1), K3_DEN)  # (q^2(q^2-2)-2)/...
 K3_ANNIHILATION = RationalFunction(P(2, 0, -2), K3_DEN)  # -2(q^2-1)/...
 
 # golden k=4 reference weights
 K4_A = RationalFunction(
-    P(-1, 0, 1) * P(2, 0, 2, 0, 1),
-    P(3, 0, 1) * P(2, 0, 1) * P(1, 0, 1) * P(-2, 0, 1) * P(0, 1),
+    PP((-1, 0, 1), (2, 0, 2, 0, 1)),
+    PP((3, 0, 1), (2, 0, 1), (1, 0, 1), (-2, 0, 1), (0, 1)),
 )
-K4_B = RationalFunction(P(-1, 0, 1), P(3, 0, 1) * P(1, 0, 1) * P(-3, 0, 1))
-K4_C = RationalFunction(P(-1, 0, -4, 0, 1), P(3, 0, 1) * P(1, 0, 1) * P(-2, 0, 1) * P(0, 1))
+K4_B = RationalFunction(P(-1, 0, 1), PP((3, 0, 1), (1, 0, 1), (-3, 0, 1)))
+K4_C = RationalFunction(P(-1, 0, -4, 0, 1), PP((3, 0, 1), (1, 0, 1), (-2, 0, 1), (0, 1)))
 K4_D = RationalFunction(
-    -1 * (P(1, 0, 2) * P(-1, 0, 1)),
-    P(3, 0, 1) * P(2, 0, 1) * P(1, 0, 1) * P(-2, 0, 1) * P(0, 1),
+    PP((-1,), (1, 0, 2), (-1, 0, 1)),
+    PP((3, 0, 1), (2, 0, 1), (1, 0, 1), (-2, 0, 1), (0, 1)),
 )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import rqclattice.weingarten
 from rqclattice.errors import SingularMatrixError, VerificationError
-from rqclattice.exact import Polynomial, RationalFunction
+from rqclattice.exact import Polynomial, RationalFunction, int_lcm, int_mul
 from rqclattice.perms import Perm, cycle_type, enumerate_sk, group_table, sign
 from rqclattice.weingarten import (
     WeingartenTable,
@@ -141,32 +141,25 @@ def test_orthogonality_symbolic(k):
     """sum_tau d^ell(tau) Wg(tau^-1 pi, d) = delta_{id, pi} as rational functions."""
     gt = group_table(k)
     table = weingarten_table(k)
-    # common denominator form keeps this cheap at k=5
-    from rqclattice.exact import poly_gcd
+    # common denominator form keeps this cheap at k=5: over the lcm L of the
+    # integer denominators, Wg(ct) = num(ct) * (L / den(ct)) / L
+    common, cofactors = int_lcm([table[ct].ints[1] for ct in gt.cycle_types])
+    nums = {
+        ct: int_mul(table[ct].ints[0], cof) for ct, cof in zip(gt.cycle_types, cofactors)
+    }
 
-    common = Polynomial([1])
-    for ct in gt.cycle_types:
-        den = table[ct].den
-        g = poly_gcd(common, den)
-        common = common * (den // g)
-    nums = {}
-    for ct in gt.cycle_types:
-        scale, rem = divmod(common, table[ct].den)
-        assert rem.is_zero()
-        nums[ct] = table[ct].num * scale
-
-    d_pow = [Polynomial([0] * e + [1]) for e in range(k + 1)]
     for pi_idx in sorted({0, 1 % gt.order, gt.order - 1}):
-        total = Polynomial()
+        total = [0] * (k + max(len(num) for num in nums.values()))
         for tau in range(gt.order):
-            ell = gt.n_cycles[tau]
+            ell = int(gt.n_cycles[tau])
             prod_idx = gt.mul[gt.inv[tau]][pi_idx]
             ct = gt.cycle_types[gt.ct_index[prod_idx]]
-            total = total + d_pow[ell] * nums[ct]
+            for i, c in enumerate(nums[ct]):  # += d^ell * num(ct)
+                total[ell + i] += c
         if pi_idx == 0:
-            assert RationalFunction(total, common) == RationalFunction.constant(1)
+            assert RationalFunction.from_ints(total, common) == RationalFunction.constant(1)
         else:
-            assert total.is_zero()
+            assert not any(total)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
