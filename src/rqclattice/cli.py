@@ -8,10 +8,10 @@ violation (including surfaced poles), 4 bad arguments.  `verify` runs every
 section at every k <= 6.
 
 A process imports only what its subcommand uses: each `_cmd_*` imports its own
-modules, so `weingarten` and `bounds` run without numpy, and `plaquettes`
-without the lattice, Monte Carlo and bounds modules.  A result that is a list
-of flat rows is written through the C JSON encoder, byte for byte the indented
-dump every other result gets.
+modules, so `weingarten`, `bounds` and `geometry` run without numpy, and
+`plaquettes` without the lattice, Monte Carlo and bounds modules.  A result
+that is a list of flat rows is written through the C JSON encoder, byte for
+byte the indented dump every other result gets.
 
 Environment knob: RQCLATTICE_STATE_BUDGET (contraction state budget, default
 4e6).
@@ -272,14 +272,15 @@ def _cmd_framepotential(args) -> int:
 
     from .lattice import build_geometry, frame_potential_direct, frame_potential_transfer
 
+    if args.gauge_fix:
+        print("note: --gauge-fix has no effect (every sweep pins one spin) "
+              "and will be removed", file=sys.stderr)
     geom = build_geometry(args.n, args.q, args.t, args.bc)
     if args.method == "exact-direct":
-        res = frame_potential_direct(geom, args.k, gauge_fix=args.gauge_fix)
+        res = frame_potential_direct(geom, args.k)
     else:
-        res = frame_potential_transfer(
-            geom, args.k, backend=args.backend or "exact", gauge_fix=args.gauge_fix
-        )
-    params.update({"backend": res.backend, "gauge_fix": args.gauge_fix})
+        res = frame_potential_transfer(geom, args.k, backend=args.backend or "exact")
+    params.update({"backend": res.backend, "gauge_fix": res.gauge_fixed})
     if res.backend == "exact":
         result = {"value": _frac(res.value), "value_float": float(res.value)}
     else:
@@ -440,7 +441,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--two-sided", action="store_true")
-    p.add_argument("--gauge-fix", action="store_true")
+    p.add_argument("--gauge-fix", action="store_true",
+                   help="no effect: every exact sweep pins one spin to the identity; "
+                   "accepted for now and will be removed")
     common(p)
     p.set_defaults(func=_cmd_framepotential)
 

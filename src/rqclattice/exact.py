@@ -263,12 +263,12 @@ class RationalFunction:
     Every construction goes through one integer normal form, `ints`: num and
     den as coprime integer polynomials with joint content 1 and a positive
     leading denominator coefficient, i.e. the rational num/den scaled by the
-    least common denominator of all their coefficients.  Arithmetic and
-    evaluation run on `ints`; `num` and `den` are its rational,
-    monic-denominator view.
+    least common denominator of all their coefficients.  Arithmetic,
+    equality, hashing and evaluation run on `ints`; `num` and `den` are its
+    rational, monic-denominator view, built on first read.
     """
 
-    __slots__ = ("num", "den", "ints")
+    __slots__ = ("ints", "_views")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -289,10 +289,28 @@ class RationalFunction:
         return rf
 
     def _set(self, num: list[int], den: list[int]):
-        lead = den[-1]
-        object.__setattr__(self, "num", Polynomial([Fraction(c, lead) for c in num]))
-        object.__setattr__(self, "den", Polynomial([Fraction(c, lead) for c in den]))
         object.__setattr__(self, "ints", (num, den))
+        object.__setattr__(self, "_views", None)
+
+    def _monic(self) -> tuple[Polynomial, Polynomial]:
+        views = self._views
+        if views is None:  # a racing thread builds the same views
+            num, den = self.ints
+            lead = den[-1]
+            views = (
+                Polynomial([Fraction(c, lead) for c in num]),
+                Polynomial([Fraction(c, lead) for c in den]),
+            )
+            object.__setattr__(self, "_views", views)
+        return views
+
+    @property
+    def num(self) -> Polynomial:
+        return self._monic()[0]
+
+    @property
+    def den(self) -> Polynomial:
+        return self._monic()[1]
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -302,7 +320,7 @@ class RationalFunction:
         return cls(Polynomial([c]))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.ints[0]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -313,7 +331,8 @@ class RationalFunction:
         return isinstance(other, RationalFunction) and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        num, den = self.ints
+        return hash((tuple(num), tuple(den)))
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):

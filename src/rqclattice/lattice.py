@@ -25,6 +25,15 @@ layer-major (a whole layer is live, which a short ring at long t favours) or
 column-major, a spatial transfer matrix that keeps about 2t - 1 spins live on
 an open chain whatever n is.  It plans each lattice shape once and checks the
 state budget on every call, before any weight table is built.
+
+Every weight depends on relative elements a^-1 x only, so every partial
+contraction is invariant under one left multiplication of all its spins (the
+global S_k symmetry).  The plan therefore pins one live spin to the identity
+throughout: the spin that starts a connected stretch is pinned, and when it is
+summed out the pin moves, by one gather G(id, y) = sum_s T(s^-1, s^-1 y), to
+the live spin summed out last, if the stretch reaches its peak again; each
+stretch is worth a factor k!.  Every state is k! smaller than the unpinned
+one at its peak (exact k=4 at n=8, t=3: 24^4 states instead of 24^5).
 :func:`_sweep` runs the schedule on dense numpy arrays, gathering every
 weight at relative elements a^-1 x from the ``rel`` table of
 :func:`rqclattice.perms.group_table`.  The number ring is the dtype of the
@@ -32,7 +41,9 @@ weight tables: object arrays of Python ints (weights scaled
 to integers) for exact results, float64 for the float backend.  The
 weights stay independent, so their exact equality on every in-budget
 geometry is the package's central oracle; :func:`_frame_potential_bruteforce`
-additionally checks both against raw enumeration on tiny instances.
+additionally checks both against raw enumeration on tiny instances, and the
+tests keep the unpinned sweep over the same steps as the pinned sweep's oracle.
+numpy is imported on the first contraction, so the geometry runs without it.
 
 t = 0 and t = 1 are degenerate (no lattice) and use closed forms.  The t = 1
 formula (k!)^floor(n/2) follows the lattice model's gate-product form; for odd
@@ -47,8 +58,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import BudgetExceededError, PoleError
 from .exact import scale_to_ints
@@ -181,7 +190,7 @@ class FramePotentialResult:
     spatial_bc: str
     method: str  # direct | transfer | special
     backend: str  # exact | float
-    gauge_fixed: bool = False
+    gauge_fixed: bool = False  # True for every lattice sweep, which always pins
 
 
 def frame_potential_special(n: int, q: int, t: int, k: int) -> int:
@@ -217,7 +226,7 @@ def _special_result(geom: CircuitGeometry, k: int) -> FramePotentialResult:
 
 
 # ---------------------------------------------------------------------------
-# shared contraction: one budget-checked plan, one dense sweep
+# shared contraction: one budget-checked plan, one pinned sweep
 # ---------------------------------------------------------------------------
 
 # Every weight of both models is invariant under a common left multiplication
@@ -227,6 +236,11 @@ def _special_result(geom: CircuitGeometry, k: int) -> FramePotentialResult:
 # (a, b, a) with a one-column table, since rel(a, a) is the identity, index 0.
 _Factor = tuple[int, int, int, int]
 
+# Largest number of state entries one chunk of a re-pin gathers at once, and
+# the largest state whose re-pin index is cached.
+_REPIN_CHUNK = 1 << 16
+_REPIN_CACHED = 1 << 12
+
 
 @dataclass(frozen=True)
 class _Plan:
@@ -234,14 +248,18 @@ class _Plan:
     step s; steps[s] holds the factors applied then, in state slots, and the
     sorted slots summed out after them.
 
-    `order` names the candidate elimination order the variables were
-    relabelled by.  live[s] counts the state axes at step s other than the
-    gauge variable's, so that state holds (k!)^live[s] entries; `peak` is the
-    largest of them.
+    pins[s] is the pin schedule of step s, (enters, repin): whether variable
+    s enters pinned to the identity (an axis of size 1), and the slot, after
+    the step's sums, that is re-pinned then (None for no re-pin).  `stretches`
+    counts the pinned connected stretches, each worth a factor k!.  `order`
+    names the candidate elimination order the variables were relabelled by.
+    live[s] counts the state axes at step s other than the pinned one, so that
+    state holds (k!)^live[s] entries; `peak` is the largest of them.
     """
 
     steps: tuple[tuple[tuple[_Factor, ...], tuple[int, ...]], ...]
-    gauge_var: int | None
+    pins: tuple[tuple[bool, int | None], ...]
+    stretches: int
     order: str
     live: tuple[int, ...]
     peak: int
@@ -251,40 +269,29 @@ def _plan(
     n_vars: int,
     factors: list[_Factor],
     candidates: dict[str, list[int]],
-    gauge_fix: bool,
     group_order: int,
     budget: int,
 ) -> _Plan:
     """Schedule a contraction over variables 0..n_vars-1 in the candidate
-    order of least peak state, and check the state budget.
+    order of least pinned peak, and check the state budget.
 
     `candidates` maps the name of each elimination order to the variables in
-    that order; `gauge_fix` pins variable 0.  Each factor is applied at the
-    step of its last variable and each variable summed out after its last
-    factor.  The schedule depends on the scopes alone, not on q, k or the
-    number ring, so it is memoized per lattice shape; the budget needs only
-    the memoized peak and k!, so both routes plan, and every call is checked,
-    before any weight table is built.  An over-budget message suggests
-    gauge_fix only to an unfixed call whose pinned plan fits.
+    that order.  Each factor is applied at the step of its last variable and
+    each variable summed out after its last factor.  The schedule depends on
+    the scopes alone, not on q, k or the number ring, so it is memoized per
+    lattice shape; the budget needs only the memoized peak and k!, so both
+    routes plan, and every call is checked, before any weight table is built.
     """
-    shape = (
+    plan = _planned(
         n_vars,
         tuple(factors),
         tuple((name, tuple(order)) for name, order in candidates.items()),
     )
-    plan = _planned(*shape, 0 if gauge_fix else None)
     if group_order**plan.peak > budget:
         s = next(s for s, m in enumerate(plan.live) if group_order**m > budget)
-        # pinning one variable lowers the peak by at most one
-        pinned_fits = (
-            not gauge_fix
-            and group_order ** (plan.peak - 1) <= budget
-            and group_order ** _planned(*shape, 0).peak <= budget
-        )
         raise BudgetExceededError(
             f"contraction state would reach {group_order ** plan.live[s]} > budget "
-            f"{budget} at step {s} of the {plan.order} order; raise "
-            f"{STATE_BUDGET_ENV}" + (" or use gauge_fix" if pinned_fits else "")
+            f"{budget} at step {s} of the {plan.order} order; raise {STATE_BUDGET_ENV}"
         )
     return plan
 
@@ -294,7 +301,6 @@ def _planned(
     n_vars: int,
     factors: tuple[_Factor, ...],
     candidates: tuple[tuple[str, tuple[int, ...]], ...],
-    gauge_var: int | None,
 ) -> _Plan:
     """The plan of the candidate order with the least peak (the first on a tie)."""
     options = []
@@ -303,36 +309,71 @@ def _planned(
         for step, v in enumerate(order):
             pos[v] = step
         relabelled = [(pos[a], pos[b], pos[c], tid) for a, b, c, tid in factors]
-        gauge = None if gauge_var is None else pos[gauge_var]
         drop_at = list(range(n_vars))
         for f in relabelled:
             s = max(f[:3])
             for v in f[:3]:
                 drop_at[v] = max(drop_at[v], s)
-        # live counts in linear time: +1 where a variable enters, -1 after it drops
-        delta = [0] * (n_vars + 1)
-        for v, d in enumerate(drop_at):
-            if v != gauge:
-                delta[v] += 1
-                delta[d + 1] -= 1
-        live = tuple(itertools.accumulate(delta[:n_vars]))
-        options.append((max(live), name, live, relabelled, gauge, drop_at))
-    peak, name, live, relabelled, gauge, drop_at = min(options, key=lambda o: o[0])
+        live, repins = _pin_schedule(drop_at)
+        options.append((max(live), name, live, repins, relabelled, drop_at))
+    peak, name, live, repins, relabelled, drop_at = min(options, key=lambda o: o[0])
 
     step_factors: list[list[_Factor]] = [[] for _ in range(n_vars)]
     for f in relabelled:
         step_factors[max(f[:3])].append(f)
-    steps = []
-    alive: list[int] = []
+    steps, pins = [], []
+    state: list[int] = []
     for s in range(n_vars):
-        alive.append(s)
-        slot = {v: i for i, v in enumerate(alive)}
+        enters = not state
+        state.append(s)
+        slot = {v: i for i, v in enumerate(state)}
         steps.append((
             tuple((slot[a], slot[b], slot[c], tid) for a, b, c, tid in step_factors[s]),
-            tuple(sorted(slot[v] for v in alive if drop_at[v] == s)),
+            tuple(sorted(slot[v] for v in state if drop_at[v] == s)),
         ))
-        alive = [v for v in alive if drop_at[v] > s]
-    return _Plan(tuple(steps), gauge, name, live, peak)
+        state = [v for v in state if drop_at[v] > s]
+        repin = state.index(max(state, key=drop_at.__getitem__)) if s in repins else None
+        pins.append((enters, repin))
+    stretches = sum(enters for enters, _ in pins)
+    return _Plan(tuple(steps), tuple(pins), stretches, name, live, peak)
+
+
+def _pin_schedule(drop_at: list[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Live counts and re-pin steps of one elimination order, in linear time.
+
+    A variable that enters an empty state starts a connected stretch and is
+    pinned.  When the pinned variable is summed out, the pin moves to the live
+    variable summed out last, but only if the stretch reaches its peak again;
+    otherwise the state stays restricted to the old pin until the stretch ends.
+    """
+    n_vars = len(drop_at)
+    # alive[s]: variables in the state at step s, before its sums: +1 where a
+    # variable enters, -1 after it drops
+    delta = [0] * (n_vars + 1)
+    for v, d in enumerate(drop_at):
+        delta[v] += 1
+        delta[d + 1] -= 1
+    alive = list(itertools.accumulate(delta[:n_vars]))
+    # ahead[s]: the most variables alive at a later step of the same stretch
+    ahead = [0] * n_vars
+    for s in range(n_vars - 2, -1, -1):
+        if alive[s + 1] > 1:  # step s + 1 does not start a stretch
+            ahead[s] = max(alive[s + 1], ahead[s + 1])
+    live, repins = [], set()
+    pin_drop = None  # the step that sums out the pinned variable
+    last_drop = -1  # the last step that sums out a variable entered so far
+    for s, (count, drop) in enumerate(zip(alive, drop_at)):
+        if count == 1:  # variable s enters an empty state
+            pin_drop, top = drop, 0
+        top = max(top, count)
+        last_drop = max(last_drop, drop)
+        live.append(count - (pin_drop is not None))
+        if pin_drop == s:
+            pin_drop = None
+            if last_drop > s and ahead[s] >= top:  # a live variable to re-pin
+                pin_drop = last_drop
+                repins.add(s)
+    return tuple(live), frozenset(repins)
 
 
 def _column_major(geom: CircuitGeometry) -> list[Gate]:
@@ -348,6 +389,8 @@ def _column_major(geom: CircuitGeometry) -> list[Gate]:
 @lru_cache(maxsize=None)
 def _axis_index(size: int, trailing: int) -> np.ndarray:
     """0..size-1 along a state axis that has `trailing` axes after it."""
+    import numpy as np
+
     index = np.arange(size).reshape((size,) + (1,) * trailing)
     index.setflags(write=False)  # cached arrays are shared by every caller
     return index
@@ -356,15 +399,17 @@ def _axis_index(size: int, trailing: int) -> np.ndarray:
 def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
     """Contract a plan over dense factor tables, in the ring of their dtype.
 
-    The state has one axis per live variable; the gauge variable's axis has
+    The state has one axis per live variable; the pinned variable's axis has
     size 1, its one value being the identity (index 0).  float64 tables give
     a float, object tables of Python ints the exact integer.
     """
-    rel = group_table(k).rel
+    import numpy as np
+
+    gt = group_table(k)
+    rel = gt.rel
     state = np.ones((), dtype=tables[0].dtype)
-    for s, (factors, drops) in enumerate(plan.steps):
-        size = 1 if s == plan.gauge_var else len(rel)
-        state = np.repeat(state[..., None], size, axis=-1)
+    for (factors, drops), (enters, repin) in zip(plan.steps, plan.pins):
+        state = np.repeat(state[..., None], 1 if enters else gt.order, axis=-1)
         last = state.ndim - 1
         for a, b, c, tid in factors:
             ia = _axis_index(state.shape[a], last - a)
@@ -372,12 +417,57 @@ def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
             ic = _axis_index(state.shape[c], last - c)
             np.multiply(state, tables[tid][rel[ia, ib], rel[ia, ic]], out=state)
         if drops:  # summing out every axis returns a scalar, not a 0-d array
-            state = np.asarray(state.sum(axis=tuple(drops)), dtype=state.dtype)
-    return state[()]
+            state = np.asarray(state.sum(axis=drops), dtype=state.dtype)
+        if repin is not None:
+            state = _repin(state, repin, k)
+    return state[()] * gt.order**plan.stretches
+
+
+def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
+    """Pin axis `slot` of a state whose old pin was just summed out.
+
+    The state holds T(x) = F(id, x) of an invariant F(p, x) whose pinned spin
+    p is summed out, so that the sum is G(x) = sum_p T(p^-1 x); G is kept at
+    x_slot = id, G(id, y) = sum_s T(s^-1, s^-1 y), gathered in chunks of s of
+    at most _REPIN_CHUNK entries.
+    """
+    import numpy as np
+
+    order = group_table(k).order
+    flat = state.reshape(-1)
+    shape = state.shape[:slot] + (1,) + state.shape[slot + 1 :]
+    if state.size <= _REPIN_CACHED:  # small shapes recur: one cached gather
+        index = _repin_index(k, state.ndim, slot, 0, order)
+        return flat[index].sum(axis=0).reshape(shape)
+    # a large state's indices are built chunk by chunk and not kept
+    chunk = max(1, _REPIN_CHUNK * order // state.size)
+    out = np.zeros(state.size // order, dtype=state.dtype)
+    for start in range(0, order, chunk):
+        index = _repin_index.__wrapped__(k, state.ndim, slot, start, min(start + chunk, order))
+        out += flat[index].sum(axis=0)
+    return out.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _repin_index(k: int, ndim: int, slot: int, start: int, stop: int) -> np.ndarray:
+    """Flat indices of (s^-1 y) into a state of `ndim` full axes, for s in
+    start..stop-1 (rows) and every y with y_slot = id (columns, C order)."""
+    import numpy as np
+
+    rel = group_table(k).rel
+    s = np.arange(start, stop)
+    index = np.zeros((len(s), 1), dtype=np.intp)
+    for axis in range(ndim):
+        column = rel[s, :1] if axis == slot else rel[s]
+        index = (index[:, :, None] * len(rel) + column[:, None, :]).reshape(len(s), -1)
+    index.setflags(write=False)  # cached arrays are shared by every caller
+    return index
 
 
 def _scaled_ints(values: list[Fraction]) -> tuple[np.ndarray, int]:
     """The integers v * D over the least common denominator D, in the exact ring."""
+    import numpy as np
+
     ints, denom = scale_to_ints(values)
     return np.array(ints, dtype=object), denom
 
@@ -407,9 +497,8 @@ def frame_potential_direct(
     guards the peak contraction state; raw enumeration of the same sum is kept
     in `_frame_potential_bruteforce` for tiny cross-checks.
 
-    With `gauge_fix` the first gate's sigma is pinned to the identity and the
-    result multiplied by k! (exact spin-relabelling symmetry; verified against
-    the unfixed sum in the test suite).
+    `gauge_fix` has no effect: every sweep pins one spin to the identity.  The
+    argument is still accepted and will be removed.
 
     For d = q^2 < k the Gram system is singular and, for every k <= 6, the
     unrestricted Weingarten function has a pole at d; PoleError is raised
@@ -435,21 +524,14 @@ def frame_potential_direct(
     column_major = [2 * g.gid + side for g in _column_major(geom) for side in (0, 1)]
     candidates = {"layer-major": layer_major, "column-major": column_major}
     budget = _state_budget() if state_budget is None else state_budget
-    plan = _plan(
-        2 * geom.n_gates,
-        factors,
-        candidates,
-        gauge_fix,
-        math.factorial(k),
-        budget,
-    )
+    plan = _plan(2 * geom.n_gates, factors, candidates, math.factorial(k), budget)
+
+    import numpy as np
 
     gt = group_table(k)
     wg, denom = _scaled_ints(_wg_values_at(k, d))
     qpow = np.array([q**c for c in gt.n_cycles.tolist()], dtype=object)
     value = Fraction(_sweep(plan, [wg[:, None], qpow[:, None]], k), denom**geom.n_gates)
-    if gauge_fix:
-        value *= math.factorial(k)
     return FramePotentialResult(
         value=value,
         k=k,
@@ -459,7 +541,7 @@ def frame_potential_direct(
         spatial_bc=geom.spatial_bc,
         method="direct",
         backend="exact",
-        gauge_fixed=gauge_fix,
+        gauge_fixed=True,
     )
 
 
@@ -485,7 +567,9 @@ def frame_potential_transfer(
     any boundary-specific weights.
 
     `backend="exact"` contracts in scaled integers and returns a Fraction;
-    `backend="float"` contracts in doubles.
+    `backend="float"` contracts in doubles.  `gauge_fix` has no effect: every
+    sweep pins one spin to the identity.  The argument is still accepted and
+    will be removed.
     """
     check_moment(k)
     if backend not in ("exact", "float"):
@@ -507,14 +591,7 @@ def frame_potential_transfer(
         DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
     )
     budget = _state_budget(default_budget) if state_budget is None else state_budget
-    plan = _plan(
-        geom.n_gates,
-        factors,
-        candidates,
-        gauge_fix,
-        math.factorial(k),
-        budget,
-    )
+    plan = _plan(geom.n_gates, factors, candidates, math.factorial(k), budget)
 
     q = geom.q
     # each distinct plaquette weight is evaluated once, then gathered per key
@@ -523,10 +600,10 @@ def frame_potential_transfer(
         jval, denom = _scaled_ints([w.evaluate(q) for w in weights])
         value: Fraction | float = Fraction(_sweep(plan, [jval[cls]], k), denom**geom.n_gates)
     else:
+        import numpy as np
+
         jval = np.array([w.evaluate_float(float(q)) for w in weights])
         value = float(_sweep(plan, [jval[cls]], k))
-    if gauge_fix:
-        value *= math.factorial(k)
     return FramePotentialResult(
         value=value,
         k=k,
@@ -536,7 +613,7 @@ def frame_potential_transfer(
         spatial_bc=geom.spatial_bc,
         method="transfer",
         backend=backend,
-        gauge_fixed=gauge_fix,
+        gauge_fixed=True,
     )
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .exact import RationalFunction, int_lcm, int_mul
 from .perms import Perm, group_table
 from .weingarten import wg_in_q
@@ -94,6 +92,8 @@ def _wg_numerators(k: int) -> tuple[np.ndarray, list[int]]:
     type with index ct times q^m, for m = 0..2k (the exponents of the tau-sum),
     so a weight numerator is one integer dot product with its tau counts.
     """
+    import numpy as np
+
     wgq = wg_in_q(k)
     ints = [wgq[ct].ints for ct in group_table(k).cycle_types]
     common, cofactors = int_lcm([den for _, den in ints])
@@ -125,6 +125,8 @@ class PlaquetteTable:
 
     def _label_classes(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """The (k!, k!) class of every key and each class's least key."""
+        import numpy as np
+
         gt = self._gt
         # conj[p, a] = index of p^-1 a p
         conj = gt.mul[gt.rel, np.arange(gt.order)[:, None]]
@@ -140,6 +142,8 @@ class PlaquetteTable:
 
     def _weight_raw(self, ia: int, ib: int) -> RationalFunction:
         """J^{id}_{a b} from the defining tau-sum, bypassing the class map."""
+        import numpy as np
+
         gt = self._gt
         shifted, common = _wg_numerators(self.k)
         # counts[ct * width + m]: how many tau of each cycle type give q-exponent m
@@ -306,6 +310,8 @@ def asymptotic_check(k: int) -> RuleReport:
     Weight and signature are class invariants, so each key class is checked
     once, through its representative, and counts for every key it holds.
     """
+    import numpy as np
+
     table = build_table(k)
     weights, cls = table.key_classes()
     sizes = np.bincount(cls.ravel())

@@ -161,6 +161,21 @@ class TestFramePotentialCommand:
         assert code == 4
         assert out == "" and flags[0] in err
 
+    @pytest.mark.parametrize("method,flags", [
+        ("exact-transfer", ["--k", "3"]),
+        ("exact-transfer", ["--k", "2", "--backend", "float", "--bc", "periodic"]),
+        ("exact-direct", ["--k", "3"]),
+        ("exact-transfer", ["--k", "3", "--t", "1"]),
+    ])
+    def test_gauge_fix_changes_no_output(self, capsys, method, flags):
+        # every sweep pins; the flag is accepted with a note on stderr
+        argv = ["framepotential", method, "--n", "4", "--q", "2", "--t", "3", *flags]
+        code, out, err = run_cli(capsys, *argv)
+        fixed_code, fixed_out, fixed_err = run_cli(capsys, *argv, "--gauge-fix")
+        assert code == fixed_code == 0
+        assert fixed_out == out
+        assert err == "" and fixed_err.count("\n") == 1 and "--gauge-fix" in fixed_err
+
     def test_backend_defaults_to_exact(self, capsys):
         for method in ("exact-direct", "exact-transfer"):
             env = run_json(capsys, "framepotential", method,

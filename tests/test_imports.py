@@ -46,6 +46,7 @@ class TestColdProcessFootprint:
         "weingarten --k 3 --format csv",
         "bounds --n 16 --q 2 --k 2 --t 4 --epsilon 0.01",
         "bounds --n 10 --q 3 --k 3 --epsilon 0.01 --format csv",
+        "geometry --n 8 --t 3 --bc periodic",
     ])
     def test_no_numpy(self, command):
         assert not _has_numpy(_cli_modules(command))

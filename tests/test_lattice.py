@@ -17,7 +17,7 @@ from rqclattice.lattice import (
     frame_potential_transfer,
     _frame_potential_bruteforce,
 )
-from rqclattice.perms import MOMENT_CAP, haar_frame_potential
+from rqclattice.perms import MOMENT_CAP, group_table, haar_frame_potential
 from rqclattice.weingarten import wg_symbolic
 
 
@@ -286,7 +286,7 @@ class TestGuards:
         from rqclattice.plaquette import build_table
 
         g = build_geometry(4, 2, 2, "open")
-        frame_potential_transfer(g, 5, gauge_fix=True)  # warm tables
+        frame_potential_transfer(g, 5)  # warm tables
         calls = []
         evaluate = RationalFunction.evaluate
 
@@ -295,25 +295,26 @@ class TestGuards:
             return evaluate(self, x)
 
         monkeypatch.setattr(RationalFunction, "evaluate", counting)
-        frame_potential_transfer(g, 5, gauge_fix=True)
+        frame_potential_transfer(g, 5)
         assert 0 < len(calls) <= len(build_table(5)._weights)
 
     def test_budget_message_omits_gauge_fix_when_pinning_cannot_help(self):
-        # the open n=8, t=3 peak of 24^5 states stays with or without the pin
-        g = build_geometry(8, 2, 3, "open")
+        # the open n=8, t=4 chain passes 24^5 states on its way to a pinned
+        # peak of 24^6
+        g = build_geometry(8, 2, 4, "open")
         for gauge_fix in (False, True):
             with pytest.raises(BudgetExceededError) as exc:
                 frame_potential_transfer(g, 4, gauge_fix=gauge_fix)
             assert "reach 7962624 >" in str(exc.value)
             assert "gauge_fix" not in str(exc.value)
 
-    def test_budget_message_suggests_gauge_fix_when_the_pin_fits(self):
-        # a k=3 ring at t=3 needs 6^9 states unfixed and 6^8 pinned
+    def test_k3_ring_n8_t3_fits_default_budget(self):
+        # 6^9 states unpinned, 6^8 pinned
         g = build_geometry(8, 2, 3, "periodic")
-        with pytest.raises(BudgetExceededError, match="or use gauge_fix"):
-            frame_potential_transfer(g, 3)
-        fixed = frame_potential_transfer(g, 3, gauge_fix=True)
-        assert fixed.gauge_fixed and fixed.value > math.factorial(3)
+        res = frame_potential_transfer(g, 3)
+        assert res.gauge_fixed and res.value > math.factorial(3)
+        approx = frame_potential_transfer(g, 3, backend="float").value
+        assert approx == pytest.approx(float(res.value), rel=1e-12)
 
     def test_bruteforce_budget(self):
         g = build_geometry(6, 2, 3, "open")
@@ -392,14 +393,15 @@ class TestPlanner:
     @pytest.mark.parametrize(
         "n,t,bc,order,peak",
         [
-            # open chains keep about 2t - 1 spins live column by column
-            (8, 3, "open", "column-major", 5),
-            (18, 3, "open", "column-major", 5),
-            (1024, 4, "open", "column-major", 7),
-            (12, 3, "periodic", "column-major", 9),
+            # open chains keep about 2t - 1 spins live column by column, one
+            # of them pinned
+            (8, 3, "open", "column-major", 4),
+            (18, 3, "open", "column-major", 4),
+            (1024, 4, "open", "column-major", 6),
+            (12, 3, "periodic", "column-major", 8),
             # a short ring at long t keeps fewer layer by layer
-            (12, 5, "periodic", "layer-major", 14),
-            (6, 3, "periodic", "layer-major", 8),
+            (12, 5, "periodic", "layer-major", 13),
+            (6, 3, "periodic", "layer-major", 7),
         ],
     )
     def test_budget_message_names_order_step_and_states(self, plans, n, t, bc, order, peak):
@@ -416,14 +418,32 @@ class TestPlanner:
             frame_potential_transfer(build_geometry(10, q, 3, "open"), k, backend=backend)
         assert plans[0] is plans[1] is plans[2]
         with pytest.raises(BudgetExceededError):
-            frame_potential_transfer(build_geometry(10, 2, 3, "open"), 3, state_budget=6**4)
+            frame_potential_transfer(build_geometry(10, 2, 3, "open"), 3, state_budget=6**3)
         assert plans[3] is plans[0]
 
     def test_n8_t3_k3_fits_default_budget(self, plans):
         geom = build_geometry(8, 2, 3, "open")
         value = frame_potential_transfer(geom, 3).value
-        assert plans[-1].peak == 5 and 6**5 <= lattice.DEFAULT_STATE_BUDGET
-        assert value == frame_potential_direct(geom, 3, gauge_fix=True).value
+        assert plans[-1].peak == 4 and 6**4 <= lattice.DEFAULT_STATE_BUDGET
+        assert value == frame_potential_direct(geom, 3).value
+
+    def test_exact_k4_n8_t3_open_fits_default_budget(self, plans):
+        # 24^5 states unpinned, 24^4 pinned
+        geom = build_geometry(8, 2, 3, "open")
+        exact = frame_potential_transfer(geom, 4).value
+        assert plans[-1].peak == 4
+        approx = frame_potential_transfer(geom, 4, backend="float").value
+        assert approx == pytest.approx(float(exact), rel=1e-12)
+
+    def test_k3_n16_t5_open_fits_default_budgets(self, plans):
+        # 6^9 states unpinned, 6^8 pinned, which the exact ring affords too;
+        # its exact value, from the exact transfer route (about 10 s), is
+        # written out here
+        exact = Fraction(84087225168923629456206220514453519886914074466052636034557, 625 * 10**55)
+        geom = build_geometry(16, 2, 5, "open")
+        approx = frame_potential_transfer(geom, 3, backend="float").value
+        assert plans[-1].peak == 8 and 6**8 <= lattice.DEFAULT_STATE_BUDGET
+        assert approx == pytest.approx(float(exact), rel=1e-12)
 
     def test_n64_t4_k2_exact_within_default_budget(self, plans):
         geom = build_geometry(64, 2, 4)
@@ -447,52 +467,140 @@ class TestPlanner:
         assert abs(approx - exact) / exact < 1e-12
 
     def test_exact_equals_forced_layer_major(self, plans, monkeypatch):
-        """Criterion 06 grid, both routes, both boundaries, gauge on and off."""
+        """Criterion 06 grid, both routes, both boundaries."""
         routes = (frame_potential_direct, frame_potential_transfer)
         cases = []
         for n, t, k, q, bc in _criterion_06_grid():
             geom = build_geometry(n, q, t, bc)
-            for route, gauge_fix in itertools.product(routes, (False, True)):
+            for route in routes:
                 with pytest.raises(BudgetExceededError):
-                    route(geom, k, gauge_fix=gauge_fix, state_budget=0)
+                    route(geom, k, state_budget=0)
                 # a layer-major winner would run the same plan twice
                 if plans[-1].order == "column-major":
-                    cases.append((route, geom, k, gauge_fix))
-        assert {route for route, *_ in cases} == set(routes) and len(cases) > 50
+                    cases.append((route, geom, k))
+        assert {route for route, *_ in cases} == set(routes) and len(cases) > 25
 
-        got = [route(geom, k, gauge_fix=gf).value for route, geom, k, gf in cases]
+        got = [route(geom, k).value for route, geom, k in cases]
 
         def layer_major_only(n_vars, factors, candidates, *rest):
             return _plan(n_vars, factors, {"layer-major": candidates["layer-major"]}, *rest)
 
         monkeypatch.setattr(lattice, "_plan", layer_major_only)
-        for (route, geom, k, gauge_fix), value in zip(cases, got):
-            assert route(geom, k, gauge_fix=gauge_fix).value == value, (
-                route.__name__, geom.n, geom.t, k, geom.q, geom.spatial_bc, gauge_fix
+        for (route, geom, k), value in zip(cases, got):
+            assert route(geom, k).value == value, (
+                route.__name__, geom.n, geom.t, k, geom.q, geom.spatial_bc
             )
 
     def test_largest_state_is_k_factorial_to_the_peak(self, plans, monkeypatch):
-        """The sweep's largest state has (k!)^peak entries; the gauge axis has size 1."""
-        repeats = []
-        repeat = np.repeat
+        """Each step's state has (k!)^live entries, the largest (k!)^peak; a
+        pinned spin enters with an axis of size 1, and a re-pin gathers no more
+        than the state it starts from."""
+        entered, repinned = [], []
+        repeat, repin = np.repeat, lattice._repin
 
         def recording(state, size, axis):
-            repeats.append((size, state.size * size))
+            entered.append((size, state.size * size))
             return repeat(state, size, axis=axis)
 
+        def recording_repin(state, slot, k):
+            out = repin(state, slot, k)
+            repinned.append((state.size, out.size))
+            return out
+
         monkeypatch.setattr(np, "repeat", recording)
+        monkeypatch.setattr(lattice, "_repin", recording_repin)
         # q moves no state size
         shapes = {(n, t, bc, k) for n, t, k, _, bc in _criterion_06_grid()}
         shapes |= {(n, t, "periodic", 2) for n, t in ((8, 3), (10, 3), (12, 3), (12, 5))}
         for n, t, bc, k in sorted(shapes):
             geom = build_geometry(n, 2, t, bc)
-            for route, gauge_fix in itertools.product(
-                (frame_potential_direct, frame_potential_transfer), (False, True)
-            ):
-                del repeats[:]
-                route(geom, k, gauge_fix=gauge_fix)
+            order = math.factorial(k)
+            for route in (frame_potential_direct, frame_potential_transfer):
+                del entered[:], repinned[:]
+                route(geom, k)
                 plan = plans[-1]
-                assert len(repeats) == len(plan.steps)
-                assert max(size for _, size in repeats) == math.factorial(k) ** plan.peak
-                gauge = [s for s, (size, _) in enumerate(repeats) if size == 1]
-                assert gauge == ([plan.gauge_var] if gauge_fix else [])
+                assert [size for _, size in entered] == [order**m for m in plan.live]
+                assert max(size for _, size in entered) == order**plan.peak
+                assert [s for s, (size, _) in enumerate(entered) if size == 1] == [
+                    s for s, (enters, _) in enumerate(plan.pins) if enters
+                ]
+                assert len(repinned) == sum(r is not None for _, r in plan.pins)
+                assert all(new * order == old <= order**plan.peak for old, new in repinned)
+
+
+def _dense_sweep(plan, tables, k):
+    """The plan's steps with every spin summed over all k! values: no pin."""
+    rel = group_table(k).rel
+    state = np.ones((), dtype=tables[0].dtype)
+    for factors, drops in plan.steps:
+        state = np.repeat(state[..., None], len(rel), axis=-1)
+        last = state.ndim - 1
+        for a, b, c, tid in factors:
+            ia = lattice._axis_index(state.shape[a], last - a)
+            ib = lattice._axis_index(state.shape[b], last - b)
+            ic = lattice._axis_index(state.shape[c], last - c)
+            np.multiply(state, tables[tid][rel[ia, ib], rel[ia, ic]], out=state)
+        if drops:
+            state = np.asarray(state.sum(axis=drops), dtype=state.dtype)
+    return state[()]
+
+
+def _alive(plan):
+    """Spins in the state at each step, before its sums, pinned ones included."""
+    counts, alive = [], 0
+    for _, drops in plan.steps:
+        alive += 1
+        counts.append(alive)
+        alive -= len(drops)
+    return counts
+
+
+class TestPinnedSweep:
+    """The pinned sweep against the dense sweep over the same steps."""
+
+    def test_pinned_equals_dense(self, monkeypatch):
+        """k=2..4, n=2..8, t=2..3, both boundaries, q in {2, 3}, both routes and
+        both rings: every shape whose dense state fits the default budget,
+        which includes the criterion 06 grid."""
+        sweep = lattice._sweep
+        plans = []
+
+        def checked(plan, tables, k):
+            value = sweep(plan, tables, k)
+            dense = _dense_sweep(plan, tables, k)
+            if tables[0].dtype == object:
+                assert value == dense
+            else:
+                assert value == pytest.approx(dense, rel=1e-12)
+            plans.append(plan)
+            return value
+
+        monkeypatch.setattr(lattice, "_sweep", checked)
+        runs = [
+            (frame_potential_direct, {}),
+            (frame_potential_transfer, {}),
+            (frame_potential_transfer, {"backend": "float"}),
+        ]
+        covered = set()
+        for k, n, t, bc, q in itertools.product(
+            (2, 3, 4), range(2, 9), (2, 3), ("open", "periodic"), (2, 3)
+        ):
+            geom = build_geometry(n, q, t, bc)
+            budget = lattice.DEFAULT_STATE_BUDGET // math.factorial(k)
+            for route, kwargs in runs:
+                try:
+                    route(geom, k, state_budget=budget, **kwargs)
+                except BudgetExceededError:
+                    continue
+                covered.add((n, t, k, q, bc))
+        assert set(_criterion_06_grid()) <= covered and len(covered) > 130
+
+        # one connected stretch each, whose pin takes one spin off every step
+        # until it is released
+        released = False
+        for plan in plans:
+            alive = _alive(plan)
+            assert plan.stretches == 1 and plan.peak == max(alive) - 1
+            assert all(a - 1 <= m <= a for m, a in zip(plan.live, alive))
+            released |= any(m == a for m, a in zip(plan.live, alive))
+        assert released and any(r is not None for plan in plans for _, r in plan.pins)
