@@ -337,6 +337,8 @@ def _cmd_verify(args) -> int:
     from .weingarten import wg_gram, wg_symbolic
 
     k, q = args.k, args.q
+    if q < 2:  # before any section runs
+        raise _ArgumentError(f"--q must be >= 2, got {q}")
     sections = []
     ok = True
 

@@ -36,9 +36,13 @@ stretch is worth a factor k!.  Every state is k! smaller than the unpinned
 one at its peak (exact k=4 at n=8, t=3: 24^4 states instead of 24^5).
 :func:`_sweep` runs the schedule on dense numpy arrays, gathering every
 weight at relative elements a^-1 x from the ``rel`` table of
-:func:`rqclattice.perms.group_table`.  The number ring is the dtype of the
-weight tables: object arrays of Python ints (weights scaled
-to integers) for exact results, float64 for the float backend.  The
+:func:`rqclattice.perms.group_table`.  The float backend runs in float64.
+Exact results scale the weights to integers and run in int64 for as long as
+a certified bound on every |entry|, carried in Python ints, stays below 2^62;
+at the step where it cannot be kept, the state and tables switch to object
+arrays of Python ints for the rest of the sweep, so every exact value is the
+same in either ring.  Each sweep logs its order, peak and ring at DEBUG on the
+``rqclattice.lattice`` logger.  The
 weights stay independent, so their exact equality on every in-budget
 geometry is the package's central oracle; :func:`_frame_potential_bruteforce`
 additionally checks both against raw enumeration on tiny instances, and the
@@ -55,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -236,10 +241,15 @@ def _special_result(geom: CircuitGeometry, k: int) -> FramePotentialResult:
 # (a, b, a) with a one-column table, since rel(a, a) is the identity, index 0.
 _Factor = tuple[int, int, int, int]
 
-# Largest number of state entries one chunk of a re-pin gathers at once, and
-# the largest state whose re-pin index is cached.
-_REPIN_CHUNK = 1 << 16
+# Largest number of state entries one chunk of a re-pin gather or of a
+# measured bound holds at once, and the largest state whose re-pin index is
+# cached.
+_CHUNK = 1 << 16
 _REPIN_CACHED = 1 << 12
+
+# The exact ring stays in int64 while a certified bound on every |entry| of
+# the state is below this; a product or sum of two such entries cannot wrap.
+_INT64_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -396,31 +406,104 @@ def _axis_index(size: int, trailing: int) -> np.ndarray:
     return index
 
 
-def _sweep(plan: _Plan, tables: list[np.ndarray], k: int):
-    """Contract a plan over dense factor tables, in the ring of their dtype.
+def _sweep(plan: _Plan, tables: list[np.ndarray], k: int, bounds: tuple[int, ...] | None = None):
+    """Contract a plan over dense factor tables.
 
     The state has one axis per live variable; the pinned variable's axis has
-    size 1, its one value being the identity (index 0).  float64 tables give
-    a float, object tables of Python ints the exact integer.
+    size 1, its one value being the identity (index 0).  float64 tables
+    (`bounds` None) give a float.  Integer tables, int64 or object, with
+    bounds[i] the largest |entry| of tables[i], give the exact integer as a
+    Python int.  That ring starts in int64 if every table is int64 and carries
+    a certified bound on every |entry| of the state, in Python ints: times the
+    table's bound at each factor, times the number of terms at each sum or
+    re-pin.  Only where that bound would reach _INT64_LIMIT is the state itself
+    measured (`_max_abs` before a factor, `_abs_sum` before a sum or re-pin);
+    if the measured bound reaches it too, the state and the tables switch to
+    object arrays of Python ints at that step, for the rest of the sweep.
     """
     import numpy as np
 
     gt = group_table(k)
     rel = gt.rel
+    bound = None  # the state's bound while it is in int64
+    if bounds is None:
+        ring = "float64"
+    elif all(t.dtype == np.int64 for t in tables):
+        ring, bound = "int64 throughout", 1
+    else:
+        ring, tables = "object from the start", [t.astype(object, copy=False) for t in tables]
+
+    def widen(factor, measure):
+        """Bound the state after an operation that grows it by `factor`,
+        leaving int64 if no bound below the limit is found."""
+        nonlocal bound, state, tables, ring
+        bound *= factor
+        if bound >= _INT64_LIMIT:
+            bound = measure()
+            if bound >= _INT64_LIMIT:
+                bound, ring = None, f"int64, switched to object at step {step}"
+                state = state.astype(object)
+                tables = [t.astype(object) for t in tables]
+
     state = np.ones((), dtype=tables[0].dtype)
-    for (factors, drops), (enters, repin) in zip(plan.steps, plan.pins):
+    for step, ((factors, drops), (enters, repin)) in enumerate(zip(plan.steps, plan.pins)):
         state = np.repeat(state[..., None], 1 if enters else gt.order, axis=-1)
         last = state.ndim - 1
         for a, b, c, tid in factors:
+            if bound is not None:
+                widen(bounds[tid], lambda: _max_abs(state) * bounds[tid])
             ia = _axis_index(state.shape[a], last - a)
             ib = _axis_index(state.shape[b], last - b)
             ic = _axis_index(state.shape[c], last - c)
             np.multiply(state, tables[tid][rel[ia, ib], rel[ia, ic]], out=state)
         if drops:  # summing out every axis returns a scalar, not a 0-d array
+            if bound is not None:
+                widen(math.prod(state.shape[i] for i in drops), lambda: _abs_sum(state, drops))
             state = np.asarray(state.sum(axis=drops), dtype=state.dtype)
         if repin is not None:
+            if bound is not None:  # each entry sums k! distinct entries
+                widen(gt.order, lambda: _abs_sum(state, tuple(range(state.ndim))))
             state = _repin(state, repin, k)
-    return state[()] * gt.order**plan.stretches
+
+    # a record reaches a handler only where logging was configured, which
+    # imports it; a process that never did skips the check and the import
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        log = logging.getLogger(__name__)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "sweep: %s order, %d steps, peak %d (%d states), ring %s",
+                plan.order, len(plan.steps), plan.peak, gt.order**plan.peak, ring,
+            )
+    value = state[()] if bounds is None else int(state[()])
+    return value * gt.order**plan.stretches
+
+
+def _max_abs(state: np.ndarray) -> int:
+    """The largest |entry| of an int64 state, from two reductions."""
+    return max(int(state.max()), -int(state.min()))
+
+
+def _abs_sum(state: np.ndarray, axes: tuple[int, ...]) -> int:
+    """A certified bound on every |sum of an int64 state over `axes`|: the
+    largest float64 sum of |entries| over them, in chunks of at most _CHUNK
+    entries along the first axis longer than 1, raised to cover rounding."""
+    import numpy as np
+
+    axis = next((i for i, size in enumerate(state.shape) if size > 1), 0)
+    rows = max(1, _CHUNK * state.shape[axis] // state.size)
+    total, peak = 0.0, 0.0
+    for start in range(0, state.shape[axis], rows):
+        chunk = state[(slice(None),) * axis + (slice(start, start + rows),)]
+        part = np.absolute(chunk, dtype=np.float64).sum(axis=axes)
+        if axis in axes:  # the chunks add up to the same sums
+            total = total + part
+        else:
+            peak = max(peak, float(part.max()))
+    peak = max(peak, float(np.max(total)))
+    # each sum has at most state.size terms, each converted and added with a
+    # relative rounding error of at most 2^-53
+    return math.ceil(peak * (1 + state.size * 2.0**-50))
 
 
 def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
@@ -429,7 +512,7 @@ def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
     The state holds T(x) = F(id, x) of an invariant F(p, x) whose pinned spin
     p is summed out, so that the sum is G(x) = sum_p T(p^-1 x); G is kept at
     x_slot = id, G(id, y) = sum_s T(s^-1, s^-1 y), gathered in chunks of s of
-    at most _REPIN_CHUNK entries.
+    at most _CHUNK entries.
     """
     import numpy as np
 
@@ -440,7 +523,7 @@ def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
         index = _repin_index(k, state.ndim, slot, 0, order)
         return flat[index].sum(axis=0).reshape(shape)
     # a large state's indices are built chunk by chunk and not kept
-    chunk = max(1, _REPIN_CHUNK * order // state.size)
+    chunk = max(1, _CHUNK * order // state.size)
     out = np.zeros(state.size // order, dtype=state.dtype)
     for start in range(0, order, chunk):
         index = _repin_index.__wrapped__(k, state.ndim, slot, start, min(start + chunk, order))
@@ -464,12 +547,13 @@ def _repin_index(k: int, ndim: int, slot: int, start: int, stop: int) -> np.ndar
     return index
 
 
-def _scaled_ints(values: list[Fraction]) -> tuple[np.ndarray, int]:
-    """The integers v * D over the least common denominator D, in the exact ring."""
+def _exact_table(ints: list[int]) -> tuple[np.ndarray, int]:
+    """Integer weights as a table of the exact ring, int64 if every |entry| is
+    below _INT64_LIMIT and object otherwise, with their largest |entry|."""
     import numpy as np
 
-    ints, denom = scale_to_ints(values)
-    return np.array(ints, dtype=object), denom
+    bound = max(map(abs, ints))
+    return np.array(ints, dtype=np.int64 if bound < _INT64_LIMIT else object), bound
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +610,11 @@ def frame_potential_direct(
     budget = _state_budget() if state_budget is None else state_budget
     plan = _plan(2 * geom.n_gates, factors, candidates, math.factorial(k), budget)
 
-    import numpy as np
-
-    gt = group_table(k)
-    wg, denom = _scaled_ints(_wg_values_at(k, d))
-    qpow = np.array([q**c for c in gt.n_cycles.tolist()], dtype=object)
-    value = Fraction(_sweep(plan, [wg[:, None], qpow[:, None]], k), denom**geom.n_gates)
+    ints, denom = scale_to_ints(_wg_values_at(k, d))
+    wg, wg_bound = _exact_table(ints)
+    qpow, q_bound = _exact_table([q**c for c in group_table(k).n_cycles.tolist()])
+    tables = [wg[:, None], qpow[:, None]]
+    value = Fraction(_sweep(plan, tables, k, (wg_bound, q_bound)), denom**geom.n_gates)
     return FramePotentialResult(
         value=value,
         k=k,
@@ -548,6 +631,27 @@ def frame_potential_direct(
 # ---------------------------------------------------------------------------
 # transfer route: triangular plaquette model, one spin per gate
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _plaquette_table(k: int, q: int, backend: str) -> tuple[np.ndarray, int, tuple[int, ...] | None]:
+    """The read-only (k!, k!) table of plaquette weights at q in the backend's
+    ring, with the sweep's `bounds`: exact weights are scaled to integers over
+    their least common denominator D, with their largest |entry|; float ones
+    have D = 1 and no bounds.  Memoized, so each class weight is evaluated
+    once per (k, q) and ring."""
+    import numpy as np
+
+    weights, cls = build_table(k).key_classes()
+    if backend == "exact":
+        ints, denom = scale_to_ints([w.evaluate(q) for w in weights])
+        values, bound = _exact_table(ints)
+        bounds = (bound,)
+    else:
+        values, denom, bounds = np.array([w.evaluate_float(float(q)) for w in weights]), 1, None
+    table = values[cls]
+    table.setflags(write=False)  # cached arrays are shared by every caller
+    return table, denom, bounds
 
 
 def frame_potential_transfer(
@@ -593,17 +697,9 @@ def frame_potential_transfer(
     budget = _state_budget(default_budget) if state_budget is None else state_budget
     plan = _plan(geom.n_gates, factors, candidates, math.factorial(k), budget)
 
-    q = geom.q
-    # each distinct plaquette weight is evaluated once, then gathered per key
-    weights, cls = build_table(k).key_classes()
-    if backend == "exact":
-        jval, denom = _scaled_ints([w.evaluate(q) for w in weights])
-        value: Fraction | float = Fraction(_sweep(plan, [jval[cls]], k), denom**geom.n_gates)
-    else:
-        import numpy as np
-
-        jval = np.array([w.evaluate_float(float(q)) for w in weights])
-        value = float(_sweep(plan, [jval[cls]], k))
+    table, denom, bounds = _plaquette_table(k, geom.q, backend)
+    value = _sweep(plan, [table], k, bounds)
+    value = Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value)
     return FramePotentialResult(
         value=value,
         k=k,

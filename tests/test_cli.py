@@ -267,6 +267,12 @@ class TestVerifyCommand:
         assert env["result"]["ok"] is True
         assert any(s["section"] == "pole_freeness" and s["ok"] for s in env["result"]["sections"])
 
+    @pytest.mark.parametrize("q", ["1", "0"])
+    def test_q_below_two_refused_before_any_section(self, capsys, q):
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--q", q)
+        assert code == 4 and out == ""
+        assert "[verify]" not in err and "--q must be >= 2" in err
+
     def test_k6_runs_every_section(self, capsys):
         env = run_json(capsys, "verify", "--k", "6", "--q", "2")
         assert env["result"]["ok"] is True

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import math
 from fractions import Fraction
 
@@ -180,7 +181,8 @@ class TestOracleStack:
 
     @pytest.mark.parametrize("bc", ["open", "periodic"])
     def test_routes_agree_at_large_q(self, bc):
-        # q^(2nk) and the scaled weights overflow int64 long before q = 1000
+        # q^(2nk) overflows int64 long before q = 1000, so the sweep leaves
+        # int64 within its first steps
         g = build_geometry(4, 1000, 2, bc)
         assert frame_potential_direct(g, 3).value == frame_potential_transfer(g, 3).value
 
@@ -282,11 +284,13 @@ class TestGuards:
                 frame_potential_transfer(g, 3, backend=backend, state_budget=1000)
 
     def test_each_distinct_plaquette_weight_evaluated_once(self, monkeypatch):
+        # once per (k, q), however many requests use it
         from rqclattice.exact import RationalFunction
         from rqclattice.plaquette import build_table
 
         g = build_geometry(4, 2, 2, "open")
         frame_potential_transfer(g, 5)  # warm tables
+        lattice._plaquette_table.cache_clear()
         calls = []
         evaluate = RationalFunction.evaluate
 
@@ -295,8 +299,12 @@ class TestGuards:
             return evaluate(self, x)
 
         monkeypatch.setattr(RationalFunction, "evaluate", counting)
-        frame_potential_transfer(g, 5)
+        first = frame_potential_transfer(g, 5).value
         assert 0 < len(calls) <= len(build_table(5)._weights)
+        evaluated = len(calls)
+        assert frame_potential_transfer(build_geometry(5, 2, 2, "open"), 5).value
+        assert frame_potential_transfer(g, 5).value == first
+        assert len(calls) == evaluated
 
     def test_budget_message_omits_gauge_fix_when_pinning_cannot_help(self):
         # the open n=8, t=4 chain passes 24^5 states on its way to a pinned
@@ -529,8 +537,10 @@ class TestPlanner:
 
 
 def _dense_sweep(plan, tables, k):
-    """The plan's steps with every spin summed over all k! values: no pin."""
+    """The plan's steps with every spin summed over all k! values: no pin.
+    Integer tables are summed in Python ints, whatever their dtype."""
     rel = group_table(k).rel
+    tables = [t if t.dtype == np.float64 else t.astype(object) for t in tables]
     state = np.ones((), dtype=tables[0].dtype)
     for factors, drops in plan.steps:
         state = np.repeat(state[..., None], len(rel), axis=-1)
@@ -565,13 +575,13 @@ class TestPinnedSweep:
         sweep = lattice._sweep
         plans = []
 
-        def checked(plan, tables, k):
-            value = sweep(plan, tables, k)
+        def checked(plan, tables, k, bounds=None):
+            value = sweep(plan, tables, k, bounds)
             dense = _dense_sweep(plan, tables, k)
-            if tables[0].dtype == object:
-                assert value == dense
-            else:
+            if tables[0].dtype == np.float64:
                 assert value == pytest.approx(dense, rel=1e-12)
+            else:
+                assert type(value) is int and value == dense
             plans.append(plan)
             return value
 
@@ -604,3 +614,141 @@ class TestPinnedSweep:
             assert all(a - 1 <= m <= a for m, a in zip(plan.live, alive))
             released |= any(m == a for m, a in zip(plan.live, alive))
         assert released and any(r is not None for plan in plans for _, r in plan.pins)
+
+
+def _ring_records(caplog):
+    """The ring each logged sweep ran in."""
+    return [
+        r.getMessage().split(", ring ", 1)[1]
+        for r in caplog.records
+        if r.name == "rqclattice.lattice" and r.levelno == logging.DEBUG
+    ]
+
+
+class TestIntegerRing:
+    """The exact sweep runs in int64 under a certified bound and switches to
+    Python ints at the operation where the bound cannot be kept."""
+
+    LIMIT = 1 << 62
+
+    # two pair factors f(a^-1 b) on spins 0 and 1; a path 0 - 1 - 2, whose
+    # pin moves from spin 0 to spin 1 at step 1
+    TWICE = ((0, 1, 0, 0), (0, 1, 0, 0))
+    PATH = ((0, 1, 0, 0), (1, 2, 1, 0))
+
+    @pytest.mark.parametrize(
+        "factors,column,ring,measured",
+        [
+            # small signed weights: no measurement
+            (TWICE, [3, -2], "int64 throughout", []),
+            # the second factor's bound 2^80 is measured, and fails too
+            (TWICE, [2**40, -(2**40) + 7], "int64, switched to object at step 1",
+             [("max_abs", (1, 2))]),
+            # the sum's bound 2 * 2^61 is measured, and fails too: the |entries|
+            # add up to 2^62 whatever their signs
+            (TWICE[:1], [2**61, -(2**61) + 5], "int64, switched to object at step 1",
+             [("abs_sum", (1, 2), (0, 1))]),
+            (TWICE[:1], [2**61, 2**61 - 1], "int64, switched to object at step 1",
+             [("abs_sum", (1, 2), (0, 1))]),
+            # the sum's bound 6 * 2^61 is not, but the measured one keeps int64
+            (TWICE[:1], [2**61, 1, -1, 2, 0, -3], "int64 throughout",
+             [("abs_sum", (1, 6), (0, 1))]),
+            # the sum over the old pin adds one term; the re-pin's bound
+            # k! * 2^61 is measured on the whole state, and fails too
+            (PATH, [2**61, -(2**61)], "int64, switched to object at step 1",
+             [("abs_sum", (2,), (0,))]),
+            # an entry of 2^62 or more starts the sweep in Python ints
+            (TWICE, [2**62, -1], "object from the start", []),
+            (PATH, [-(2**62), 1], "object from the start", []),
+            (PATH, [2**100, -(2**90), 1, 0, 5, 7], "object from the start", []),
+        ],
+    )
+    def test_switch_equals_object_oracle(self, monkeypatch, caplog, factors, column, ring, measured):
+        k = {2: 2, 6: 3}[len(column)]
+        n_vars = 1 + max(max(f[:3]) for f in factors)
+        plan = lattice._planned(n_vars, factors, (("given", tuple(range(n_vars))),))
+        if factors == self.PATH:
+            assert plan.pins[1][1] is not None  # the sweep re-pins at step 1
+        table, bound = lattice._exact_table(column)
+        assert bound == max(map(abs, column))
+        assert table.dtype == (np.int64 if bound < self.LIMIT else object)
+
+        seen = []
+        max_abs, abs_sum = lattice._max_abs, lattice._abs_sum
+
+        def spy_max_abs(state):
+            seen.append(("max_abs", state.shape))
+            return max_abs(state)
+
+        def spy_abs_sum(state, axes):
+            seen.append(("abs_sum", state.shape, axes))
+            return abs_sum(state, axes)
+
+        monkeypatch.setattr(lattice, "_max_abs", spy_max_abs)
+        monkeypatch.setattr(lattice, "_abs_sum", spy_abs_sum)
+        with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+            value = lattice._sweep(plan, [table[:, None]], k, (bound,))
+        dense = _dense_sweep(plan, [table[:, None]], k)
+        assert type(value) is int and value == dense
+        assert _ring_records(caplog) == [ring]
+        assert seen == measured
+
+    def test_abs_sum_bounds_every_sum(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(lattice, "_CHUNK", 16)  # several chunks per state
+        for shape in ((1, 6, 6, 6), (6, 1, 6, 6)):
+            state = rng.integers(-(2**50), 2**50, size=shape, dtype=np.int64)
+            for axes in ((1,), (0, 2), (1, 3), (2,), (0, 1, 2, 3)):
+                exact = np.max(np.abs(state.astype(object)).sum(axis=axes))
+                bound = lattice._abs_sum(state, axes)
+                assert type(bound) is int and exact <= bound <= exact * (1 + 1e-9) + 1
+
+    @pytest.mark.parametrize(
+        "n,q,t,bc,k,message",
+        [
+            (4, 2, 3, "open", 4, "6 steps, peak 4 (331776 states), ring int64 throughout"),
+            # the ring switches mid-sweep
+            (12, 2, 5, "periodic", 2,
+             "48 steps, peak 13 (8192 states), ring int64, switched to object at step 33"),
+            (4, 10**10, 2, "open", 2, "3 steps, peak 2 (4 states), ring object from the start"),
+        ],
+    )
+    def test_sweep_logs_its_ring(self, caplog, n, q, t, bc, k, message):
+        geom = build_geometry(n, q, t, bc)
+        with caplog.at_level(logging.INFO, logger="rqclattice"):
+            frame_potential_transfer(geom, k)
+        assert _ring_records(caplog) == []
+        with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+            frame_potential_transfer(geom, k)
+            frame_potential_transfer(geom, k, backend="float")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sweep: layer-major order, {message}",
+            f"sweep: layer-major order, {message.split(', ring ')[0]}, ring float64",
+        ]
+
+    @pytest.mark.parametrize(
+        "n,q,t,bc,k,ring",
+        [
+            # the three heaviest exact requests of the benchmark's grid
+            (4, 2, 3, "open", 4, "int64 throughout"),
+            (12, 2, 5, "periodic", 2, "int64, switched to object at step 33"),
+            (12, 2, 4, "periodic", 2, "int64, switched to object at step 32"),
+        ],
+    )
+    def test_heavy_shapes_equal_the_object_ring(self, monkeypatch, caplog, n, q, t, bc, k, ring):
+        sweep = lattice._sweep
+        results = []
+
+        def both_rings(plan, tables, k, bounds=None):
+            value = sweep(plan, tables, k, bounds)
+            objects = sweep(plan, [t.astype(object) for t in tables], k, bounds)
+            results.append((value, objects))
+            return value
+
+        monkeypatch.setattr(lattice, "_sweep", both_rings)
+        with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+            frame_potential_transfer(build_geometry(n, q, t, bc), k)
+        (value, objects), = results
+        assert type(value) is int and value == objects
+        first, second = _ring_records(caplog)
+        assert (first, second) == (ring, "object from the start")
