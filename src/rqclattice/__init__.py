@@ -24,7 +24,6 @@ _EXPORTS = {
     "PoleError": "errors",
     "SingularMatrixError": "errors",
     "VerificationError": "errors",
-    "Polynomial": "exact",
     "RationalFunction": "exact",
     "Perm": "perms",
     "cycle_type": "perms",
@@ -33,7 +32,6 @@ _EXPORTS = {
     "content_polynomial": "characters",
     "irrep_dimension": "characters",
     "partitions": "characters",
-    "WeingartenTable": "weingarten",
     "weingarten_table": "weingarten",
     "wg_gram": "weingarten",
     "wg_restricted": "weingarten",

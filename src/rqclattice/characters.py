@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .exact import Polynomial, int_mul
+from .exact import int_mul
 
 PARTITION_CAP = 10
 
@@ -117,12 +117,12 @@ def box_contents(lam: tuple[int, ...]) -> list[int]:
     return [j - i for i, row in enumerate(lam, start=1) for j in range(1, row + 1)]
 
 
-def content_polynomial(lam: tuple[int, ...]) -> Polynomial:
-    """c_lam(d) = prod over boxes (i,j) of (d + j - i), as an exact integer polynomial.
+def content_polynomial(lam: tuple[int, ...]) -> list[int]:
+    """c_lam(d) = prod over boxes (i,j) of (d + j - i), as integer coefficients, lowest first.
 
     Degree equals |lam|; the roots are the negated box contents.
     """
-    return Polynomial(_linear_product(box_contents(lam)))
+    return _linear_product(box_contents(lam))
 
 
 def _linear_product(contents) -> list[int]:

@@ -144,9 +144,10 @@ def _parse_perm(text: str, k: int):
 def _rational_fields(rf, name: str, var: str, at) -> dict:
     """The columns of a rational function: num and den coefficients, its formula
     in `var`, and, when `at` is given, its value at var = at or "pole"."""
+    coeffs = rf.to_json_dict()
     fields = {
-        f"{name}_num": ";".join(rf.num.coeff_strings()),
-        f"{name}_den": ";".join(rf.den.coeff_strings()),
+        f"{name}_num": ";".join(coeffs["num"]),
+        f"{name}_den": ";".join(coeffs["den"]),
         name: rf.format(var),
     }
     if at is not None:

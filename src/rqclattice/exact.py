@@ -1,18 +1,16 @@
 """Exact univariate polynomials and rational functions, on one integer kernel.
 
 Carriers for Weingarten functions Wg(sigma, d) and plaquette weights J(q).
-Every computation runs on Python-int polynomials (lists of ints, lowest degree
-first) with one integer kernel: convolution, a primitive pseudo-remainder gcd,
-exact division, lcm, and one reduction to the normal form every
-`RationalFunction` is kept in.  `Polynomial` is an immutable view of exact
-rational coefficients, for display, evaluation and root search; it has no
-arithmetic.  Intermediate sums in Weingarten tables have large numerators and
-silent overflow would corrupt the golden tests, so nothing here is ever
-fixed-width.
-
-Polynomials are dense, lowest degree first, with no trailing zero coefficient;
-the zero polynomial has an empty coefficient tuple.  Rational functions are
-kept gcd-reduced with a monic denominator, so equality is tuple equality.
+A polynomial is a list of Python ints, its coefficients lowest degree first;
+[] is the zero polynomial.  Every computation runs on that one representation
+with one integer kernel: convolution, a primitive pseudo-remainder gcd, exact
+division, lcm, Horner evaluation, an integer-root scan, and one reduction to
+the normal form every `RationalFunction` is kept in (coprime num and den,
+joint content 1, positive leading den coefficient, no trailing zeros), so
+equality is tuple equality.  Fraction coefficients over a monic denominator
+are built only to print a function.  Intermediate sums in Weingarten tables
+have large numerators and silent overflow would corrupt the golden tests, so
+nothing here is ever fixed-width.
 """
 
 from __future__ import annotations
@@ -37,95 +35,35 @@ def horner(coeffs: list[int], x: int | Fraction) -> int | Fraction:
     return acc
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+def integer_roots(coeffs: list[int], lo: int, hi: int) -> set[int]:
+    """All integer roots in [lo, hi] of an integer polynomial, by direct evaluation."""
+    if not any(coeffs):
+        raise ValueError("zero polynomial has every root")
+    return {x for x in range(lo, hi + 1) if horner(coeffs, x) == 0}
 
 
-class Polynomial:
-    """Immutable view of a dense univariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def evaluate(self, x) -> Fraction:
-        """Exact value at an int or Fraction x, by integer Horner on cleared coefficients."""
-        ints, denom = scale_to_ints(self.coeffs)
-        return Fraction(horner(ints, _as_fraction(x)), denom)
-
-    def integer_roots(self, lo: int, hi: int) -> set[int]:
-        """All integer roots in [lo, hi], by direct evaluation on cleared coefficients."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has every root")
-        ints, _ = scale_to_ints(self.coeffs)
-        return {x for x in range(lo, hi + 1) if horner(ints, x) == 0}
-
-    def coeff_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(self.coeff_strings())}])"
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def format(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            sign_str = "-" if c < 0 else "+"
-            terms.append((sign_str, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign_str, body in terms[1:]:
-            out += f" {sign_str} {body}"
-        return out
+def _format(coeffs: list, var: str) -> str:
+    """The polynomial with exact coefficients, lowest first, as a formula in var."""
+    if not coeffs:
+        return "0"
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            body = str(abs(c))
+        else:
+            mag = abs(c)
+            head = "" if mag == 1 else f"{mag}*"
+            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        sign_str = "-" if c < 0 else "+"
+        terms.append((sign_str, body))
+    first_sign, first_body = terms[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign_str, body in terms[1:]:
+        out += f" {sign_str} {body}"
+    return out
 
 
 # -- integer kernel ------------------------------------------------------------
@@ -258,66 +196,47 @@ def _normal_form(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
 
 
 class RationalFunction:
-    """Exact rational function num/den, gcd-reduced with monic denominator.
+    """Exact rational function num/den, kept gcd-reduced.
 
     Every construction goes through one integer normal form, `ints`: num and
     den as coprime integer polynomials with joint content 1 and a positive
     leading denominator coefficient, i.e. the rational num/den scaled by the
     least common denominator of all their coefficients.  Arithmetic,
-    equality, hashing and evaluation run on `ints`; `num` and `den` are its
-    rational, monic-denominator view, built on first read.
+    equality, hashing and evaluation run on `ints`; `monic()` gives the
+    rational coefficients with a monic denominator, for display.
     """
 
-    __slots__ = ("ints", "_views")
+    __slots__ = ("ints",)
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Polynomial([num])
-        if den is None:
-            den = Polynomial([1])
-        elif isinstance(den, (int, Fraction)):
-            den = Polynomial([den])
-        ints, _ = scale_to_ints(num.coeffs + den.coeffs)
-        n = len(num.coeffs)
-        self._set(*_normal_form(ints[:n], ints[n:]))
+    def __init__(self, num, den=(1,)):
+        """num/den for sequences of int or Fraction coefficients, lowest first."""
+        num = list(num)
+        coeffs = num + list(den)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(c).__name__} to Fraction")
+        ints, _ = scale_to_ints(coeffs)
+        object.__setattr__(self, "ints", _normal_form(ints[: len(num)], ints[len(num):]))
 
     @classmethod
     def from_ints(cls, num: list[int], den: list[int]) -> "RationalFunction":
         """num/den for integer polynomials, reduced once to the normal form."""
         rf = object.__new__(cls)
-        rf._set(*_normal_form(num, den))
+        object.__setattr__(rf, "ints", _normal_form(num, den))
         return rf
 
-    def _set(self, num: list[int], den: list[int]):
-        object.__setattr__(self, "ints", (num, den))
-        object.__setattr__(self, "_views", None)
-
-    def _monic(self) -> tuple[Polynomial, Polynomial]:
-        views = self._views
-        if views is None:  # a racing thread builds the same views
-            num, den = self.ints
-            lead = den[-1]
-            views = (
-                Polynomial([Fraction(c, lead) for c in num]),
-                Polynomial([Fraction(c, lead) for c in den]),
-            )
-            object.__setattr__(self, "_views", views)
-        return views
-
-    @property
-    def num(self) -> Polynomial:
-        return self._monic()[0]
-
-    @property
-    def den(self) -> Polynomial:
-        return self._monic()[1]
+    def monic(self) -> tuple[list[Fraction], list[Fraction]]:
+        """num and den as Fraction coefficients, lowest first, den monic."""
+        num, den = self.ints
+        lead = den[-1]
+        return [Fraction(c, lead) for c in num], [Fraction(c, lead) for c in den]
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial([c]))
+        return cls([c])
 
     def is_zero(self) -> bool:
         return not self.ints[0]
@@ -339,8 +258,6 @@ class RationalFunction:
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.constant(other)
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
         raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
 
     def __add__(self, other) -> "RationalFunction":
@@ -387,19 +304,26 @@ class RationalFunction:
         return Fraction(horner(num, x), dv)
 
     def evaluate_float(self, x: float) -> float:
+        """Float value at x, by float Horner over the monic coefficients.
+
+        c / lead is the correctly rounded quotient, float(Fraction(c, lead)).
+        """
+        num, den = self.ints
+        lead = den[-1]
         dv = 0.0
-        for c in reversed(self.den.coeffs):
-            dv = dv * x + float(c)
+        for c in reversed(den):
+            dv = dv * x + c / lead
         nv = 0.0
-        for c in reversed(self.num.coeffs):
-            nv = nv * x + float(c)
+        for c in reversed(num):
+            nv = nv * x + c / lead
         return nv / dv
 
     def asymptotic_order(self) -> tuple[int, Fraction]:
         """(order, leading) with f(x) ~ leading * x^order as x -> infinity."""
-        if self.is_zero():
+        num, den = self.ints
+        if not num:
             raise ValueError("zero function has no asymptotic order")
-        return self.num.degree - self.den.degree, self.num.leading / self.den.leading
+        return len(num) - len(den), Fraction(num[-1], den[-1])
 
     def substitute_power(self, m: int) -> "RationalFunction":
         """f(x) -> f(x^m), re-reduced."""
@@ -408,15 +332,17 @@ class RationalFunction:
         return RationalFunction.from_ints(*(_spread(p, m) for p in self.ints))
 
     def to_json_dict(self) -> dict:
-        return {"num": self.num.coeff_strings(), "den": self.den.coeff_strings()}
+        num, den = self.monic()
+        return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
 
     def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"RationalFunction.from_ints({self.ints[0]}, {self.ints[1]})"
 
     def __str__(self) -> str:
         return self.format()
 
     def format(self, var: str = "x") -> str:
-        if self.den == Polynomial([1]):
-            return self.num.format(var)
-        return f"({self.num.format(var)}) / ({self.den.format(var)})"
+        num, den = self.monic()
+        if den == [1]:
+            return _format(num, var)
+        return f"({_format(num, var)}) / ({_format(den, var)})"

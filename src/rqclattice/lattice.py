@@ -216,17 +216,17 @@ def frame_potential_special(n: int, q: int, t: int, k: int) -> int:
     raise ValueError("special values exist only for t in {0, 1}")
 
 
-def _special_result(geom: CircuitGeometry, k: int) -> FramePotentialResult:
-    value = Fraction(frame_potential_special(geom.n, geom.q, geom.t, k))
+def _special_result(geom: CircuitGeometry, k: int, backend: str) -> FramePotentialResult:
+    value = frame_potential_special(geom.n, geom.q, geom.t, k)
     return FramePotentialResult(
-        value=value,
+        value=Fraction(value) if backend == "exact" else float(value),
         k=k,
         n=geom.n,
         q=geom.q,
         t=geom.t,
         spatial_bc=geom.spatial_bc,
         method="special",
-        backend="exact",
+        backend=backend,
     )
 
 
@@ -590,7 +590,7 @@ def frame_potential_direct(
     """
     check_moment(k)
     if geom.t <= 1:
-        return _special_result(geom, k)
+        return _special_result(geom, k, "exact")
     q = geom.q
     d = q * q
     if d < k:
@@ -679,11 +679,7 @@ def frame_potential_transfer(
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     if geom.t <= 1:
-        res = _special_result(geom, k)
-        if backend == "float":
-            res.value = float(res.value)
-            res.backend = "float"
-        return res
+        return _special_result(geom, k, backend)
 
     # gate g's spin is variable g, one plaquette per gate
     factors = [(g, c1, c2, 0) for g, (c1, c2) in enumerate(geom.consumers)]

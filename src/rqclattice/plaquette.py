@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import RationalFunction, int_lcm, int_mul
+from .exact import RationalFunction, _format, int_lcm, int_mul, integer_roots
 from .perms import Perm, group_table
 from .weingarten import wg_in_q
 
@@ -339,9 +339,9 @@ def pole_free_report(k: int, lo: int = 2, hi: int = 1000) -> RuleReport:
     """
     weights, _ = build_table(k).key_classes()
     report = RuleReport(name=f"pole freeness k={k} on [{lo}, {hi}]")
-    for den in dict.fromkeys(w.den for w in weights):
+    for den in dict.fromkeys(tuple(w.ints[1]) for w in weights):
         report.checked += 1
-        roots = den.integer_roots(lo, hi)
+        roots = integer_roots(den, lo, hi)
         if roots:
-            report.note(f"denominator {den} has integer roots {sorted(roots)}")
+            report.note(f"denominator {_format(den, 'q')} has integer roots {sorted(roots)}")
     return report

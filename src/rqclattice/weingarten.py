@@ -25,7 +25,7 @@ from .characters import (
     _linear_product, box_contents, character, content_polynomial, irrep_dimension, partitions,
 )
 from .errors import SingularMatrixError, VerificationError
-from .exact import RationalFunction, scale_to_ints
+from .exact import RationalFunction, horner, scale_to_ints
 from .perms import Perm, check_moment, cycle_type, group_table
 
 
@@ -77,26 +77,11 @@ def wg_symbolic(sigma, k: int | None = None) -> RationalFunction:
     return _wg_by_cycle_type(k, ct)
 
 
-class WeingartenTable:
-    """All Wg(sigma, d) of S_k, one exact rational function per cycle type."""
-
-    def __init__(self, k: int):
-        check_moment(k)
-        self.k = k
-        self.values = {ct: _wg_by_cycle_type(k, ct) for ct in partitions(k)}
-
-    def __getitem__(self, key) -> RationalFunction:
-        if isinstance(key, Perm):
-            key = cycle_type(key)
-        return self.values[tuple(key)]
-
-    def items(self):
-        return self.values.items()
-
-
 @lru_cache(maxsize=None)
-def weingarten_table(k: int) -> WeingartenTable:
-    return WeingartenTable(k)
+def weingarten_table(k: int) -> dict[tuple[int, ...], RationalFunction]:
+    """All Wg(sigma, d) of S_k, one exact rational function per cycle type."""
+    check_moment(k)
+    return {ct: _wg_by_cycle_type(k, ct) for ct in partitions(k)}
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +190,6 @@ def wg_restricted(sigma: Perm, k: int, d: int) -> Fraction:
         chi = character(lam, ct)
         if chi == 0:
             continue
-        c_val = content_polynomial(lam).evaluate(d)
+        c_val = horner(content_polynomial(lam), d)
         total += Fraction(chi * irrep_dimension(lam)) / c_val
     return total / math.factorial(k)

@@ -27,7 +27,7 @@ from rqclattice.bounds import (
     t2_design_depth,
     tk_design_depth_largeq,
 )
-from rqclattice.exact import Polynomial, RationalFunction, int_mul
+from rqclattice.exact import RationalFunction, int_mul
 from rqclattice.lattice import (
     build_geometry,
     frame_potential_direct,
@@ -58,12 +58,12 @@ def criterion(num: int, name: str):
 
 
 def P(*coeffs):
-    return Polynomial(coeffs)
+    return list(coeffs)
 
 
 def PP(*factors):
     """The product of integer polynomials, each given by its coefficients, lowest first."""
-    return Polynomial(reduce(int_mul, factors))
+    return reduce(int_mul, factors)
 
 
 # golden reference weights, in their published factored forms

@@ -9,7 +9,7 @@ from rqclattice.characters import (
     irrep_dimension,
     partitions,
 )
-from rqclattice.exact import Polynomial, int_mul
+from rqclattice.exact import horner, int_mul
 from rqclattice.perms import conjugacy_class_size
 
 
@@ -112,20 +112,20 @@ def test_column_orthogonality(k):
 
 def test_content_polynomial_examples():
     d, d_plus, d_minus = [0, 1], [1, 1], [-1, 1]
-    assert content_polynomial((1,)) == Polynomial(d)
-    assert content_polynomial((2,)) == Polynomial(int_mul(d, d_plus))
-    assert content_polynomial((1, 1)) == Polynomial(int_mul(d, d_minus))
-    assert content_polynomial((2, 1)) == Polynomial(int_mul(int_mul(d, d_plus), d_minus))
+    assert content_polynomial((1,)) == d
+    assert content_polynomial((2,)) == int_mul(d, d_plus)
+    assert content_polynomial((1, 1)) == int_mul(d, d_minus)
+    assert content_polynomial((2, 1)) == int_mul(int_mul(d, d_plus), d_minus)
 
 
 def test_content_polynomial_degree():
     for k in range(1, 7):
         for lam in partitions(k):
-            assert content_polynomial(lam).degree == k
+            assert len(content_polynomial(lam)) - 1 == k
 
 
 def test_content_polynomial_nonzero_at_k():
     # needed so the unrestricted Weingarten expansion is finite at d >= k
     for k in range(1, 7):
         for lam in partitions(k):
-            assert content_polynomial(lam).evaluate(k) != 0
+            assert horner(content_polynomial(lam), k) != 0

@@ -109,6 +109,16 @@ class TestWeingartenCommand:
         env = run_json(capsys, "weingarten", "--k", "1", "--d", "1")
         assert env["result"][0]["value_at_d"] == "1"
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("--k 5 --d 3", "98f95c5b6796a4c9"),
+        ("--k 6 --format csv", "d44dfb20c8234a2e"),
+    ])
+    def test_dump_bytes_pinned(self, capsys, argv, digest):
+        # sha256 prefixes of the whole stdout, frozen from the Fraction-coefficient renderer
+        code, out, _ = run_cli(capsys, "weingarten", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
 
 class TestFramePotentialCommand:
     def test_exact_transfer_t1(self, capsys):

@@ -4,35 +4,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqclattice.errors import PoleError
-from rqclattice.exact import Polynomial, RationalFunction, int_lcm, int_mul
+from rqclattice.exact import RationalFunction, horner, int_lcm, int_mul, integer_roots
 from rqclattice.weingarten import weingarten_table, wg_in_q
 
 
 def P(*coeffs):
-    return Polynomial(coeffs)
+    return list(coeffs)
 
 
-def RF(num, den=None):
+def RF(num, den=(1,)):
     return RationalFunction(num, den)
 
 
 class TestPolynomial:
-    def test_canonical_trailing_zeros(self):
-        assert P(1, 2, 0, 0) == P(1, 2)
-        assert P(0, 0).is_zero()
-        assert P().degree == -1
+    """Integer polynomials: lists of ints, lowest degree first."""
 
     def test_integer_roots(self):
-        assert P(-1, 0, 1).integer_roots(-3, 3) == {-1, 1}
-        assert P(1, 0, 1).integer_roots(2, 100) == set()
-        assert P(-2, 0, 1).integer_roots(2, 100) == set()
+        assert integer_roots([-1, 0, 1], -3, 3) == {-1, 1}
+        assert integer_roots([1, 0, 1], 2, 100) == set()
+        assert integer_roots([-2, 0, 1], 2, 100) == set()
+        assert integer_roots([0, -1, 1, 0], -3, 3) == {0, 1}
+        for zero in ([], [0, 0]):
+            with pytest.raises(ValueError):
+                integer_roots(zero, 2, 100)
 
     def test_evaluate(self):
-        assert P(Fraction(1, 3), 2).evaluate(3) == Fraction(19, 3)
-        assert P(Fraction(1, 3), 2).evaluate(Fraction(1, 2)) == Fraction(4, 3)
-        assert P().evaluate(5) == 0
-        with pytest.raises(TypeError):
-            P(1, 2).evaluate(0.5)
+        assert horner([1, 6], 3) == 19
+        assert horner([1, 6], Fraction(1, 2)) == 4
+        assert horner([1, 6], Fraction(1, 3)) == Fraction(3)
+        assert horner([-2, 0, 1], Fraction(1, 2)) == Fraction(-7, 4)
+        assert horner([], 5) == 0
 
 
 class TestRationalFunction:
@@ -53,16 +54,28 @@ class TestRationalFunction:
     def test_canonical_form(self):
         # gcd reduced, monic denominator
         f = RF(P(0, 2), P(0, 0, 4))  # 2x / 4x^2
-        assert f.num == P(Fraction(1, 2)) and f.den == P(0, 1)
-        g = RationalFunction(f.num, f.den)
+        assert f.monic() == ([Fraction(1, 2)], [0, 1])
+        g = RationalFunction(*f.monic())
         assert g == f  # normalizing twice is a no-op
+        # trailing zero coefficients are dropped
+        assert RF(P(1, 2, 0, 0), P(3, 0)).ints == ([1, 2], [3])
+        assert RF(P(0, 0)).is_zero()
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, "1"])
+    def test_constructor_refuses_inexact_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            RF(P(1, bad))
+        with pytest.raises(TypeError):
+            RF(P(1), P(bad, 1))
+        with pytest.raises(TypeError):
+            RationalFunction.constant(bad)
 
     def test_integer_normal_form(self):
         # (-6x - 6) / (-4x^2 + 4): gcd (x + 1) and content 2 removed, denominator lead > 0
         f = RationalFunction.from_ints([-6, -6], [4, 0, -4])
         assert f.ints == ([3], [-2, 2])
         assert f == RF(P(Fraction(3, 2)), P(-1, 1))
-        assert RF(f.num, f.den).ints == f.ints
+        assert RF(*f.monic()).ints == f.ints
         assert RationalFunction.from_ints([0, 0], [5]).ints == ([], [1])
         with pytest.raises(ZeroDivisionError):
             RationalFunction.from_ints([1], [0])
@@ -141,10 +154,10 @@ _small = st.integers(min_value=-4, max_value=4)
 
 @st.composite
 def rational_functions(draw):
-    num = Polynomial(draw(st.lists(_small, min_size=1, max_size=4)))
-    den = Polynomial(draw(st.lists(_small, min_size=1, max_size=4)))
-    if den.is_zero():
-        den = Polynomial([1, 1])
+    num = draw(st.lists(_small, min_size=1, max_size=4))
+    den = draw(st.lists(_small, min_size=1, max_size=4))
+    if not any(den):
+        den = [1, 1]
     return RationalFunction(num, den)
 
 
@@ -174,16 +187,17 @@ def test_evaluate_is_homomorphism(f, g, x):
 
 
 def _fraction_horner(f: RationalFunction, x: int) -> Fraction:
-    """Reference evaluation: Horner over the Fraction coefficients."""
+    """Reference evaluation: Horner over the Fraction coefficients of the JSON dump."""
+    coeffs = f.to_json_dict()
     x = Fraction(x)
     dv = Fraction(0)
-    for c in reversed(f.den.coeffs):
-        dv = dv * x + c
+    for c in reversed(coeffs["den"]):
+        dv = dv * x + Fraction(c)
     if dv == 0:
         raise PoleError(f"pole at x = {x}")
     nv = Fraction(0)
-    for c in reversed(f.num.coeffs):
-        nv = nv * x + c
+    for c in reversed(coeffs["num"]):
+        nv = nv * x + Fraction(c)
     return nv / dv
 
 

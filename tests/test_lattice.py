@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import logging
@@ -123,6 +124,11 @@ class TestSpecialValues:
         g0 = build_geometry(4, 2, 0, "open")
         assert frame_potential_transfer(g0, 2).value == 65536
 
+    @pytest.mark.parametrize("backend, kind", [("exact", Fraction), ("float", float)])
+    def test_transfer_special_result_in_its_ring(self, backend, kind):
+        res = frame_potential_transfer(build_geometry(4, 2, 1, "open"), 2, backend=backend)
+        assert (type(res.value), res.value, res.backend, res.method) == (kind, 4, backend, "special")
+
 
 class TestHandAnchors:
     """n=4, t=2, k=2, q=2 contractions worked out by hand from the k=2 rules."""
@@ -225,6 +231,23 @@ class TestFloatBackend:
         g = build_geometry(4, 2, 2)
         with pytest.raises(ValueError):
             frame_potential_transfer(g, 2, backend="quad")
+
+    # sha256 prefixes of float.hex over every entry of the float plaquette table
+    # at q, frozen from the Fraction-coefficient evaluation
+    @pytest.mark.parametrize("k, q, digest", [
+        (2, 2, "7147269bdafe5c91"), (2, 3, "62c8dbe793d2a9d5"),
+        (2, 5, "a746fc42bc6db794"), (2, 1000, "62ea662c1791fb97"),
+        (3, 2, "2769f39cab00455d"), (3, 3, "b79e826d985224ab"),
+        (3, 5, "8374839cccef7c1e"), (3, 1000, "9348bf5a88e10e94"),
+        (4, 2, "5adc5490dd4ff809"), (4, 3, "d3f7ce3b8f0b1aab"),
+        (4, 5, "48ea40a8a95c2de7"), (4, 1000, "c2b032e0f9a6e626"),
+        (5, 2, "11d8d8e416124b3e"), (5, 3, "e00f60065150b226"),
+        (5, 5, "9e84cf1e36d210d0"), (5, 1000, "c5c1c04f8a2b528c"),
+    ])
+    def test_float_table_bits_pinned(self, k, q, digest):
+        table, _, _ = lattice._plaquette_table(k, q, "float")
+        text = ",".join(float.hex(float(x)) for x in table.ravel())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestDecayStructure:

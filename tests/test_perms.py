@@ -21,7 +21,7 @@ from rqclattice.perms import (
     transposition_distance,
 )
 from rqclattice.plaquette import PlaquetteTable
-from rqclattice.weingarten import WeingartenTable, wg_gram
+from rqclattice.weingarten import weingarten_table, wg_gram
 
 
 def test_compose_identity_neutral():
@@ -131,7 +131,7 @@ def test_one_moment_cap_guards_every_table(k):
     for build in (
         check_moment,
         group_table,
-        WeingartenTable,
+        weingarten_table,
         lambda k: wg_gram(k, 8),
         PlaquetteTable,
         lambda k: frame_potential_direct(geom, k),
