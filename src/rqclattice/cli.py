@@ -113,18 +113,10 @@ def _emit(envelope: dict, fmt: str, csv_rows: list[dict] | None = None) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _flatten(obj, prefix: str = "") -> dict:
-    flat = {}
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            name = f"{prefix}{key}"
-            if isinstance(val, (dict, list)):
-                flat[name] = json.dumps(val)
-            else:
-                flat[name] = val
-    else:
-        flat[f"{prefix}value"] = obj
-    return flat
+def _flatten(obj) -> dict:
+    if not isinstance(obj, dict):
+        return {"value": obj}
+    return {key: json.dumps(val) if isinstance(val, (dict, list)) else val for key, val in obj.items()}
 
 
 def _parse_perm(text: str, k: int):
@@ -144,11 +136,13 @@ def _parse_perm(text: str, k: int):
 def _rational_fields(rf, name: str, var: str, at) -> dict:
     """The columns of a rational function: num and den coefficients, its formula
     in `var`, and, when `at` is given, its value at var = at or "pole"."""
-    coeffs = rf.to_json_dict()
+    from .exact import _format_monic
+
+    num, den = rf.monic()
     fields = {
-        f"{name}_num": ";".join(coeffs["num"]),
-        f"{name}_den": ";".join(coeffs["den"]),
-        name: rf.format(var),
+        f"{name}_num": ";".join(map(str, num)),
+        f"{name}_den": ";".join(map(str, den)),
+        name: _format_monic(num, den, var),
     }
     if at is not None:
         try:

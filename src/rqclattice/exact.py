@@ -66,6 +66,13 @@ def _format(coeffs: list, var: str) -> str:
     return out
 
 
+def _format_monic(num: list[Fraction], den: list[Fraction], var: str) -> str:
+    """The function with `RationalFunction.monic()` coefficients as a formula in var."""
+    if den == [1]:
+        return _format(num, var)
+    return f"({_format(num, var)}) / ({_format(den, var)})"
+
+
 # -- integer kernel ------------------------------------------------------------
 # An integer polynomial is a list of Python ints, lowest degree first; [] is 0.
 
@@ -342,7 +349,4 @@ class RationalFunction:
         return self.format()
 
     def format(self, var: str = "x") -> str:
-        num, den = self.monic()
-        if den == [1]:
-            return _format(num, var)
-        return f"({_format(num, var)}) / ({_format(den, var)})"
+        return _format_monic(*self.monic(), var)

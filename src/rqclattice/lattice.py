@@ -7,24 +7,29 @@ the contraction
     F = sum over (sigma_g, tau_g) per gate of
         prod_g Wg(sigma_g^-1 tau_g, q^2) * prod_{legs g->h} q^ell(tau_g^-1 sigma_h)
 
-which this module evaluates along two routes that differ only in their
-weights:
+which this module evaluates in two models, each the other's oracle:
 
 * :func:`frame_potential_direct` works on the hexagonal (sigma, tau)-per-gate
   model with numeric Weingarten weights from the exact Gram system alone,
   solved on class functions and checked against all k! rows (k <= 6).  For
   d = q^2 < k the Gram system is singular and the unrestricted Weingarten
   function has a pole at d, so the route raises PoleError.
-* :func:`frame_potential_transfer` works on the reduced triangular model,
-  looking up symbolic plaquette weights (character-expansion route), in exact
-  rationals or floats.
+* :func:`frame_potential_transfer` works on the reduced triangular model, one
+  spin per gate, with symbolic plaquette weights (character-expansion route),
+  in exact rationals or floats.
 
-Both contract through one planned elimination.  :func:`_plan` eliminates the
-spins in the cheaper of two orders, the one whose live state peaks lower:
+A route states only its model: variables, factors, candidate elimination
+orders and weight tables.  One path, :func:`_evaluate`, does the rest.  t = 0
+and t = 1 are degenerate (no lattice) and take closed forms; the t = 1 form
+(k!)^floor(n/2) is the lattice model's gate product, and for odd n the
+physical circuit would carry an extra q^(2k) from the idle qudit.  Otherwise
+:func:`_plan` picks the candidate order whose live state peaks lower:
 layer-major (a whole layer is live, which a short ring at long t favours) or
 column-major, a spatial transfer matrix that keeps about 2t - 1 spins live on
 an open chain whatever n is.  It plans each lattice shape once and checks the
-state budget on every call, before any weight table is built.
+state budget on every call, before the tables at q are looked up; they are
+memoized per (k, q) and ring, exact ones as integers over a denominator D, and
+the swept value is divided by D^(number of gates).
 
 Every weight depends on relative elements a^-1 x only, so every partial
 contraction is invariant under one left multiplication of all its spins (the
@@ -37,21 +42,17 @@ one at its peak (exact k=4 at n=8, t=3: 24^4 states instead of 24^5).
 :func:`_sweep` runs the schedule on dense numpy arrays, gathering every
 weight at relative elements a^-1 x from the ``rel`` table of
 :func:`rqclattice.perms.group_table`.  The float backend runs in float64.
-Exact results scale the weights to integers and run in int64 for as long as
-a certified bound on every |entry|, carried in Python ints, stays below 2^62;
-at the step where it cannot be kept, the state and tables switch to object
-arrays of Python ints for the rest of the sweep, so every exact value is the
-same in either ring.  Each sweep logs its order, peak and ring at DEBUG on the
-``rqclattice.lattice`` logger.  The
-weights stay independent, so their exact equality on every in-budget
-geometry is the package's central oracle; :func:`_frame_potential_bruteforce`
-additionally checks both against raw enumeration on tiny instances, and the
-tests keep the unpinned sweep over the same steps as the pinned sweep's oracle.
-numpy is imported on the first contraction, so the geometry runs without it.
-
-t = 0 and t = 1 are degenerate (no lattice) and use closed forms.  The t = 1
-formula (k!)^floor(n/2) follows the lattice model's gate-product form; for odd
-n the physical circuit would carry an extra q^(2k) from the idle qudit.
+Exact results run in int64 for as long as a certified bound on every |entry|,
+carried in Python ints, stays below 2^62; at the step where it cannot be
+kept, the state and tables switch to object arrays of Python ints for the
+rest of the sweep, so every exact value is the same in either ring.  Each
+sweep logs its order, peak and ring at DEBUG on the ``rqclattice.lattice``
+logger.  The weights stay independent, so their exact equality on every
+in-budget geometry is the package's central oracle;
+:func:`_frame_potential_bruteforce` additionally checks both against raw
+enumeration on tiny instances, and the tests keep the unpinned sweep over the
+same steps as the pinned sweep's oracle.  numpy is imported on the first
+contraction, so the geometry runs without it.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class CircuitGeometry:
     (plus the wrap gate (n,1) on odd layers for periodic chains of even n; an
     odd-n ring admits no conflict-free wrap gate, so its layout coincides with
     open boundaries).  `legs` maps every gate output leg to the gate that
-    consumes it, wrapping the final layer back to the first (time periodicity).
+    consumes it, wrapping the final layer back to the first (time periodicity):
+    legs[2g] and legs[2g + 1] are the two output legs of gate g, in the order
+    of its qudits.
     """
 
     n: int
@@ -107,7 +110,6 @@ class CircuitGeometry:
     layers: list[list[Gate]]
     gates: list[Gate]
     legs: list[tuple[int, int, int]]  # (source gid, qudit, consumer gid)
-    consumers: list[tuple[int, int]]  # per gid, consumers of its two output legs
 
     @property
     def n_gates(self) -> int:
@@ -132,8 +134,8 @@ def _layer_pairs(n: int, layer_index: int, spatial_bc: str) -> list[tuple[int, i
     return pairs
 
 
-def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitGeometry:
-    """Brickwork lattice geometry for the time-t frame potential (depth 2(t-1))."""
+def _check_instance(n: int, q: int, t: int, spatial_bc: str) -> None:
+    """Reject a brickwork instance that no route evaluates."""
     if n < 2:
         raise ValueError("need at least 2 qudits")
     if q < 2:
@@ -143,6 +145,10 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
     if spatial_bc not in ("open", "periodic"):
         raise ValueError(f"unknown boundary condition {spatial_bc!r}")
 
+
+def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitGeometry:
+    """Brickwork lattice geometry for the time-t frame potential (depth 2(t-1))."""
+    _check_instance(n, q, t, spatial_bc)
     depth = 2 * (t - 1) if t >= 1 else 0
     layers: list[list[Gate]] = []
     gates: list[Gate] = []
@@ -157,9 +163,7 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
     # owner[ell][u]: the gate of layer ell acting on qudit u
     owner = [{u: g for g in layer for u in g.qudits} for layer in layers]
     legs: list[tuple[int, int, int]] = []
-    consumers: list[tuple[int, int]] = []
     for g in gates:
-        cons = []
         for u in g.qudits:
             consumer = None
             for step in range(1, depth + 1):
@@ -168,8 +172,6 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
                     break
             assert consumer is not None, f"qudit {u} has no consuming gate"
             legs.append((g.gid, u, consumer.gid))
-            cons.append(consumer.gid)
-        consumers.append((cons[0], cons[1]))
 
     return CircuitGeometry(
         n=n,
@@ -179,7 +181,6 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
         layers=layers,
         gates=gates,
         legs=legs,
-        consumers=consumers,
     )
 
 
@@ -214,20 +215,6 @@ def frame_potential_special(n: int, q: int, t: int, k: int) -> int:
             )
         return math.factorial(k) ** (n // 2)
     raise ValueError("special values exist only for t in {0, 1}")
-
-
-def _special_result(geom: CircuitGeometry, k: int, backend: str) -> FramePotentialResult:
-    value = frame_potential_special(geom.n, geom.q, geom.t, k)
-    return FramePotentialResult(
-        value=Fraction(value) if backend == "exact" else float(value),
-        k=k,
-        n=geom.n,
-        q=geom.q,
-        t=geom.t,
-        spatial_bc=geom.spatial_bc,
-        method="special",
-        backend=backend,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +393,7 @@ def _axis_index(size: int, trailing: int) -> np.ndarray:
     return index
 
 
-def _sweep(plan: _Plan, tables: list[np.ndarray], k: int, bounds: tuple[int, ...] | None = None):
+def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[int, ...] | None = None):
     """Contract a plan over dense factor tables.
 
     The state has one axis per live variable; the pinned variable's axis has
@@ -518,17 +505,14 @@ def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
 
     order = group_table(k).order
     flat = state.reshape(-1)
-    shape = state.shape[:slot] + (1,) + state.shape[slot + 1 :]
-    if state.size <= _REPIN_CACHED:  # small shapes recur: one cached gather
-        index = _repin_index(k, state.ndim, slot, 0, order)
-        return flat[index].sum(axis=0).reshape(shape)
-    # a large state's indices are built chunk by chunk and not kept
+    # small shapes recur, and a state of at most _REPIN_CACHED entries is one
+    # chunk, so its index is cached; a large state's are built and not kept
+    index = _repin_index if state.size <= _REPIN_CACHED else _repin_index.__wrapped__
     chunk = max(1, _CHUNK * order // state.size)
     out = np.zeros(state.size // order, dtype=state.dtype)
     for start in range(0, order, chunk):
-        index = _repin_index.__wrapped__(k, state.ndim, slot, start, min(start + chunk, order))
-        out += flat[index].sum(axis=0)
-    return out.reshape(shape)
+        out += flat[index(k, state.ndim, slot, start, min(start + chunk, order))].sum(axis=0)
+    return out.reshape(state.shape[:slot] + (1,) + state.shape[slot + 1 :])
 
 
 @lru_cache(maxsize=None)
@@ -556,15 +540,56 @@ def _exact_table(ints: list[int]) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=np.int64 if bound < _INT64_LIMIT else object), bound
 
 
+def _evaluate(
+    geom: CircuitGeometry, k: int, method: str, backend: str, n_vars: int,
+    factors: list[_Factor], candidates: dict[str, list[int]], tables, state_budget: int | None,
+) -> FramePotentialResult:
+    """The frame potential of one route's model on `geom`, in `backend`'s ring:
+    `factors` over variables 0..n_vars-1, the `candidates` orders of `_plan`
+    and `tables(k, q)`, the memoized (tables, D, bounds) of its weights at q
+    for `_sweep`, over a common denominator D (1 for float).  The budget, given
+    or the ring's default, is checked before any table is looked up."""
+    if geom.t <= 1:
+        method, value, denom = "special", frame_potential_special(geom.n, geom.q, geom.t, k), 1
+    else:
+        default = DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
+        budget = _state_budget(default) if state_budget is None else state_budget
+        plan = _plan(n_vars, factors, candidates, math.factorial(k), budget)
+        weights, denom, bounds = tables(k, geom.q)
+        value = _sweep(plan, weights, k, bounds)
+    return FramePotentialResult(
+        value=Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value),
+        k=k,
+        n=geom.n,
+        q=geom.q,
+        t=geom.t,
+        spatial_bc=geom.spatial_bc,
+        method=method,
+        backend=backend,
+        gauge_fixed=method != "special",
+    )
+
+
 # ---------------------------------------------------------------------------
 # direct route: hexagonal (sigma, tau) model, Gram-inverse Weingarten weights
 # ---------------------------------------------------------------------------
 
 
-def _wg_values_at(k: int, d: int) -> list[Fraction]:
-    """Wg(perms[i], d) for every group element, from the Gram-inverse oracle."""
-    gram = wg_gram(k, d)
-    return [gram[p] for p in group_table(k).perms]
+@lru_cache(maxsize=16)
+def _gram_tables(k: int, q: int) -> tuple[tuple[np.ndarray, ...], int, tuple[int, ...]]:
+    """The read-only one-column tables of the direct route at q, with the
+    sweep's `bounds`: Wg(x, q^2) from the Gram oracle, scaled to integers
+    over their least common denominator D, and q^ell(x).  Memoized, so
+    `wg_gram` runs once per (k, q)."""
+    gt = group_table(k)
+    gram = wg_gram(k, q * q)
+    ints, denom = scale_to_ints([gram[p] for p in gt.perms])
+    wg, wg_bound = _exact_table(ints)
+    qpow, q_bound = _exact_table([q**c for c in gt.n_cycles.tolist()])
+    tables = (wg[:, None], qpow[:, None])
+    for table in tables:
+        table.setflags(write=False)  # cached arrays are shared by every caller
+    return tables, denom, (wg_bound, q_bound)
 
 
 def frame_potential_direct(
@@ -576,26 +601,18 @@ def frame_potential_direct(
     """Exact frame potential from the hexagonal model.
 
     Sums over a permutation pair (sigma, tau) per gate with a Weingarten
-    factor per gate and a q^ell inner product per leg, contracted by the
-    shared planned sweep in scaled integer arithmetic.  An explicit budget
-    guards the peak contraction state; raw enumeration of the same sum is kept
-    in `_frame_potential_bruteforce` for tiny cross-checks.
-
-    `gauge_fix` has no effect: every sweep pins one spin to the identity.  The
-    argument is still accepted and will be removed.
-
+    factor per gate and a q^ell inner product per leg; raw enumeration of the
+    same sum is kept in `_frame_potential_bruteforce` for tiny cross-checks.
     For d = q^2 < k the Gram system is singular and, for every k <= 6, the
     unrestricted Weingarten function has a pole at d; PoleError is raised
-    ahead of any budget verdict.
+    ahead of any budget verdict.  `gauge_fix` has no effect: every sweep pins
+    one spin to the identity.  The argument is still accepted and will be
+    removed.
     """
     check_moment(k)
-    if geom.t <= 1:
-        return _special_result(geom, k, "exact")
-    q = geom.q
-    d = q * q
-    if d < k:
+    d = geom.q * geom.q
+    if geom.t > 1 and d < k:
         raise PoleError(f"Weingarten function has a pole at d = q^2 = {d} for k={k}")
-
     # variables sigma_g -> 2g, tau_g -> 2g + 1; table 0: Wg(sigma_g^-1 tau_g) per
     # gate; table 1: q^ell(tau_g^-1 sigma_h) per leg
     factors = [(2 * g, 2 * g + 1, 2 * g, 0) for g in range(geom.n_gates)]
@@ -607,25 +624,8 @@ def frame_potential_direct(
     ]
     column_major = [2 * g.gid + side for g in _column_major(geom) for side in (0, 1)]
     candidates = {"layer-major": layer_major, "column-major": column_major}
-    budget = _state_budget() if state_budget is None else state_budget
-    plan = _plan(2 * geom.n_gates, factors, candidates, math.factorial(k), budget)
-
-    ints, denom = scale_to_ints(_wg_values_at(k, d))
-    wg, wg_bound = _exact_table(ints)
-    qpow, q_bound = _exact_table([q**c for c in group_table(k).n_cycles.tolist()])
-    tables = [wg[:, None], qpow[:, None]]
-    value = Fraction(_sweep(plan, tables, k, (wg_bound, q_bound)), denom**geom.n_gates)
-    return FramePotentialResult(
-        value=value,
-        k=k,
-        n=geom.n,
-        q=geom.q,
-        t=geom.t,
-        spatial_bc=geom.spatial_bc,
-        method="direct",
-        backend="exact",
-        gauge_fixed=True,
-    )
+    return _evaluate(geom, k, "direct", "exact", 2 * geom.n_gates, factors, candidates,
+                     _gram_tables, state_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +634,7 @@ def frame_potential_direct(
 
 
 @lru_cache(maxsize=16)
-def _plaquette_table(k: int, q: int, backend: str) -> tuple[np.ndarray, int, tuple[int, ...] | None]:
+def _plaquette_table(k: int, q: int, backend: str) -> tuple[tuple[np.ndarray], int, tuple[int, ...] | None]:
     """The read-only (k!, k!) table of plaquette weights at q in the backend's
     ring, with the sweep's `bounds`: exact weights are scaled to integers over
     their least common denominator D, with their largest |entry|; float ones
@@ -651,7 +651,7 @@ def _plaquette_table(k: int, q: int, backend: str) -> tuple[np.ndarray, int, tup
         values, denom, bounds = np.array([w.evaluate_float(float(q)) for w in weights]), 1, None
     table = values[cls]
     table.setflags(write=False)  # cached arrays are shared by every caller
-    return table, denom, bounds
+    return (table,), denom, bounds
 
 
 def frame_potential_transfer(
@@ -661,7 +661,7 @@ def frame_potential_transfer(
     gauge_fix: bool = False,
     state_budget: int | None = None,
 ) -> FramePotentialResult:
-    """Frame potential from the triangular plaquette model, layer by layer.
+    """Frame potential from the triangular plaquette model.
 
     Each gate carries one S_k spin; eliminating the per-gate tau sums turns
     the weight into a product of plaquette terms J^{spin_g}_{consumer spins},
@@ -670,42 +670,24 @@ def frame_potential_transfer(
     still pending, which handles open-boundary legs that skip layers without
     any boundary-specific weights.
 
-    `backend="exact"` contracts in scaled integers and returns a Fraction;
-    `backend="float"` contracts in doubles.  `gauge_fix` has no effect: every
-    sweep pins one spin to the identity.  The argument is still accepted and
-    will be removed.
+    `backend="exact"` returns a Fraction, `backend="float"` a float.
+    `gauge_fix` has no effect: every sweep pins one spin to the identity.  The
+    argument is still accepted and will be removed.
     """
     check_moment(k)
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
-    if geom.t <= 1:
-        return _special_result(geom, k, backend)
-
-    # gate g's spin is variable g, one plaquette per gate
-    factors = [(g, c1, c2, 0) for g, (c1, c2) in enumerate(geom.consumers)]
+    # gate g's spin is variable g, one plaquette per gate over the consumers
+    # of its two output legs
+    legs = geom.legs
+    factors = [(g, legs[2 * g][2], legs[2 * g + 1][2], 0) for g in range(geom.n_gates)]
     candidates = {
         "layer-major": [g.gid for layer in geom.layers for g in layer],
         "column-major": [g.gid for g in _column_major(geom)],
     }
-    default_budget = (
-        DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
-    )
-    budget = _state_budget(default_budget) if state_budget is None else state_budget
-    plan = _plan(geom.n_gates, factors, candidates, math.factorial(k), budget)
-
-    table, denom, bounds = _plaquette_table(k, geom.q, backend)
-    value = _sweep(plan, [table], k, bounds)
-    value = Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value)
-    return FramePotentialResult(
-        value=value,
-        k=k,
-        n=geom.n,
-        q=geom.q,
-        t=geom.t,
-        spatial_bc=geom.spatial_bc,
-        method="transfer",
-        backend=backend,
-        gauge_fixed=True,
+    return _evaluate(
+        geom, k, "transfer", backend, geom.n_gates, factors, candidates,
+        lambda k, q: _plaquette_table(k, q, backend), state_budget,
     )
 
 

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .lattice import _layer_pairs
+from .lattice import _check_instance, _layer_pairs
 
 DENSE_DIM_BUDGET = 4096
 # complex entries per stacked array of one chunk (circuits or gates): 1 MB
@@ -117,13 +117,14 @@ def _apply_gates(stack: np.ndarray, gates: np.ndarray, pairs: list, n: int, q: i
     return stack
 
 
-def _circuit_pairs(n: int, q: int, depth: int, bc: str) -> list[tuple[int, int]]:
-    """Gate pairs of a `depth`-layer brickwork circuit, after the boundary and budget checks."""
-    if bc not in ("open", "periodic"):
-        raise ValueError(f"unknown boundary condition {bc!r}")
+def _circuit_pairs(n: int, q: int, t: int, bc: str, two_sided: bool = False) -> list[tuple[int, int]]:
+    """Gate pairs of one circuit of a time-t estimate, after the instance and
+    budget checks: t layers two-sided, the 2(t-1) reduced layers otherwise."""
+    _check_instance(n, q, t, bc)
     dim = q**n
     if dim > DENSE_DIM_BUDGET:
         raise BudgetExceededError(f"q^n = {dim} exceeds dense budget {DENSE_DIM_BUDGET}")
+    depth = t if two_sided else 2 * (t - 1)
     return [pair for layer in range(depth) for pair in _layer_pairs(n, layer, bc)]
 
 
@@ -139,12 +140,11 @@ def circuit_trace(n: int, q: int, t: int, rng: np.random.Generator, bc: str = "o
     """Trace of a freshly sampled depth-2(t-1) brickwork circuit (dense product)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    pairs = _circuit_pairs(n, q, 2 * (t - 1), bc)
+    pairs = _circuit_pairs(n, q, t, bc)
     normals = rng.standard_normal((1, len(pairs), 2, q * q, q * q))
     return complex(np.trace(_circuits(normals, pairs, n, q)[0]))
 
 
-_MASK64 = (1 << 64) - 1
 _ZEROS4 = np.zeros(4, np.uint64)  # a fresh Philox counter and (empty) buffer
 _ZEROS4.flags.writeable = False
 
@@ -159,10 +159,10 @@ def _sample_rng(
     """
     # Philox takes a 128-bit key: high word = run seed, low word = sample index
     if reuse is None:
-        return np.random.Generator(np.random.Philox(key=((seed & _MASK64) << 64) | (index & _MASK64)))
+        return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": np.array([index & _MASK64, seed & _MASK64], np.uint64)},
+        "state": {"counter": _ZEROS4, "key": np.array([index, seed], np.uint64)},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return reuse
@@ -211,8 +211,14 @@ def estimate_frame_potential(
     sample rides along with the standard error.
 
     The single-circuit form needs t >= 2: at t = 1 the reduced circuit is
-    empty and its trace moment is q^(2nk), not the frame potential.
+    empty and its trace moment is q^(2nk), not the frame potential.  The
+    instance is checked as by `lattice.build_geometry`, k >= 1 (k > 6 too: no
+    tables are needed) and the seed, one word of the key, is in [0, 2^64).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1 (got {k})")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64) (got {seed})")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if threads < 1:
@@ -222,7 +228,7 @@ def estimate_frame_potential(
             f"the single-circuit estimate needs t >= 2 (got t={t}); "
             "use the two-sided form (--two-sided) for t < 2"
         )
-    pairs = _circuit_pairs(n, q, t if two_sided else 2 * (t - 1), bc)
+    pairs = _circuit_pairs(n, q, t, bc, two_sided)
     # complex entries per sample in the largest stacked array: circuits or gates
     entries = (2 if two_sided else 1) * max(q ** (2 * n), len(pairs) * q**4)
     size = max(1, CHUNK_ENTRIES // entries)

@@ -202,6 +202,18 @@ class TestFramePotentialCommand:
         assert code == 4
         assert "threads" in err
 
+    @pytest.mark.parametrize("change", [
+        ("--k", "-1"), ("--k", "0"), ("--n", "1"), ("--q", "1"),
+        ("--t", "-1", "--two-sided"), ("--seed", "-3"), ("--seed", str(2**64)),
+    ])
+    def test_montecarlo_refuses_what_the_exact_routes_refuse(self, capsys, change):
+        args = {"--n": "4", "--q": "2", "--t": "2", "--k": "2", "--samples": "10"}
+        code, out, err = run_cli(capsys, "framepotential", "montecarlo", *change,
+                                 *(x for name, value in args.items() if name not in change
+                                   for x in (name, value)))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ")
+
     def test_montecarlo_single_sided_t1_rejected(self, capsys):
         code, _, err = run_cli(capsys, "framepotential", "montecarlo",
                                "--n", "4", "--q", "2", "--t", "1", "--k", "2")

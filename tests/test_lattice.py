@@ -128,6 +128,12 @@ class TestSpecialValues:
     def test_transfer_special_result_in_its_ring(self, backend, kind):
         res = frame_potential_transfer(build_geometry(4, 2, 1, "open"), 2, backend=backend)
         assert (type(res.value), res.value, res.backend, res.method) == (kind, 4, backend, "special")
+        if backend == "exact":  # the direct route is exact only
+            for t, expected in ((0, 65536), (1, 4)):
+                res = frame_potential_direct(build_geometry(4, 2, t, "open"), 2)
+                assert (type(res.value), res.value, res.backend, res.method, res.gauge_fixed) == (
+                    kind, expected, backend, "special", False
+                )
 
 
 class TestHandAnchors:
@@ -245,7 +251,7 @@ class TestFloatBackend:
         (5, 5, "9e84cf1e36d210d0"), (5, 1000, "c5c1c04f8a2b528c"),
     ])
     def test_float_table_bits_pinned(self, k, q, digest):
-        table, _, _ = lattice._plaquette_table(k, q, "float")
+        (table,), _, _ = lattice._plaquette_table(k, q, "float")
         text = ",".join(float.hex(float(x)) for x in table.ravel())
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
@@ -297,7 +303,7 @@ class TestGuards:
         def no_tables(*args):
             raise AssertionError("weight table built before the budget check")
 
-        monkeypatch.setattr(lattice, "_wg_values_at", no_tables)
+        monkeypatch.setattr(lattice, "_gram_tables", no_tables)
         monkeypatch.setattr(lattice, "build_table", no_tables)
         g = build_geometry(6, 2, 3, "periodic")
         with pytest.raises(BudgetExceededError):
@@ -328,6 +334,25 @@ class TestGuards:
         assert frame_potential_transfer(build_geometry(5, 2, 2, "open"), 5).value
         assert frame_potential_transfer(g, 5).value == first
         assert len(calls) == evaluated
+
+    def test_gram_solved_once_per_k_and_q(self, monkeypatch):
+        # the direct route's tables are memoized per (k, q), whatever the shape
+        calls = []
+        gram = lattice.wg_gram
+
+        def counting(k, d):
+            calls.append((k, d))
+            return gram(k, d)
+
+        monkeypatch.setattr(lattice, "wg_gram", counting)
+        lattice._gram_tables.cache_clear()
+        shapes = [(4, 2, "open"), (5, 3, "periodic"), (4, 2, "open"), (6, 2, "open")]
+        values = [frame_potential_direct(build_geometry(n, 2, t, bc), 3).value for n, t, bc in shapes]
+        assert calls == [(3, 4)]
+        assert values[0] == values[2]
+        frame_potential_direct(build_geometry(4, 3, 2, "open"), 3)
+        frame_potential_direct(build_geometry(4, 3, 3, "periodic"), 3)
+        assert calls == [(3, 4), (3, 9)]
 
     def test_budget_message_omits_gauge_fix_when_pinning_cannot_help(self):
         # the open n=8, t=4 chain passes 24^5 states on its way to a pinned

@@ -234,6 +234,25 @@ class TestEstimator:
         est = estimate_frame_potential(4, 2, t, 1, samples=10, seed=0, two_sided=True)
         assert est.t == t
 
+    @pytest.mark.parametrize("change, match", [
+        (dict(k=-1), "k must be"), (dict(k=0), "k must be"),
+        (dict(n=1), "qudits"), (dict(q=1), "local dimension"),
+        (dict(t=-1, two_sided=True), "t must be"),
+        (dict(seed=-3), "seed"), (dict(seed=2**64), "seed"), (dict(seed=2**64 + 5), "seed"),
+    ])
+    def test_instances_the_exact_routes_reject_are_refused(self, monkeypatch, change, match):
+        # refused before any sample stream is made
+        monkeypatch.setattr(rqclattice.montecarlo, "_sample_rng", _fail_rng)
+        args = dict(n=4, q=2, t=2, k=2, samples=10, seed=0) | change
+        with pytest.raises(ValueError, match=match):
+            estimate_frame_potential(**args)
+
+    def test_seed_range_ends_and_k_above_the_exact_cap(self):
+        # sampling needs no tables, so k above the exact routes' cap is allowed
+        for seed, k in ((0, 2), (2**64 - 1, 2), (1, 7)):
+            est = estimate_frame_potential(4, 2, 2, k, samples=4, seed=seed)
+            assert (est.seed, est.k) == (seed, k)
+
 
 def _fail_rng(*args):
     raise AssertionError("a sample stream was created")
