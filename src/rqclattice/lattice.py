@@ -43,12 +43,16 @@ one at its peak (exact k=4 at n=8, t=3: 24^4 states instead of 24^5).
 weight at relative elements a^-1 x from the ``rel`` table of
 :func:`rqclattice.perms.group_table`.  The float backend runs in float64.
 Exact results run in int64 for as long as a certified bound on every |entry|,
-carried in Python ints, stays below 2^62; at the step where it cannot be
-kept, the state and tables switch to object arrays of Python ints for the
-rest of the sweep, so every exact value is the same in either ring.  Each
-sweep logs its order, peak and ring at DEBUG on the ``rqclattice.lattice``
-logger.  The weights stay independent, so their exact equality on every
-in-budget geometry is the package's central oracle;
+carried in Python ints, stays below 2^62.  At the step where it cannot be
+kept, the state splits into int64 limbs on a leading axis, and every later
+gather, product, sum and re-pin runs on all limbs at once, with a carry only
+where a certified bound per limb says the next operation could reach 2^62.
+Tables too wide to leave room in a limb, and values too long for limbs to
+pay, switch to object arrays of Python ints instead, so every exact value is
+the same in any ring.  Each sweep logs its order, peak and ring (with the
+limb width, the step of the split and the limb count at the end) at DEBUG on
+the ``rqclattice.lattice`` logger.  The weights stay independent, so their
+exact equality on every in-budget geometry is the package's central oracle;
 :func:`_frame_potential_bruteforce` additionally checks both against raw
 enumeration on tiny instances, and the tests keep the unpinned sweep over the
 same steps as the pinned sweep's oracle.  numpy is imported on the first
@@ -229,14 +233,26 @@ def frame_potential_special(n: int, q: int, t: int, k: int) -> int:
 _Factor = tuple[int, int, int, int]
 
 # Largest number of state entries one chunk of a re-pin gather or of a
-# measured bound holds at once, and the largest state whose re-pin index is
-# cached.
+# measured bound holds at once, and the largest index array that is cached: a
+# re-pin's, of one entry per state entry (per limb), or a factor's, of at most
+# (k!)^2 entries.
 _CHUNK = 1 << 16
-_REPIN_CACHED = 1 << 12
+_INDEX_CACHED = 1 << 12
 
 # The exact ring stays in int64 while a certified bound on every |entry| of
 # the state is below this; a product or sum of two such entries cannot wrap.
 _INT64_LIMIT = 1 << 62
+
+# Past that bound the state splits into int64 limbs of at most _LIMB_BITS bits.
+# A limb narrower than _MIN_LIMB_BITS could not take one more product or sum
+# after a carry, so such tables switch to Python ints instead.  So does a value
+# of more than _MAX_LIMBS limbs, or _MAX_LIMBS_K2 at k = 2, where every spin
+# axis has length 2 and numpy walks each limb operation in loops of two
+# entries: Python ints carry such long values faster.
+_LIMB_BITS = 44
+_MIN_LIMB_BITS = 31
+_MAX_LIMBS = 24
+_MAX_LIMBS_K2 = 8
 
 
 @dataclass(frozen=True)
@@ -393,6 +409,21 @@ def _axis_index(size: int, trailing: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=None)
+def _factor_index(
+    k: int, size_a: int, after_a: int, size_b: int, after_b: int, size_c: int, after_c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows rel(x_a, x_b) and columns rel(x_a, x_c) of a factor's weights
+    in its table, broadcast along the state axes a, b and c of the given sizes
+    with the given numbers of axes after each."""
+    rel = group_table(k).rel
+    ia = _axis_index(size_a, after_a)
+    index = rel[ia, _axis_index(size_b, after_b)], rel[ia, _axis_index(size_c, after_c)]
+    for array in index:
+        array.setflags(write=False)  # cached arrays are shared by every caller
+    return index
+
+
 def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[int, ...] | None = None):
     """Contract a plan over dense factor tables.
 
@@ -404,15 +435,29 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
     a certified bound on every |entry| of the state, in Python ints: times the
     table's bound at each factor, times the number of terms at each sum or
     re-pin.  Only where that bound would reach _INT64_LIMIT is the state itself
-    measured (`_max_abs` before a factor, `_abs_sum` before a sum or re-pin);
-    if the measured bound reaches it too, the state and the tables switch to
-    object arrays of Python ints at that step, for the rest of the sweep.
+    measured (`_max_abs` before a factor, `_abs_sum` before a sum or re-pin).
+    If the measured bound reaches it too, the state splits at that step into
+    int64 limbs of `bits` bits on a new leading axis, worth
+    sum_j limb_j 2^(bits j), and every later operation runs on all limbs at
+    once.  The bound then holds for every limb, and `_carry` runs only where an
+    operation could take it to the limit.  `bits` leaves room for one product
+    by the widest table entry, or one sum of as many terms as the peak state
+    holds, after a carry.  Where that room leaves fewer than _MIN_LIMB_BITS
+    bits, the state and the tables switch to object arrays of Python ints
+    instead, and so they do once the value outgrows _MAX_LIMBS limbs
+    (_MAX_LIMBS_K2 at k = 2), for the rest of the sweep.  Each factor's
+    weights are gathered through `_factor_index`, cached per axis layout.
     """
     import numpy as np
 
     gt = group_table(k)
-    rel = gt.rel
-    bound = None  # the state's bound while it is in int64
+    # a factor's indices recur with the state's axes, so they are cached, but
+    # for k >= 5, whose (k!)^2 entries are built and not kept
+    factor_index = _factor_index if gt.order**2 <= _INDEX_CACHED else _factor_index.__wrapped__
+    bound = None  # a bound on every |entry| (in limbs, every |limb|) in int64
+    top = 0  # in limbs, a bound on every |top limb|
+    bits = None  # the limb width once the state has split into limbs
+    lead = 0  # the number of leading limb axes of the state, 0 or 1
     if bounds is None:
         ring = "float64"
     elif all(t.dtype == np.int64 for t in tables):
@@ -421,37 +466,66 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
         ring, tables = "object from the start", [t.astype(object, copy=False) for t in tables]
 
     def widen(factor, measure):
-        """Bound the state after an operation that grows it by `factor`,
-        leaving int64 if no bound below the limit is found."""
-        nonlocal bound, state, tables, ring
-        bound *= factor
-        if bound >= _INT64_LIMIT:
-            bound = measure()
-            if bound >= _INT64_LIMIT:
-                bound, ring = None, f"int64, switched to object at step {step}"
+        """Bound the state after an operation that grows it by `factor` where
+        its bound times `factor` reaches the limit: measure an int64 state,
+        split it into limbs or carry its limbs, or leave int64."""
+        nonlocal bound, top, bits, lead, state, tables, ring
+        if bits is None:
+            grown = measure()
+            if grown < _INT64_LIMIT:
+                bound = grown
+                return
+            # a sum or re-pin adds at most as many terms as the peak state holds
+            widest = max(*bounds, gt.order**plan.peak)
+            bits = min(_LIMB_BITS, 61 - widest.bit_length())
+            if bits < _MIN_LIMB_BITS:
+                bound, bits, ring = None, None, f"int64, switched to object at step {step}"
                 state = state.astype(object)
                 tables = [t.astype(object) for t in tables]
+                return
+            ring = f"int64, switched to {bits}-bit limbs at step {step}"
+            state, lead, top = state[None], 1, bound
+        state, bound, top = _carry(state, bits, bound, top, factor)
+        if len(state) > (_MAX_LIMBS_K2 if k == 2 else _MAX_LIMBS):
+            ring += f", to object at step {step}"
+            state = _join_limbs(state, bits)
+            bound, top, bits, lead = None, 0, None, 0
+            tables = [t.astype(object) for t in tables]
+            return
+        bound, top = bound * factor, top * factor
 
     state = np.ones((), dtype=tables[0].dtype)
     for step, ((factors, drops), (enters, repin)) in enumerate(zip(plan.steps, plan.pins)):
         state = np.repeat(state[..., None], 1 if enters else gt.order, axis=-1)
-        last = state.ndim - 1
+        shape = state.shape[lead:]  # the spin axes, which a split into limbs keeps
+        last = len(shape) - 1
         for a, b, c, tid in factors:
             if bound is not None:
-                widen(bounds[tid], lambda: _max_abs(state) * bounds[tid])
-            ia = _axis_index(state.shape[a], last - a)
-            ib = _axis_index(state.shape[b], last - b)
-            ic = _axis_index(state.shape[c], last - c)
-            np.multiply(state, tables[tid][rel[ia, ib], rel[ia, ic]], out=state)
+                if bound * bounds[tid] < _INT64_LIMIT:
+                    bound, top = bound * bounds[tid], top * bounds[tid]
+                else:
+                    widen(bounds[tid], lambda: _max_abs(state) * bounds[tid])
+            rows, cols = factor_index(k, shape[a], last - a, shape[b], last - b, shape[c], last - c)
+            np.multiply(state, tables[tid][rows, cols], out=state)
         if drops:  # summing out every axis returns a scalar, not a 0-d array
             if bound is not None:
-                widen(math.prod(state.shape[i] for i in drops), lambda: _abs_sum(state, drops))
-            state = np.asarray(state.sum(axis=drops), dtype=state.dtype)
+                terms = math.prod(shape[i] for i in drops)
+                if bound * terms < _INT64_LIMIT:
+                    bound, top = bound * terms, top * terms
+                else:
+                    widen(terms, lambda: _abs_sum(state, drops))
+            axes = tuple(lead + i for i in drops) if lead else drops
+            state = np.asarray(state.sum(axis=axes), dtype=state.dtype)
         if repin is not None:
             if bound is not None:  # each entry sums k! distinct entries
-                widen(gt.order, lambda: _abs_sum(state, tuple(range(state.ndim))))
-            state = _repin(state, repin, k)
+                if bound * gt.order < _INT64_LIMIT:
+                    bound, top = bound * gt.order, top * gt.order
+                else:
+                    widen(gt.order, lambda: _abs_sum(state, tuple(range(state.ndim))))
+            state = _repin(state, repin, k, lead)
 
+    if bits is not None:
+        ring += f" ({len(state)} limbs at the end)"
     # a record reaches a handler only where logging was configured, which
     # imports it; a process that never did skips the check and the import
     logging = sys.modules.get("logging")
@@ -462,8 +536,56 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
                 "sweep: %s order, %d steps, peak %d (%d states), ring %s",
                 plan.order, len(plan.steps), plan.peak, gt.order**plan.peak, ring,
             )
-    value = state[()] if bounds is None else int(state[()])
+    if bits is not None:
+        value = sum(limb << (bits * j) for j, limb in enumerate(state.tolist()))
+    else:
+        value = state[()] if bounds is None else int(state[()])
     return value * gt.order**plan.stretches
+
+
+def _carry(
+    state: np.ndarray, bits: int, bound: int, top: int, factor: int
+) -> tuple[np.ndarray, int, int]:
+    """Carry a stack of int64 limbs of `bits` bits, on the leading axis, so
+    that an operation that grows every |limb| by `factor` cannot reach
+    _INT64_LIMIT.  `bound` bounds every |limb| and `top` every |top limb|,
+    both below the limit; returns the stack and both bounds.
+
+    Each lower limb keeps its remainder mod 2^bits and passes the floor of the
+    rest up to the next: an int64 >> is a floor division and & a non-negative
+    remainder, so the value stays exact for signed limbs, and the top limb
+    carries the sign.  Only where the top limb's bound needs it is the top
+    limb measured, and it splits off a new limb while it passes 2^bits.
+    Every lower limb is then below 2^bits + 2^(62 - bits), and the top limb
+    below 2^bits unless its product with `factor` stays below the limit.
+    """
+    import numpy as np
+
+    mask = (1 << bits) - 1
+    low = 0  # the bound on every |limb| below the top one
+    if len(state) > 1:
+        high = state[:-1] >> bits
+        state[:-1] &= mask
+        state[1:] += high
+        carried = -(-bound >> bits)
+        low, top = mask + carried, top + carried  # a remainder and a carry in
+    if top * factor >= _INT64_LIMIT:
+        if len(state) > 1:  # a lone limb, the int64 state, splits unmeasured
+            top = _max_abs(state[-1])
+        while top > mask:
+            high = state[-1:] >> bits
+            state[-1] &= mask
+            state = np.concatenate((state, high))
+            low, top = max(low, mask), -(-top >> bits)
+    return state, max(low, top), top
+
+
+def _join_limbs(state: np.ndarray, bits: int) -> np.ndarray:
+    """The object array sum_j state[j] 2^(bits j) of Python ints."""
+    value = state[-1].astype(object)
+    for limb in state[-2::-1]:
+        value = (value << bits) + limb.astype(object)
+    return value
 
 
 def _max_abs(state: np.ndarray) -> int:
@@ -493,8 +615,9 @@ def _abs_sum(state: np.ndarray, axes: tuple[int, ...]) -> int:
     return math.ceil(peak * (1 + state.size * 2.0**-50))
 
 
-def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
-    """Pin axis `slot` of a state whose old pin was just summed out.
+def _repin(state: np.ndarray, slot: int, k: int, lead: int = 0) -> np.ndarray:
+    """Pin spin axis `slot` of a state whose old pin was just summed out; the
+    `lead` axes before the spin axes (limbs) are carried through.
 
     The state holds T(x) = F(id, x) of an invariant F(p, x) whose pinned spin
     p is summed out, so that the sum is G(x) = sum_p T(p^-1 x); G is kept at
@@ -504,15 +627,21 @@ def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
     import numpy as np
 
     order = group_table(k).order
-    flat = state.reshape(-1)
-    # small shapes recur, and a state of at most _REPIN_CACHED entries is one
-    # chunk, so its index is cached; a large state's are built and not kept
-    index = _repin_index if state.size <= _REPIN_CACHED else _repin_index.__wrapped__
+    head, spins = state.shape[:lead], state.shape[lead:]
+    flat = state.reshape(head + (-1,))
+    # small shapes recur, and a state of at most _INDEX_CACHED entries per limb
+    # is one chunk, so its index is cached; a large state's are built and not kept
+    index = _repin_index if flat.shape[-1] <= _INDEX_CACHED else _repin_index.__wrapped__
     chunk = max(1, _CHUNK * order // state.size)
-    out = np.zeros(state.size // order, dtype=state.dtype)
+    out = None
     for start in range(0, order, chunk):
-        out += flat[index(k, state.ndim, slot, start, min(start + chunk, order))].sum(axis=0)
-    return out.reshape(state.shape[:slot] + (1,) + state.shape[slot + 1 :])
+        rows = index(k, len(spins), slot, start, min(start + chunk, order))
+        part = np.add.reduce(flat[:, rows] if lead else flat[rows], axis=lead)
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out.reshape(head + spins[:slot] + (1,) + spins[slot + 1 :])
 
 
 @lru_cache(maxsize=None)

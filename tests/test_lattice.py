@@ -548,19 +548,20 @@ class TestPlanner:
             )
 
     def test_largest_state_is_k_factorial_to_the_peak(self, plans, monkeypatch):
-        """Each step's state has (k!)^live entries, the largest (k!)^peak; a
-        pinned spin enters with an axis of size 1, and a re-pin gathers no more
-        than the state it starts from."""
+        """Each step's state has (k!)^live entries per limb, the largest
+        (k!)^peak; a pinned spin enters with an axis of size 1, and a re-pin
+        gathers no more than the state it starts from."""
         entered, repinned = [], []
         repeat, repin = np.repeat, lattice._repin
 
         def recording(state, size, axis):
-            entered.append((size, state.size * size))
+            entered.append((size, state.shape[:-1] + (size,)))
             return repeat(state, size, axis=axis)
 
-        def recording_repin(state, slot, k):
-            out = repin(state, slot, k)
-            repinned.append((state.size, out.size))
+        def recording_repin(state, slot, k, lead=0):
+            out = repin(state, slot, k, lead)
+            limbs = math.prod(state.shape[:lead])
+            repinned.append((state.size // limbs, out.size // limbs))
             return out
 
         monkeypatch.setattr(np, "repeat", recording)
@@ -568,6 +569,7 @@ class TestPlanner:
         # q moves no state size
         shapes = {(n, t, bc, k) for n, t, k, _, bc in _criterion_06_grid()}
         shapes |= {(n, t, "periodic", 2) for n, t in ((8, 3), (10, 3), (12, 3), (12, 5))}
+        in_limbs = 0
         for n, t, bc, k in sorted(shapes):
             geom = build_geometry(n, 2, t, bc)
             order = math.factorial(k)
@@ -575,13 +577,18 @@ class TestPlanner:
                 del entered[:], repinned[:]
                 route(geom, k)
                 plan = plans[-1]
-                assert [size for _, size in entered] == [order**m for m in plan.live]
-                assert max(size for _, size in entered) == order**plan.peak
+                # the last alive[s] axes are spins; any axis before them, limbs
+                spins = [shape[-alive:] for (_, shape), alive in zip(entered, _alive(plan))]
+                in_limbs += any(len(shape) > len(s) for (_, shape), s in zip(entered, spins))
+                sizes = [math.prod(s) for s in spins]
+                assert sizes == [order**m for m in plan.live]
+                assert max(sizes) == order**plan.peak
                 assert [s for s, (size, _) in enumerate(entered) if size == 1] == [
                     s for s, (enters, _) in enumerate(plan.pins) if enters
                 ]
                 assert len(repinned) == sum(r is not None for _, r in plan.pins)
                 assert all(new * order == old <= order**plan.peak for old, new in repinned)
+        assert in_limbs  # the k=2 ring at n=12, t=5 splits into limbs
 
 
 def _dense_sweep(plan, tables, k):
@@ -674,8 +681,9 @@ def _ring_records(caplog):
 
 
 class TestIntegerRing:
-    """The exact sweep runs in int64 under a certified bound and switches to
-    Python ints at the operation where the bound cannot be kept."""
+    """The exact sweep runs in int64 under a certified bound and, from the
+    operation where the bound cannot be kept, in int64 limbs, or in Python ints
+    for tables too wide for limbs and values too long for them."""
 
     LIMIT = 1 << 62
 
@@ -751,13 +759,29 @@ class TestIntegerRing:
                 bound = lattice._abs_sum(state, axes)
                 assert type(bound) is int and exact <= bound <= exact * (1 + 1e-9) + 1
 
+    def test_carry_keeps_the_value_and_bounds_every_limb(self):
+        rng = np.random.default_rng(11)
+        for bits, limbs, top in itertools.product((31, 44), (1, 2, 4), (2**61, self.LIMIT - 1)):
+            state = rng.integers(-top, top, size=(limbs, 64), dtype=np.int64)
+            state[:, 0] = top - 1  # the largest remainders and carries
+            state[:, 1] = -top
+            bound = max(lattice._max_abs(limb) for limb in state)
+            value = [sum(int(x) << (bits * j) for j, x in enumerate(column)) for column in state.T]
+            out, new_bound, new_top = lattice._carry(state.copy(), bits, bound, top, 2)
+            assert [sum(int(x) << (bits * j) for j, x in enumerate(column)) for column in out.T] == value
+            assert len(out) > limbs  # the top limb splits off a new one
+            assert new_bound >= max(lattice._max_abs(limb) for limb in out) and new_bound * 2 < self.LIMIT
+            assert new_top >= lattice._max_abs(out[-1])
+            assert (out[:-1] >= 0).all() if limbs == 1 else (out[0] >= 0).all()
+
     @pytest.mark.parametrize(
         "n,q,t,bc,k,message",
         [
             (4, 2, 3, "open", 4, "6 steps, peak 4 (331776 states), ring int64 throughout"),
             # the ring switches mid-sweep
             (12, 2, 5, "periodic", 2,
-             "48 steps, peak 13 (8192 states), ring int64, switched to object at step 33"),
+             "48 steps, peak 13 (8192 states), ring int64, switched to 44-bit limbs at step 33 "
+             "(3 limbs at the end)"),
             (4, 10**10, 2, "open", 2, "3 steps, peak 2 (4 states), ring object from the start"),
         ],
     )
@@ -779,8 +803,11 @@ class TestIntegerRing:
         [
             # the three heaviest exact requests of the benchmark's grid
             (4, 2, 3, "open", 4, "int64 throughout"),
-            (12, 2, 5, "periodic", 2, "int64, switched to object at step 33"),
-            (12, 2, 4, "periodic", 2, "int64, switched to object at step 32"),
+            (12, 2, 5, "periodic", 2, "int64, switched to 44-bit limbs at step 33 (3 limbs at the end)"),
+            (12, 2, 4, "periodic", 2, "int64, switched to 44-bit limbs at step 32 (2 limbs at the end)"),
+            # the heavy shapes CI checks against the float backend
+            (16, 2, 4, "open", 3, "int64, switched to 44-bit limbs at step 21 (4 limbs at the end)"),
+            (8, 2, 3, "open", 4, "int64, switched to 42-bit limbs at step 8 (3 limbs at the end)"),
         ],
     )
     def test_heavy_shapes_equal_the_object_ring(self, monkeypatch, caplog, n, q, t, bc, k, ring):
@@ -800,3 +827,98 @@ class TestIntegerRing:
         assert type(value) is int and value == objects
         first, second = _ring_records(caplog)
         assert (first, second) == (ring, "object from the start")
+
+    @pytest.mark.parametrize(
+        "m,column,ring",
+        [
+            # signed 21-bit weights: a carry every step or two, and the top
+            # limb splits off a new limb every fourth carry
+            (12, [2**20 - 3, -(2**20), 5, -7, 2**19, 1],
+             "int64, switched to 40-bit limbs at step 3 (6 limbs at the end)"),
+            # one more spin and a negative weight sum: a negative value
+            (13, [-(2**20) + 3, -(2**20), 5, -7, 2**19, 1],
+             "int64, switched to 40-bit limbs at step 3 (7 limbs at the end)"),
+            # the widest table that still takes limbs leaves 31 bits a limb
+            (9, [2**30 - 1, -(2**30 - 1), 3, 1, -1, 0],
+             "int64, switched to 31-bit limbs at step 3 (9 limbs at the end)"),
+            # one bit wider, and the state switches to Python ints
+            (9, [2**30, -(2**30 - 1), 3, 1, -1, 0], "int64, switched to object at step 3"),
+            # at k=2 a value of more than 8 limbs switches to Python ints
+            (24, [2**20, -3],
+             "int64, switched to 40-bit limbs at step 4, to object at step 17"),
+        ],
+    )
+    def test_limbs_equal_dense_oracle(self, monkeypatch, caplog, m, column, ring):
+        """A cycle of m pair factors f(a^-1 b) over k=3 (or k=2) spins, swept
+        in limbs and compared with the unpinned sweep in Python ints."""
+        k = {2: 2, 6: 3}[len(column)]
+        factors = tuple((i, (i + 1) % m, i, 0) for i in range(m))
+        plan = lattice._planned(m, factors, (("given", tuple(range(m))),))
+        table, bound = lattice._exact_table(column)
+        assert table.dtype == np.int64
+
+        grown = []  # the limb count before and after each carry
+        carry = lattice._carry
+
+        def spy_carry(state, *args):
+            out = carry(state, *args)
+            grown.append((len(state), len(out[0])))
+            return out
+
+        monkeypatch.setattr(lattice, "_carry", spy_carry)
+        with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+            value = lattice._sweep(plan, [table[:, None]], k, (bound,))
+        assert type(value) is int and value == _dense_sweep(plan, [table[:, None]], k)
+        assert (value < 0) == (m == 13)
+        assert _ring_records(caplog) == [ring]
+        if "limbs" not in ring:
+            assert grown == []
+            return
+        # the width leaves room for one product by the widest entry, or one
+        # sum of as many terms as the peak state holds, after a carry
+        widest = max(bound, math.factorial(k) ** plan.peak)
+        assert f"{min(44, 61 - widest.bit_length())}-bit limbs" in ring
+        # the int64 state splits in two, later carries split the top limb
+        assert grown[0] == (1, 2) and len(grown) >= 5
+        assert all(after - before in (0, 1) for before, after in grown[1:])
+        if "limbs at the end" in ring:
+            assert f"({grown[-1][1]} limbs at the end)" in ring
+
+    @pytest.mark.parametrize(
+        "n,t,bc,k", [(12, 5, "periodic", 2), (16, 4, "open", 3), (8, 3, "open", 4)]
+    )
+    def test_limb_record_matches_the_sweep(self, monkeypatch, caplog, n, t, bc, k):
+        """The DEBUG record names the plan, the step that splits the state into
+        limbs, their width and how many the value needs at the end."""
+        sweep, carry, repeat = lattice._sweep, lattice._carry, np.repeat
+        swept, steps, carried = [], [], []
+
+        def spy_sweep(plan, tables, k, bounds=None):
+            swept.append((plan, bounds))
+            return sweep(plan, tables, k, bounds)
+
+        def spy_repeat(state, size, axis):  # one call per step
+            steps.append(state.shape)
+            return repeat(state, size, axis=axis)
+
+        def spy_carry(state, bits, *args):
+            out = carry(state, bits, *args)
+            carried.append((len(steps) - 1, bits, len(out[0])))
+            return out
+
+        monkeypatch.setattr(lattice, "_sweep", spy_sweep)
+        monkeypatch.setattr(lattice, "_carry", spy_carry)
+        monkeypatch.setattr(np, "repeat", spy_repeat)
+        with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+            frame_potential_transfer(build_geometry(n, 2, t, bc), k)
+        (plan, bounds), = swept
+        order = math.factorial(k)
+        (switch, bits, _), *_, (_, _, limbs) = carried
+        assert len(steps) == len(plan.steps)
+        widest = max(*bounds, order**plan.peak)
+        assert bits == min(44, 61 - widest.bit_length())
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sweep: {plan.order} order, {len(plan.steps)} steps, peak {plan.peak} "
+            f"({order**plan.peak} states), ring int64, switched to {bits}-bit limbs at step "
+            f"{switch} ({limbs} limbs at the end)"
+        ]
