@@ -20,43 +20,31 @@ which this module evaluates in two models, each the other's oracle:
 
 A route states only its model: variables, factors, candidate elimination
 orders and weight tables.  One path, :func:`_evaluate`, does the rest.  t = 0
-and t = 1 are degenerate (no lattice) and take closed forms; the t = 1 form
-(k!)^floor(n/2) is the lattice model's gate product, and for odd n the
-physical circuit would carry an extra q^(2k) from the idle qudit.  Otherwise
-:func:`_plan` picks the candidate order whose live state peaks lower:
-layer-major (a whole layer is live, which a short ring at long t favours) or
-column-major, a spatial transfer matrix that keeps about 2t - 1 spins live on
-an open chain whatever n is.  It plans each lattice shape once and checks the
-state budget on every call, before the tables at q are looked up; they are
-memoized per (k, q) and ring, exact ones as integers over a denominator D, and
-the swept value is divided by D^(number of gates).
+and t = 1 are degenerate (no lattice) and take closed forms (for odd n the
+physical t = 1 circuit would carry an extra q^(2k) from the idle qudit).
+Otherwise :func:`_plan` picks the candidate order whose live state peaks
+lower: layer-major (a whole layer is live, which a short ring at long t
+favours) or column-major, which keeps about 2t - 1 spins live on an open chain
+whatever n is.  Every weight depends on relative elements a^-1 x only, so the
+plan pins one live spin per connected stretch to the identity and re-pins it
+by one gather (:func:`_repin`): every state is k! smaller at its peak.
 
-Every weight depends on relative elements a^-1 x only, so every partial
-contraction is invariant under one left multiplication of all its spins (the
-global S_k symmetry).  The plan therefore pins one live spin to the identity
-throughout: the spin that starts a connected stretch is pinned, and when it is
-summed out the pin moves, by one gather G(id, y) = sum_s T(s^-1, s^-1 y), to
-the live spin summed out last, if the stretch reaches its peak again; each
-stretch is worth a factor k!.  Every state is k! smaller than the unpinned
-one at its peak (exact k=4 at n=8, t=3: 24^4 states instead of 24^5).
-:func:`_sweep` runs the schedule on dense numpy arrays, gathering every
-weight at relative elements a^-1 x from the ``rel`` table of
-:func:`rqclattice.perms.group_table`.  The float backend runs in float64.
-Exact results run in int64 for as long as a certified bound on every |entry|,
-carried in Python ints, stays below 2^62.  At the step where it cannot be
-kept, the state splits into int64 limbs on a leading axis, and every later
-gather, product, sum and re-pin runs on all limbs at once, with a carry only
-where a certified bound per limb says the next operation could reach 2^62.
-Tables too wide to leave room in a limb, and values too long for limbs to
-pay, switch to object arrays of Python ints instead, so every exact value is
-the same in any ring.  Each sweep logs its order, peak and ring (with the
-limb width, the step of the split and the limb count at the end) at DEBUG on
-the ``rqclattice.lattice`` logger.  The weights stay independent, so their
-exact equality on every in-budget geometry is the package's central oracle;
-:func:`_frame_potential_bruteforce` additionally checks both against raw
-enumeration on tiny instances, and the tests keep the unpinned sweep over the
-same steps as the pinned sweep's oracle.  numpy is imported on the first
-contraction, so the geometry runs without it.
+What depends on the brickwork shape alone is built once: one immutable
+layout per (n, t, bc), shared by :func:`build_geometry`; each route's model,
+memoized on that layout; each plan, per lattice shape; and its compiled
+:func:`_program` (every factor's gather index, the axes summed, the re-pins)
+per k and table widths.  A call checks the state budget, looks up the tables
+at q (memoized per (k, q) and ring; exact ones are integers over a
+denominator D, and the swept value is divided by D^(number of gates)) and
+runs :func:`_sweep` on dense numpy arrays: float64 for floats; for exact
+values int64 under a certified overflow bound, int64 limbs past it, and
+Python ints where limbs do not pay, so every exact value is the same in any
+ring.  The weights stay independent, so their exact equality on every
+in-budget geometry is the package's central oracle;
+:func:`_frame_potential_bruteforce` checks both against raw enumeration on
+tiny instances, and the tests keep the unpinned sweep as the pinned one's
+oracle.  numpy is imported on the first contraction, so the geometry runs
+without it.
 """
 
 from __future__ import annotations
@@ -65,7 +53,8 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,6 +83,17 @@ class Gate:
     qudits: tuple[int, int]
 
 
+class _Layout:
+    """The gates and legs of one brickwork shape (n, t, bc), shared by every
+    geometry built for it, with each route's model of it, memoized on first
+    use.  A plain class: a dataclass would cost a cold import about 1 ms."""
+
+    __slots__ = ("layers", "gates", "legs", "models")
+
+    def __init__(self, layers: tuple, gates: tuple, legs: tuple):
+        self.layers, self.gates, self.legs, self.models = layers, gates, legs, {}
+
+
 @dataclass
 class CircuitGeometry:
     """Brickwork layer structure with the full output-leg connectivity.
@@ -104,30 +104,27 @@ class CircuitGeometry:
     open boundaries).  `legs` maps every gate output leg to the gate that
     consumes it, wrapping the final layer back to the first (time periodicity):
     legs[2g] and legs[2g + 1] are the two output legs of gate g, in the order
-    of its qudits.
+    of its qudits.  `build_geometry` shares the tuples of one `layout` among
+    all geometries of a shape; a geometry built by hand has no `layout`.
     """
 
     n: int
     q: int
     t: int
     spatial_bc: str
-    layers: list[list[Gate]]
-    gates: list[Gate]
-    legs: list[tuple[int, int, int]]  # (source gid, qudit, consumer gid)
+    layers: Sequence[Sequence[Gate]]
+    gates: Sequence[Gate]
+    legs: Sequence[tuple[int, int, int]]  # (source gid, qudit, consumer gid)
+    layout: _Layout | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_gates(self) -> int:
         return len(self.gates)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "t": self.t,
-            "spatial_bc": self.spatial_bc,
-            "layers": [[list(g.qudits) for g in layer] for layer in self.layers],
-            "legs": [list(leg) for leg in self.legs],
-        }
+        layers = [[list(g.qudits) for g in layer] for layer in self.layers]
+        return {"n": self.n, "q": self.q, "t": self.t, "spatial_bc": self.spatial_bc,
+                "layers": layers, "legs": [list(leg) for leg in self.legs]}
 
 
 def _layer_pairs(n: int, layer_index: int, spatial_bc: str) -> list[tuple[int, int]]:
@@ -153,20 +150,23 @@ def _check_instance(n: int, q: int, t: int, spatial_bc: str) -> None:
 def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitGeometry:
     """Brickwork lattice geometry for the time-t frame potential (depth 2(t-1))."""
     _check_instance(n, q, t, spatial_bc)
+    layout = _layout(n, t, spatial_bc)
+    return CircuitGeometry(n, q, t, spatial_bc, layout.layers, layout.gates, layout.legs, layout)
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int, t: int, spatial_bc: str) -> _Layout:
+    """The gates, layer by layer, and the legs of one checked brickwork shape."""
     depth = 2 * (t - 1) if t >= 1 else 0
-    layers: list[list[Gate]] = []
-    gates: list[Gate] = []
+    layers, gates = [], []
     for ell in range(depth):
-        layer = []
-        for pair in _layer_pairs(n, ell, spatial_bc):
-            gate = Gate(gid=len(gates), layer=ell, qudits=pair)
-            gates.append(gate)
-            layer.append(gate)
-        layers.append(layer)
+        pairs = _layer_pairs(n, ell, spatial_bc)
+        layers.append(tuple(Gate(len(gates) + i, ell, pair) for i, pair in enumerate(pairs)))
+        gates += layers[-1]
 
     # owner[ell][u]: the gate of layer ell acting on qudit u
     owner = [{u: g for g in layer for u in g.qudits} for layer in layers]
-    legs: list[tuple[int, int, int]] = []
+    legs = []
     for g in gates:
         for u in g.qudits:
             consumer = None
@@ -176,16 +176,19 @@ def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitG
                     break
             assert consumer is not None, f"qudit {u} has no consuming gate"
             legs.append((g.gid, u, consumer.gid))
+    return _Layout(tuple(layers), tuple(gates), tuple(legs))
 
-    return CircuitGeometry(
-        n=n,
-        q=q,
-        t=t,
-        spatial_bc=spatial_bc,
-        layers=layers,
-        gates=gates,
-        legs=legs,
-    )
+
+def _model(geom: CircuitGeometry, build) -> tuple:
+    """A route's model `build(geom)`, memoized on the geometry's shared layout;
+    a geometry built by hand, or whose fields no longer hold its layout's, is
+    modelled on every call."""
+    layout = geom.layout
+    if layout is None or (geom.layers, geom.gates, geom.legs) != (layout.layers, layout.gates, layout.legs):
+        return build(geom)
+    if build not in layout.models:
+        layout.models[build] = build(geom)
+    return layout.models[build]
 
 
 @dataclass
@@ -234,8 +237,8 @@ _Factor = tuple[int, int, int, int]
 
 # Largest number of state entries one chunk of a re-pin gather or of a
 # measured bound holds at once, and the largest index array that is cached: a
-# re-pin's, of one entry per state entry (per limb), or a factor's, of at most
-# (k!)^2 entries.
+# re-pin's, of one entry per state entry (per limb); a compiled program is kept
+# where (k!)^2 is at most this, that is for k <= 4.
 _CHUNK = 1 << 16
 _INDEX_CACHED = 1 << 12
 
@@ -268,6 +271,7 @@ class _Plan:
     names the candidate elimination order the variables were relabelled by.
     live[s] counts the state axes at step s other than the pinned one, so that
     state holds (k!)^live[s] entries; `peak` is the largest of them.
+    `programs` keeps the plan's `_program` per k and table widths.
     """
 
     steps: tuple[tuple[tuple[_Factor, ...], tuple[int, ...]], ...]
@@ -276,14 +280,12 @@ class _Plan:
     order: str
     live: tuple[int, ...]
     peak: int
+    programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _plan(
-    n_vars: int,
-    factors: list[_Factor],
-    candidates: dict[str, list[int]],
-    group_order: int,
-    budget: int,
+    n_vars: int, factors: Sequence[_Factor], candidates: dict[str, Sequence[int]],
+    group_order: int, budget: int,
 ) -> _Plan:
     """Schedule a contraction over variables 0..n_vars-1 in the candidate
     order of least pinned peak, and check the state budget.
@@ -294,12 +296,9 @@ def _plan(
     the scopes alone, not on q, k or the number ring, so it is memoized per
     lattice shape; the budget needs only the memoized peak and k!, so both
     routes plan, and every call is checked, before any weight table is built.
+    A memoized model passes tuples, which are hashed but not copied.
     """
-    plan = _planned(
-        n_vars,
-        tuple(factors),
-        tuple((name, tuple(order)) for name, order in candidates.items()),
-    )
+    plan = _planned(n_vars, tuple(factors), tuple((name, tuple(order)) for name, order in candidates.items()))
     if group_order**plan.peak > budget:
         s = next(s for s, m in enumerate(plan.live) if group_order**m > budget)
         raise BudgetExceededError(
@@ -409,51 +408,67 @@ def _axis_index(size: int, trailing: int) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=None)
-def _factor_index(
-    k: int, size_a: int, after_a: int, size_b: int, after_b: int, size_c: int, after_c: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows rel(x_a, x_b) and columns rel(x_a, x_c) of a factor's weights
-    in its table, broadcast along the state axes a, b and c of the given sizes
-    with the given numbers of axes after each."""
+def _program(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The plan's steps compiled for S_k and tables of the given widths, kept
+    on the plan for k <= 4; for k >= 5, whose indices hold up to (k!)^3
+    entries, built on every call and not kept.  Each step is (shape, gathers,
+    drops, terms, repin): the spin axes' shape once the entering axis, the
+    last (of size 1 if pinned), is in; each factor's table id and flat weight
+    index rel(x_a, x_b) * width + rel(x_a, x_c), broadcast along those axes;
+    the axes summed out, with the terms of each sum; and the re-pinned slot."""
+    program = plan.programs.get((k, widths))
+    if program is not None:
+        return program
     rel = group_table(k).rel
-    ia = _axis_index(size_a, after_a)
-    index = rel[ia, _axis_index(size_b, after_b)], rel[ia, _axis_index(size_c, after_c)]
-    for array in index:
-        array.setflags(write=False)  # cached arrays are shared by every caller
-    return index
+    indices = {}  # one index per axis layout and width, shared by its factors
+    program, shape = [], ()
+    for (factors, drops), (enters, repin) in zip(plan.steps, plan.pins):
+        shape += (1 if enters else len(rel),)
+        last = len(shape) - 1
+        gathers = []
+        for a, b, c, tid in factors:
+            key = (widths[tid],) + tuple((shape[x], last - x) for x in (a, b, c))
+            if key not in indices:
+                ia, ib, ic = (_axis_index(*axis) for axis in key[1:])
+                indices[key] = rel[ia, ib] * widths[tid] + rel[ia, ic]
+                indices[key].setflags(write=False)
+            gathers.append((tid, indices[key]))
+        terms = math.prod(shape[i] for i in drops)
+        program.append((shape, tuple(gathers), drops, terms, repin))
+        shape = tuple(size for i, size in enumerate(shape) if i not in drops)
+        if repin is not None:
+            shape = shape[:repin] + (1,) + shape[repin + 1 :]
+    program = tuple(program)
+    if len(rel) ** 2 <= _INDEX_CACHED:
+        plan.programs[(k, widths)] = program
+    return program
 
 
 def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[int, ...] | None = None):
-    """Contract a plan over dense factor tables.
+    """Contract a plan over dense factor tables by running its `_program`.
 
     The state has one axis per live variable; the pinned variable's axis has
     size 1, its one value being the identity (index 0).  float64 tables
     (`bounds` None) give a float.  Integer tables, int64 or object, with
     bounds[i] the largest |entry| of tables[i], give the exact integer as a
-    Python int.  That ring starts in int64 if every table is int64 and carries
-    a certified bound on every |entry| of the state, in Python ints: times the
-    table's bound at each factor, times the number of terms at each sum or
-    re-pin.  Only where that bound would reach _INT64_LIMIT is the state itself
-    measured (`_max_abs` before a factor, `_abs_sum` before a sum or re-pin).
-    If the measured bound reaches it too, the state splits at that step into
-    int64 limbs of `bits` bits on a new leading axis, worth
-    sum_j limb_j 2^(bits j), and every later operation runs on all limbs at
-    once.  The bound then holds for every limb, and `_carry` runs only where an
-    operation could take it to the limit.  `bits` leaves room for one product
-    by the widest table entry, or one sum of as many terms as the peak state
-    holds, after a carry.  Where that room leaves fewer than _MIN_LIMB_BITS
-    bits, the state and the tables switch to object arrays of Python ints
-    instead, and so they do once the value outgrows _MAX_LIMBS limbs
-    (_MAX_LIMBS_K2 at k = 2), for the rest of the sweep.  Each factor's
-    weights are gathered through `_factor_index`, cached per axis layout.
+    Python int: in int64 while a certified bound on every |entry|, carried in
+    Python ints (times the table's bound at each factor, the number of terms
+    at each sum or re-pin), stays below _INT64_LIMIT.  Only where it would not
+    is the state measured (`_max_abs` before a factor, `_abs_sum` before a sum
+    or re-pin).  If that fails too, the state splits into int64 limbs of
+    `bits` bits on a new leading axis, worth sum_j limb_j 2^(bits j), and
+    `_carry` runs where the bound per limb needs it; `bits` leaves room for
+    one product by the widest entry, or one sum as large as the peak state,
+    after a carry.  Below _MIN_LIMB_BITS bits, or past _MAX_LIMBS limbs
+    (_MAX_LIMBS_K2 at k = 2), state and tables switch to object arrays of
+    Python ints for the rest of the sweep.  The DEBUG record names the ring,
+    the limb width, the step of each switch and the limb count at the end.
     """
     import numpy as np
 
     gt = group_table(k)
-    # a factor's indices recur with the state's axes, so they are cached, but
-    # for k >= 5, whose (k!)^2 entries are built and not kept
-    factor_index = _factor_index if gt.order**2 <= _INDEX_CACHED else _factor_index.__wrapped__
+    program = _program(plan, k, tuple(t.shape[1] for t in tables))
+    tables = [t.ravel() for t in tables]
     bound = None  # a bound on every |entry| (in limbs, every |limb|) in int64
     top = 0  # in limbs, a bound on every |top limb|
     bits = None  # the limb width once the state has split into limbs
@@ -494,28 +509,25 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
             return
         bound, top = bound * factor, top * factor
 
-    state = np.ones((), dtype=tables[0].dtype)
-    for step, ((factors, drops), (enters, repin)) in enumerate(zip(plan.steps, plan.pins)):
-        state = np.repeat(state[..., None], 1 if enters else gt.order, axis=-1)
-        shape = state.shape[lead:]  # the spin axes, which a split into limbs keeps
-        last = len(shape) - 1
-        for a, b, c, tid in factors:
+    state = np.array(1, dtype=tables[0].dtype)
+    for step, (shape, gathers, drops, terms, repin) in enumerate(program):
+        # a pinned axis enters as a view: the state it widens is not used again
+        state = state[..., None] if shape[-1] == 1 else state[..., None].repeat(shape[-1], -1)
+        for tid, index in gathers:
             if bound is not None:
                 if bound * bounds[tid] < _INT64_LIMIT:
                     bound, top = bound * bounds[tid], top * bounds[tid]
                 else:
                     widen(bounds[tid], lambda: _max_abs(state) * bounds[tid])
-            rows, cols = factor_index(k, shape[a], last - a, shape[b], last - b, shape[c], last - c)
-            np.multiply(state, tables[tid][rows, cols], out=state)
+            np.multiply(state, tables[tid][index], out=state)
         if drops:  # summing out every axis returns a scalar, not a 0-d array
             if bound is not None:
-                terms = math.prod(shape[i] for i in drops)
                 if bound * terms < _INT64_LIMIT:
                     bound, top = bound * terms, top * terms
                 else:
                     widen(terms, lambda: _abs_sum(state, drops))
-            axes = tuple(lead + i for i in drops) if lead else drops
-            state = np.asarray(state.sum(axis=axes), dtype=state.dtype)
+            summed = np.add.reduce(state, axis=tuple(lead + i for i in drops) if lead else drops)
+            state = summed if type(summed) is np.ndarray else np.asarray(summed, dtype=state.dtype)
         if repin is not None:
             if bound is not None:  # each entry sums k! distinct entries
                 if bound * gt.order < _INT64_LIMIT:
@@ -670,32 +682,24 @@ def _exact_table(ints: list[int]) -> tuple[np.ndarray, int]:
 
 
 def _evaluate(
-    geom: CircuitGeometry, k: int, method: str, backend: str, n_vars: int,
-    factors: list[_Factor], candidates: dict[str, list[int]], tables, state_budget: int | None,
+    geom: CircuitGeometry, k: int, method: str, backend: str, model, tables, state_budget: int | None,
 ) -> FramePotentialResult:
-    """The frame potential of one route's model on `geom`, in `backend`'s ring:
-    `factors` over variables 0..n_vars-1, the `candidates` orders of `_plan`
-    and `tables(k, q)`, the memoized (tables, D, bounds) of its weights at q
-    for `_sweep`, over a common denominator D (1 for float).  The budget, given
-    or the ring's default, is checked before any table is looked up."""
+    """The frame potential of one route on `geom`, in `backend`'s ring: the
+    route's `model(geom)`, (n_vars, factors, candidates) for `_plan`, and
+    `tables(k, q)`, the memoized (tables, D, bounds) of its weights at q for
+    `_sweep` over a denominator D (1 for float).  The budget, given or the
+    ring's default, is checked before any table is looked up."""
     if geom.t <= 1:
         method, value, denom = "special", frame_potential_special(geom.n, geom.q, geom.t, k), 1
     else:
         default = DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
         budget = _state_budget(default) if state_budget is None else state_budget
-        plan = _plan(n_vars, factors, candidates, math.factorial(k), budget)
+        plan = _plan(*_model(geom, model), math.factorial(k), budget)
         weights, denom, bounds = tables(k, geom.q)
         value = _sweep(plan, weights, k, bounds)
+    value = Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value)
     return FramePotentialResult(
-        value=Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value),
-        k=k,
-        n=geom.n,
-        q=geom.q,
-        t=geom.t,
-        spatial_bc=geom.spatial_bc,
-        method=method,
-        backend=backend,
-        gauge_fixed=method != "special",
+        value, k, geom.n, geom.q, geom.t, geom.spatial_bc, method, backend, gauge_fixed=method != "special"
     )
 
 
@@ -722,10 +726,7 @@ def _gram_tables(k: int, q: int) -> tuple[tuple[np.ndarray, ...], int, tuple[int
 
 
 def frame_potential_direct(
-    geom: CircuitGeometry,
-    k: int,
-    gauge_fix: bool = False,
-    state_budget: int | None = None,
+    geom: CircuitGeometry, k: int, gauge_fix: bool = False, state_budget: int | None = None
 ) -> FramePotentialResult:
     """Exact frame potential from the hexagonal model.
 
@@ -742,19 +743,19 @@ def frame_potential_direct(
     d = geom.q * geom.q
     if geom.t > 1 and d < k:
         raise PoleError(f"Weingarten function has a pole at d = q^2 = {d} for k={k}")
-    # variables sigma_g -> 2g, tau_g -> 2g + 1; table 0: Wg(sigma_g^-1 tau_g) per
-    # gate; table 1: q^ell(tau_g^-1 sigma_h) per leg
-    factors = [(2 * g, 2 * g + 1, 2 * g, 0) for g in range(geom.n_gates)]
-    factors += [(2 * src + 1, 2 * dst, 2 * src + 1, 1) for src, _, dst in geom.legs]
-    # layer-major takes a layer's sigmas, then its taus; column-major each
-    # gate's pair in turn
-    layer_major = [
-        2 * g.gid + side for layer in geom.layers for side in (0, 1) for g in layer
-    ]
-    column_major = [2 * g.gid + side for g in _column_major(geom) for side in (0, 1)]
-    candidates = {"layer-major": layer_major, "column-major": column_major}
-    return _evaluate(geom, k, "direct", "exact", 2 * geom.n_gates, factors, candidates,
-                     _gram_tables, state_budget)
+    return _evaluate(geom, k, "direct", "exact", _direct_model, _gram_tables, state_budget)
+
+
+def _direct_model(geom: CircuitGeometry) -> tuple[int, tuple[_Factor, ...], dict]:
+    """Variables sigma_g -> 2g, tau_g -> 2g + 1; table 0: Wg(sigma_g^-1 tau_g)
+    per gate; table 1: q^ell(tau_g^-1 sigma_h) per leg.  Layer-major takes a
+    layer's sigmas, then its taus; column-major each gate's pair in turn."""
+    gates = tuple((2 * g, 2 * g + 1, 2 * g, 0) for g in range(geom.n_gates))
+    legs = tuple((2 * src + 1, 2 * dst, 2 * src + 1, 1) for src, _, dst in geom.legs)
+    return 2 * geom.n_gates, gates + legs, {
+        "layer-major": tuple(2 * g.gid + side for layer in geom.layers for side in (0, 1) for g in layer),
+        "column-major": tuple(2 * g.gid + side for g in _column_major(geom) for side in (0, 1)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +785,7 @@ def _plaquette_table(k: int, q: int, backend: str) -> tuple[tuple[np.ndarray], i
 
 
 def frame_potential_transfer(
-    geom: CircuitGeometry,
-    k: int,
-    backend: str = "exact",
-    gauge_fix: bool = False,
+    geom: CircuitGeometry, k: int, backend: str = "exact", gauge_fix: bool = False,
     state_budget: int | None = None,
 ) -> FramePotentialResult:
     """Frame potential from the triangular plaquette model.
@@ -806,18 +804,20 @@ def frame_potential_transfer(
     check_moment(k)
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
-    # gate g's spin is variable g, one plaquette per gate over the consumers
-    # of its two output legs
-    legs = geom.legs
-    factors = [(g, legs[2 * g][2], legs[2 * g + 1][2], 0) for g in range(geom.n_gates)]
-    candidates = {
-        "layer-major": [g.gid for layer in geom.layers for g in layer],
-        "column-major": [g.gid for g in _column_major(geom)],
-    }
     return _evaluate(
-        geom, k, "transfer", backend, geom.n_gates, factors, candidates,
+        geom, k, "transfer", backend, _transfer_model,
         lambda k, q: _plaquette_table(k, q, backend), state_budget,
     )
+
+
+def _transfer_model(geom: CircuitGeometry) -> tuple[int, tuple[_Factor, ...], dict]:
+    """Gate g's spin is variable g, with one plaquette per gate over the
+    consumers of its two output legs."""
+    legs = geom.legs
+    return geom.n_gates, tuple((g, legs[2 * g][2], legs[2 * g + 1][2], 0) for g in range(geom.n_gates)), {
+        "layer-major": tuple(g.gid for layer in geom.layers for g in layer),
+        "column-major": tuple(g.gid for g in _column_major(geom)),
+    }
 
 
 # ---------------------------------------------------------------------------

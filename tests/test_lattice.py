@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ import rqclattice.lattice as lattice
 from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError, PoleError
 from rqclattice.lattice import (
+    CircuitGeometry,
     _plan,
     build_geometry,
     frame_potential_direct,
@@ -91,6 +93,16 @@ class TestGeometry:
         blob = json.loads(json.dumps(g.to_json_dict()))
         assert blob["layers"] == [[[1, 2], [3, 4]], [[2, 3], [4, 5]]]
         assert blob["q"] == 3
+
+    def test_shapes_share_one_immutable_layout(self):
+        a, b = build_geometry(6, 2, 3, "periodic"), build_geometry(6, 3, 3, "periodic")
+        assert a.layout is b.layout and (a.q, b.q) == (2, 3)
+        for name in ("layers", "gates", "legs"):
+            assert getattr(a, name) is getattr(b, name) is getattr(a.layout, name)
+            assert type(getattr(a, name)) is tuple
+        assert all(type(layer) is tuple for layer in a.layers)
+        assert all(type(leg) is tuple for leg in a.legs)
+        assert build_geometry(6, 2, 3, "open").layout is not a.layout
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -543,20 +555,46 @@ class TestPlanner:
 
         monkeypatch.setattr(lattice, "_plan", layer_major_only)
         for (route, geom, k), value in zip(cases, got):
+            # the models and plans are warm, and the patch still decides
             assert route(geom, k).value == value, (
                 route.__name__, geom.n, geom.t, k, geom.q, geom.spatial_bc
             )
+            assert plans[-1].order == "layer-major"
+
+    def test_hand_built_geometry_gets_its_own_plan_and_value(self, plans):
+        """A geometry built by hand, or whose layout fields were replaced, is
+        modelled from its own legs, not from the memo of its (n, t, bc)."""
+        chain, ring = build_geometry(6, 2, 3, "open"), build_geometry(6, 2, 3, "periodic")
+        hand = CircuitGeometry(
+            6, 2, 3, "open", [list(layer) for layer in ring.layers], list(ring.gates), list(ring.legs)
+        )
+        replaced = dataclasses.replace(chain, layers=ring.layers, gates=ring.gates, legs=ring.legs)
+        assert hand.layout is None and replaced.layout is chain.layout
+        for route in (frame_potential_direct, frame_potential_transfer):
+            expected = route(ring, 2).value
+            ring_plan = plans[-1]
+            assert route(chain, 2).value != expected  # the chain's model is warm
+            chain_plan = plans[-1]
+            for geom in (hand, replaced, hand):
+                assert geom.spatial_bc == "open"
+                assert route(geom, 2).value == expected
+                assert plans[-1] is ring_plan and plans[-1] != chain_plan
 
     def test_largest_state_is_k_factorial_to_the_peak(self, plans, monkeypatch):
         """Each step's state has (k!)^live entries per limb, the largest
         (k!)^peak; a pinned spin enters with an axis of size 1, and a re-pin
         gathers no more than the state it starts from."""
-        entered, repinned = [], []
-        repeat, repin = np.repeat, lattice._repin
+        entered, repinned, carried = [], [], []
+        program, repin, carry = lattice._program, lattice._repin, lattice._carry
 
-        def recording(state, size, axis):
-            entered.append((size, state.shape[:-1] + (size,)))
-            return repeat(state, size, axis=axis)
+        def recording(plan, k, widths):  # each step as the sweep runs it
+            for step in program(plan, k, widths):
+                shape, gathers, *_ = step
+                entered.append((shape[-1], shape))
+                # every factor's weights span the step's spin axes at most
+                for _, index in gathers:
+                    assert np.broadcast_shapes(index.shape, shape) == shape
+                yield step
 
         def recording_repin(state, slot, k, lead=0):
             out = repin(state, slot, k, lead)
@@ -564,8 +602,13 @@ class TestPlanner:
             repinned.append((state.size // limbs, out.size // limbs))
             return out
 
-        monkeypatch.setattr(np, "repeat", recording)
+        def recording_carry(state, *args):
+            carried.append(len(state))
+            return carry(state, *args)
+
+        monkeypatch.setattr(lattice, "_program", recording)
         monkeypatch.setattr(lattice, "_repin", recording_repin)
+        monkeypatch.setattr(lattice, "_carry", recording_carry)
         # q moves no state size
         shapes = {(n, t, bc, k) for n, t, k, _, bc in _criterion_06_grid()}
         shapes |= {(n, t, "periodic", 2) for n, t in ((8, 3), (10, 3), (12, 3), (12, 5))}
@@ -574,13 +617,14 @@ class TestPlanner:
             geom = build_geometry(n, 2, t, bc)
             order = math.factorial(k)
             for route in (frame_potential_direct, frame_potential_transfer):
-                del entered[:], repinned[:]
+                del entered[:], repinned[:], carried[:]
                 route(geom, k)
                 plan = plans[-1]
-                # the last alive[s] axes are spins; any axis before them, limbs
-                spins = [shape[-alive:] for (_, shape), alive in zip(entered, _alive(plan))]
-                in_limbs += any(len(shape) > len(s) for (_, shape), s in zip(entered, spins))
-                sizes = [math.prod(s) for s in spins]
+                # the program's shapes are the spin axes, alive[s] of them;
+                # limbs, where the state splits, sit on an axis before them
+                assert [len(shape) for _, shape in entered] == _alive(plan)
+                in_limbs += bool(carried)
+                sizes = [math.prod(shape) for _, shape in entered]
                 assert sizes == [order**m for m in plan.live]
                 assert max(sizes) == order**plan.peak
                 assert [s for s, (size, _) in enumerate(entered) if size == 1] == [
@@ -589,6 +633,43 @@ class TestPlanner:
                 assert len(repinned) == sum(r is not None for _, r in plan.pins)
                 assert all(new * order == old <= order**plan.peak for old, new in repinned)
         assert in_limbs  # the k=2 ring at n=12, t=5 splits into limbs
+
+
+class TestCompiledShapes:
+    """Layouts, route models and sweep programs are built once per shape and
+    kept; a cold call gives what a warm one gives."""
+
+    @staticmethod
+    def clear_caches():
+        """Clear every cache the lattice module keeps: layouts with their
+        models, plans with their programs, indices and tables at q."""
+        for obj in vars(lattice).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == lattice.__name__:
+                obj.cache_clear()
+
+    def test_cold_and_warm_calls_agree(self, caplog):
+        """Criterion 06 grid on both routes and rings, and two shapes of the
+        benchmark's grid whose exact sweeps split into int64 limbs."""
+        runs = [
+            (frame_potential_direct, {}),
+            (frame_potential_transfer, {}),
+            (frame_potential_transfer, {"backend": "float"}),
+        ]
+        cases = [((n, q, t, bc), k, run) for n, t, k, q, bc in _criterion_06_grid() for run in runs]
+        cases += [((12, 2, t, "periodic"), 2, run) for t in (4, 5) for run in runs[1:]]
+        rings = set()
+        for shape, k, (route, kwargs) in cases:
+            self.clear_caches()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+                values = [route(build_geometry(*shape), k, **kwargs).value for _ in range(3)]
+            cold, *warm = values
+            assert type(cold) is (float if kwargs else Fraction)
+            assert warm == [cold, cold], (route.__name__, shape, k, kwargs)
+            first, *again = _ring_records(caplog)
+            assert again == [first, first]
+            rings.add("int64 limbs" if "limbs" in first else first)
+        assert rings == {"float64", "int64 throughout", "int64 limbs"}
 
 
 def _dense_sweep(plan, tables, k):
@@ -890,16 +971,17 @@ class TestIntegerRing:
     def test_limb_record_matches_the_sweep(self, monkeypatch, caplog, n, t, bc, k):
         """The DEBUG record names the plan, the step that splits the state into
         limbs, their width and how many the value needs at the end."""
-        sweep, carry, repeat = lattice._sweep, lattice._carry, np.repeat
+        sweep, carry, program = lattice._sweep, lattice._carry, lattice._program
         swept, steps, carried = [], [], []
 
         def spy_sweep(plan, tables, k, bounds=None):
             swept.append((plan, bounds))
             return sweep(plan, tables, k, bounds)
 
-        def spy_repeat(state, size, axis):  # one call per step
-            steps.append(state.shape)
-            return repeat(state, size, axis=axis)
+        def spy_program(plan, k, widths):  # each step as the sweep runs it
+            for step in program(plan, k, widths):
+                steps.append(step[0])  # the spin axes' shape
+                yield step
 
         def spy_carry(state, bits, *args):
             out = carry(state, bits, *args)
@@ -908,7 +990,7 @@ class TestIntegerRing:
 
         monkeypatch.setattr(lattice, "_sweep", spy_sweep)
         monkeypatch.setattr(lattice, "_carry", spy_carry)
-        monkeypatch.setattr(np, "repeat", spy_repeat)
+        monkeypatch.setattr(lattice, "_program", spy_program)
         with caplog.at_level(logging.DEBUG, logger="rqclattice"):
             frame_potential_transfer(build_geometry(n, 2, t, bc), k)
         (plan, bounds), = swept
