@@ -248,14 +248,21 @@ def fp_k_leading(n: int, q: int, t: int, k: int) -> float:
     return math.factorial(k) * (1.0 + sector)
 
 
-def epsilon_from_fp(F: float, k: int, n: int, q: int) -> float:
-    """Diamond-norm bound epsilon = d^k sqrt(F - k!) with d = q^n, in log domain."""
+def epsilon_from_fp(F: Fraction | float, k: int, n: int, q: int) -> float:
+    """Diamond-norm bound epsilon = d^k sqrt(F - k!) with d = q^n, in log domain.
+
+    log(F - k!) is taken from the numerator and denominator of the exact
+    excess (a float F converts exactly), so an excess below double
+    resolution still counts.
+    """
     haar = math.factorial(k)
     if F < haar:
         raise ValueError(f"F = {F} below the Haar floor {haar}")
     if F == haar:
         return 0.0
-    log_eps = k * n * math.log(q) + 0.5 * math.log(F - haar)
+    excess = Fraction(F) - haar
+    log_excess = math.log(excess.numerator) - math.log(excess.denominator)
+    log_eps = k * n * math.log(q) + 0.5 * log_excess
     try:
         return math.exp(log_eps)
     except OverflowError:

@@ -29,22 +29,23 @@ whatever n is.  Every weight depends on relative elements a^-1 x only, so the
 plan pins one live spin per connected stretch to the identity and re-pins it
 by one gather (:func:`_repin`): every state is k! smaller at its peak.
 
-What depends on the brickwork shape alone is built once: one immutable
-layout per (n, t, bc), shared by :func:`build_geometry`; each route's model,
-memoized on that layout; each plan, per lattice shape; and its compiled
-:func:`_program` (every factor's gather index, the axes summed, the re-pins)
-per k and table widths.  A call checks the state budget, looks up the tables
-at q (memoized per (k, q) and ring; exact ones are integers over a
-denominator D, and the swept value is divided by D^(number of gates)) and
-runs :func:`_sweep` on dense numpy arrays: float64 for floats; for exact
-values int64 under a certified overflow bound, int64 limbs past it, and
-Python ints where limbs do not pay, so every exact value is the same in any
-ring.  The weights stay independent, so their exact equality on every
-in-budget geometry is the package's central oracle;
-:func:`_frame_potential_bruteforce` checks both against raw enumeration on
-tiny instances, and the tests keep the unpinned sweep as the pinned one's
-oracle.  numpy is imported on the first contraction, so the geometry runs
-without it.
+What depends on the brickwork shape alone is built once.  A
+:class:`CircuitGeometry` is its checked shape, and its gates and legs are one
+immutable layout per (n, t, bc).  Each route's plan is memoized per (route
+model, n, t, bc), so geometries that differ only in q share it, and is
+compiled per k and table widths into a :func:`_program` (every factor's gather
+index, shared by all shapes, the axes summed, the re-pins), kept for k <= 4.
+A call checks the state budget, looks up the tables at q (memoized per (k, q)
+and ring; exact ones are integers over a denominator D, and the swept value
+is divided by D^(number of gates)) and runs :func:`_sweep` on dense numpy
+arrays: float64 for floats; for exact values int64 under a certified
+overflow bound, int64 limbs past it, and Python ints where limbs do not pay,
+so every exact value is the same in any ring.  The weights stay
+independent, so their exact equality on every in-budget geometry is the
+package's central oracle; :func:`_frame_potential_bruteforce` checks both
+against raw enumeration on tiny instances, and the tests keep the unpinned
+sweep as the pinned one's oracle.  numpy is imported on the first
+contraction, so the geometry runs without it.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ import itertools
 import math
 import os
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,20 +83,10 @@ class Gate:
     qudits: tuple[int, int]
 
 
-class _Layout:
-    """The gates and legs of one brickwork shape (n, t, bc), shared by every
-    geometry built for it, with each route's model of it, memoized on first
-    use.  A plain class: a dataclass would cost a cold import about 1 ms."""
-
-    __slots__ = ("layers", "gates", "legs", "models")
-
-    def __init__(self, layers: tuple, gates: tuple, legs: tuple):
-        self.layers, self.gates, self.legs, self.models = layers, gates, legs, {}
-
-
-@dataclass
+@dataclass(frozen=True)
 class CircuitGeometry:
-    """Brickwork layer structure with the full output-leg connectivity.
+    """A checked brickwork shape, with its layer structure and full output-leg
+    connectivity.
 
     Layers alternate even bricks (1,2),(3,4),... and odd bricks (2,3),(4,5),...
     (plus the wrap gate (n,1) on odd layers for periodic chains of even n; an
@@ -104,18 +94,30 @@ class CircuitGeometry:
     open boundaries).  `legs` maps every gate output leg to the gate that
     consumes it, wrapping the final layer back to the first (time periodicity):
     legs[2g] and legs[2g + 1] are the two output legs of gate g, in the order
-    of its qudits.  `build_geometry` shares the tuples of one `layout` among
-    all geometries of a shape; a geometry built by hand has no `layout`.
+    of its qudits, each (source gid, qudit, consumer gid).  `layers`, `gates`
+    and `legs` are the tuples of one layout per (n, t, bc), shared by every
+    geometry of that shape whatever its q.
     """
 
     n: int
     q: int
     t: int
     spatial_bc: str
-    layers: Sequence[Sequence[Gate]]
-    gates: Sequence[Gate]
-    legs: Sequence[tuple[int, int, int]]  # (source gid, qudit, consumer gid)
-    layout: _Layout | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_instance(self.n, self.q, self.t, self.spatial_bc)
+
+    @property
+    def layers(self) -> tuple[tuple[Gate, ...], ...]:
+        return _layout(self.n, self.t, self.spatial_bc)[0]
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return _layout(self.n, self.t, self.spatial_bc)[1]
+
+    @property
+    def legs(self) -> tuple[tuple[int, int, int], ...]:
+        return _layout(self.n, self.t, self.spatial_bc)[2]
 
     @property
     def n_gates(self) -> int:
@@ -149,14 +151,13 @@ def _check_instance(n: int, q: int, t: int, spatial_bc: str) -> None:
 
 def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitGeometry:
     """Brickwork lattice geometry for the time-t frame potential (depth 2(t-1))."""
-    _check_instance(n, q, t, spatial_bc)
-    layout = _layout(n, t, spatial_bc)
-    return CircuitGeometry(n, q, t, spatial_bc, layout.layers, layout.gates, layout.legs, layout)
+    return CircuitGeometry(n, q, t, spatial_bc)
 
 
 @lru_cache(maxsize=256)
-def _layout(n: int, t: int, spatial_bc: str) -> _Layout:
-    """The gates, layer by layer, and the legs of one checked brickwork shape."""
+def _layout(n: int, t: int, spatial_bc: str) -> tuple[tuple, tuple, tuple]:
+    """The gates, layer by layer, all gates and the legs of one checked
+    brickwork shape."""
     depth = 2 * (t - 1) if t >= 1 else 0
     layers, gates = [], []
     for ell in range(depth):
@@ -176,19 +177,7 @@ def _layout(n: int, t: int, spatial_bc: str) -> _Layout:
                     break
             assert consumer is not None, f"qudit {u} has no consuming gate"
             legs.append((g.gid, u, consumer.gid))
-    return _Layout(tuple(layers), tuple(gates), tuple(legs))
-
-
-def _model(geom: CircuitGeometry, build) -> tuple:
-    """A route's model `build(geom)`, memoized on the geometry's shared layout;
-    a geometry built by hand, or whose fields no longer hold its layout's, is
-    modelled on every call."""
-    layout = geom.layout
-    if layout is None or (geom.layers, geom.gates, geom.legs) != (layout.layers, layout.gates, layout.legs):
-        return build(geom)
-    if build not in layout.models:
-        layout.models[build] = build(geom)
-    return layout.models[build]
+    return tuple(layers), tuple(gates), tuple(legs)
 
 
 @dataclass
@@ -258,7 +247,7 @@ _MAX_LIMBS = 24
 _MAX_LIMBS_K2 = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """Elimination schedule: variable s enters the state as its last slot at
     step s; steps[s] holds the factors applied then, in state slots, and the
@@ -270,8 +259,8 @@ class _Plan:
     counts the pinned connected stretches, each worth a factor k!.  `order`
     names the candidate elimination order the variables were relabelled by.
     live[s] counts the state axes at step s other than the pinned one, so that
-    state holds (k!)^live[s] entries; `peak` is the largest of them.
-    `programs` keeps the plan's `_program` per k and table widths.
+    state holds (k!)^live[s] entries; `peak` is the largest of them.  A plan
+    compares and hashes by identity: one is kept per route and shape.
     """
 
     steps: tuple[tuple[tuple[_Factor, ...], tuple[int, ...]], ...]
@@ -280,25 +269,18 @@ class _Plan:
     order: str
     live: tuple[int, ...]
     peak: int
-    programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _plan(
-    n_vars: int, factors: Sequence[_Factor], candidates: dict[str, Sequence[int]],
-    group_order: int, budget: int,
-) -> _Plan:
-    """Schedule a contraction over variables 0..n_vars-1 in the candidate
-    order of least pinned peak, and check the state budget.
+def _plan(model, geom: CircuitGeometry, group_order: int, budget: int) -> _Plan:
+    """The plan of route `model` on the shape of `geom`, its state budget
+    checked.
 
-    `candidates` maps the name of each elimination order to the variables in
-    that order.  Each factor is applied at the step of its last variable and
-    each variable summed out after its last factor.  The schedule depends on
-    the scopes alone, not on q, k or the number ring, so it is memoized per
-    lattice shape; the budget needs only the memoized peak and k!, so both
-    routes plan, and every call is checked, before any weight table is built.
-    A memoized model passes tuples, which are hashed but not copied.
+    The schedule depends on the scopes alone, not on q, k or the number ring,
+    so `_shape_plan` keeps one per route and (n, t, bc); the budget needs only
+    its peak and k!, so both routes plan, and every call is checked, before
+    any weight table is looked up.
     """
-    plan = _planned(n_vars, tuple(factors), tuple((name, tuple(order)) for name, order in candidates.items()))
+    plan = _shape_plan(model, geom.n, geom.t, geom.spatial_bc)
     if group_order**plan.peak > budget:
         s = next(s for s, m in enumerate(plan.live) if group_order**m > budget)
         raise BudgetExceededError(
@@ -309,12 +291,24 @@ def _plan(
 
 
 @lru_cache(maxsize=256)
+def _shape_plan(model, n: int, t: int, spatial_bc: str) -> _Plan:
+    """The plan of the route model `model(n, t, spatial_bc)`, built once per
+    route and brickwork shape."""
+    return _planned(*model(n, t, spatial_bc))
+
+
 def _planned(
     n_vars: int,
     factors: tuple[_Factor, ...],
     candidates: tuple[tuple[str, tuple[int, ...]], ...],
 ) -> _Plan:
-    """The plan of the candidate order with the least peak (the first on a tie)."""
+    """Schedule a contraction over variables 0..n_vars-1 in the candidate
+    order of least pinned peak (the first on a tie).
+
+    `candidates` pairs the name of each elimination order with the variables
+    in that order.  Each factor is applied at the step of its last variable
+    and each variable summed out after its last factor.
+    """
     options = []
     for name, order in candidates:
         pos = [0] * n_vars
@@ -388,60 +382,60 @@ def _pin_schedule(drop_at: list[int]) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(live), frozenset(repins)
 
 
-def _column_major(geom: CircuitGeometry) -> list[Gate]:
+def _column_major(n: int, gates: tuple[Gate, ...]) -> list[Gate]:
     """Gates sorted by (leftmost qudit, layer); the ring's wrap gate (n, 1)
     counts as column 0.  Sweeping columns keeps about 2t - 1 spins live on an
     open chain, where the layer-major order keeps a whole layer."""
-    wrap = (geom.n, 1)
-    return sorted(
-        geom.gates, key=lambda g: (0 if g.qudits == wrap else g.qudits[0], g.layer)
-    )
-
-
-@lru_cache(maxsize=None)
-def _axis_index(size: int, trailing: int) -> np.ndarray:
-    """0..size-1 along a state axis that has `trailing` axes after it."""
-    import numpy as np
-
-    index = np.arange(size).reshape((size,) + (1,) * trailing)
-    index.setflags(write=False)  # cached arrays are shared by every caller
-    return index
+    wrap = (n, 1)
+    return sorted(gates, key=lambda g: (0 if g.qudits == wrap else g.qudits[0], g.layer))
 
 
 def _program(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]:
     """The plan's steps compiled for S_k and tables of the given widths, kept
-    on the plan for k <= 4; for k >= 5, whose indices hold up to (k!)^3
-    entries, built on every call and not kept.  Each step is (shape, gathers,
-    drops, terms, repin): the spin axes' shape once the entering axis, the
-    last (of size 1 if pinned), is in; each factor's table id and flat weight
-    index rel(x_a, x_b) * width + rel(x_a, x_c), broadcast along those axes;
+    per (plan, k, widths) with every index shared through `_gather_index` for
+    k <= 4; for k >= 5, whose indices hold up to (k!)^3 entries, built on
+    every call, sharing its indices only within the program, and not kept."""
+    compiled = _compiled if math.factorial(k) ** 2 <= _INDEX_CACHED else _compiled.__wrapped__
+    return compiled(plan, k, widths)
+
+
+@lru_cache(maxsize=1024)
+def _compiled(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Each step of `_program` is (shape, gathers, drops, terms, repin): the
+    spin axes' shape once the entering axis, the last (of size 1 if pinned),
+    is in; each factor's table id and `_gather_index` into its flat table;
     the axes summed out, with the terms of each sum; and the re-pinned slot."""
-    program = plan.programs.get((k, widths))
-    if program is not None:
-        return program
-    rel = group_table(k).rel
-    indices = {}  # one index per axis layout and width, shared by its factors
+    order = math.factorial(k)
+    kept = order**2 <= _INDEX_CACHED
+    gather_index = _gather_index if kept else lru_cache(maxsize=None)(_gather_index.__wrapped__)
     program, shape = [], ()
     for (factors, drops), (enters, repin) in zip(plan.steps, plan.pins):
-        shape += (1 if enters else len(rel),)
+        shape += (1 if enters else order,)
         last = len(shape) - 1
-        gathers = []
-        for a, b, c, tid in factors:
-            key = (widths[tid],) + tuple((shape[x], last - x) for x in (a, b, c))
-            if key not in indices:
-                ia, ib, ic = (_axis_index(*axis) for axis in key[1:])
-                indices[key] = rel[ia, ib] * widths[tid] + rel[ia, ic]
-                indices[key].setflags(write=False)
-            gathers.append((tid, indices[key]))
+        gathers = tuple(
+            (tid, gather_index(k, widths[tid], *((shape[x], last - x) for x in (a, b, c))))
+            for a, b, c, tid in factors
+        )
         terms = math.prod(shape[i] for i in drops)
-        program.append((shape, tuple(gathers), drops, terms, repin))
+        program.append((shape, gathers, drops, terms, repin))
         shape = tuple(size for i, size in enumerate(shape) if i not in drops)
         if repin is not None:
             shape = shape[:repin] + (1,) + shape[repin + 1 :]
-    program = tuple(program)
-    if len(rel) ** 2 <= _INDEX_CACHED:
-        plan.programs[(k, widths)] = program
-    return program
+    return tuple(program)
+
+
+@lru_cache(maxsize=None)
+def _gather_index(k: int, width: int, *axes: tuple[int, int]) -> np.ndarray:
+    """The flat weight index rel(x_a, x_b) * width + rel(x_a, x_c) of a factor
+    on the spin axes a, b, c, each given as (size, number of axes after it),
+    broadcast along them."""
+    import numpy as np
+
+    rel = group_table(k).rel
+    ia, ib, ic = (np.arange(size).reshape((size,) + (1,) * trailing) for size, trailing in axes)
+    index = rel[ia, ib] * width + rel[ia, ic]
+    index.setflags(write=False)  # cached arrays are shared by every caller
+    return index
 
 
 def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[int, ...] | None = None):
@@ -685,8 +679,8 @@ def _evaluate(
     geom: CircuitGeometry, k: int, method: str, backend: str, model, tables, state_budget: int | None,
 ) -> FramePotentialResult:
     """The frame potential of one route on `geom`, in `backend`'s ring: the
-    route's `model(geom)`, (n_vars, factors, candidates) for `_plan`, and
-    `tables(k, q)`, the memoized (tables, D, bounds) of its weights at q for
+    route's `model(n, t, bc)`, (n_vars, factors, candidates) for `_planned`,
+    and `tables(k, q)`, the memoized (tables, D, bounds) of its weights at q for
     `_sweep` over a denominator D (1 for float).  The budget, given or the
     ring's default, is checked before any table is looked up."""
     if geom.t <= 1:
@@ -694,7 +688,7 @@ def _evaluate(
     else:
         default = DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
         budget = _state_budget(default) if state_budget is None else state_budget
-        plan = _plan(*_model(geom, model), math.factorial(k), budget)
+        plan = _plan(model, geom, math.factorial(k), budget)
         weights, denom, bounds = tables(k, geom.q)
         value = _sweep(plan, weights, k, bounds)
     value = Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value)
@@ -746,16 +740,17 @@ def frame_potential_direct(
     return _evaluate(geom, k, "direct", "exact", _direct_model, _gram_tables, state_budget)
 
 
-def _direct_model(geom: CircuitGeometry) -> tuple[int, tuple[_Factor, ...], dict]:
+def _direct_model(n: int, t: int, spatial_bc: str) -> tuple[int, tuple[_Factor, ...], tuple]:
     """Variables sigma_g -> 2g, tau_g -> 2g + 1; table 0: Wg(sigma_g^-1 tau_g)
     per gate; table 1: q^ell(tau_g^-1 sigma_h) per leg.  Layer-major takes a
     layer's sigmas, then its taus; column-major each gate's pair in turn."""
-    gates = tuple((2 * g, 2 * g + 1, 2 * g, 0) for g in range(geom.n_gates))
-    legs = tuple((2 * src + 1, 2 * dst, 2 * src + 1, 1) for src, _, dst in geom.legs)
-    return 2 * geom.n_gates, gates + legs, {
-        "layer-major": tuple(2 * g.gid + side for layer in geom.layers for side in (0, 1) for g in layer),
-        "column-major": tuple(2 * g.gid + side for g in _column_major(geom) for side in (0, 1)),
-    }
+    layers, gates, legs = _layout(n, t, spatial_bc)
+    pairs = tuple((2 * g, 2 * g + 1, 2 * g, 0) for g in range(len(gates)))
+    bonds = tuple((2 * src + 1, 2 * dst, 2 * src + 1, 1) for src, _, dst in legs)
+    return 2 * len(gates), pairs + bonds, (
+        ("layer-major", tuple(2 * g.gid + side for layer in layers for side in (0, 1) for g in layer)),
+        ("column-major", tuple(2 * g.gid + side for g in _column_major(n, gates) for side in (0, 1))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +805,14 @@ def frame_potential_transfer(
     )
 
 
-def _transfer_model(geom: CircuitGeometry) -> tuple[int, tuple[_Factor, ...], dict]:
+def _transfer_model(n: int, t: int, spatial_bc: str) -> tuple[int, tuple[_Factor, ...], tuple]:
     """Gate g's spin is variable g, with one plaquette per gate over the
     consumers of its two output legs."""
-    legs = geom.legs
-    return geom.n_gates, tuple((g, legs[2 * g][2], legs[2 * g + 1][2], 0) for g in range(geom.n_gates)), {
-        "layer-major": tuple(g.gid for layer in geom.layers for g in layer),
-        "column-major": tuple(g.gid for g in _column_major(geom)),
-    }
+    layers, gates, legs = _layout(n, t, spatial_bc)
+    return len(gates), tuple((g, legs[2 * g][2], legs[2 * g + 1][2], 0) for g in range(len(gates))), (
+        ("layer-major", tuple(g.gid for layer in layers for g in layer)),
+        ("column-major", tuple(g.gid for g in _column_major(n, gates))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,12 @@ class TestEpsilonFromFp:
     def test_no_overflow_at_large_nk(self):
         assert epsilon_from_fp(121.0, 5, 400, 2) == math.inf
 
+    def test_exact_excess_below_double_resolution(self):
+        # F - 2 = 2^-1100 underflows to 0.0 in a float; eps = 2^1200 * 2^-550
+        F = 2 + Fraction(1, 2**1100)
+        assert epsilon_from_fp(F, 2, 600, 2) == pytest.approx(2.0**650, rel=1e-12)
+        assert epsilon_from_fp(Fraction(9, 4), 2, 2, 2) == pytest.approx(8.0)
+
     def test_monotone_on_exact_series(self):
         eps = []
         for t in range(2, 9):

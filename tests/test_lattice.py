@@ -14,7 +14,6 @@ from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError, PoleError
 from rqclattice.lattice import (
     CircuitGeometry,
-    _plan,
     build_geometry,
     frame_potential_direct,
     frame_potential_special,
@@ -96,23 +95,36 @@ class TestGeometry:
 
     def test_shapes_share_one_immutable_layout(self):
         a, b = build_geometry(6, 2, 3, "periodic"), build_geometry(6, 3, 3, "periodic")
-        assert a.layout is b.layout and (a.q, b.q) == (2, 3)
+        assert (a.q, b.q) == (2, 3)
         for name in ("layers", "gates", "legs"):
-            assert getattr(a, name) is getattr(b, name) is getattr(a.layout, name)
+            assert getattr(a, name) is getattr(b, name)
             assert type(getattr(a, name)) is tuple
         assert all(type(layer) is tuple for layer in a.layers)
         assert all(type(leg) is tuple for leg in a.legs)
-        assert build_geometry(6, 2, 3, "open").layout is not a.layout
+        assert build_geometry(6, 2, 3, "open").legs is not a.legs
 
     def test_bad_inputs(self):
+        # a geometry built directly is checked as build_geometry checks it
+        for make in (build_geometry, CircuitGeometry):
+            with pytest.raises(ValueError):
+                make(1, 2, 2, "open")
+            with pytest.raises(ValueError):
+                make(4, 1, 2, "open")
+            with pytest.raises(ValueError):
+                make(4, 2, -1, "open")
+            with pytest.raises(ValueError):
+                make(4, 2, 2, "twisted")
+
+    def test_geometry_is_its_frozen_hashable_shape(self):
+        g = build_geometry(6, 2, 3, "periodic")
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "q", "t", "spatial_bc"]
+        same, other_q = CircuitGeometry(6, 2, 3, "periodic"), build_geometry(6, 3, 3, "periodic")
+        assert g == same and hash(g) == hash(same) and g != other_q
+        assert len({g, same, other_q}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n = 8
         with pytest.raises(ValueError):
-            build_geometry(1, 2, 2)
-        with pytest.raises(ValueError):
-            build_geometry(4, 1, 2)
-        with pytest.raises(ValueError):
-            build_geometry(4, 2, -1)
-        with pytest.raises(ValueError):
-            build_geometry(4, 2, 2, "twisted")
+            dataclasses.replace(g, q=1)
 
 
 class TestSpecialValues:
@@ -449,13 +461,13 @@ class TestPlanner:
     def plans(self, monkeypatch):
         """Record every plan the routes look up, also when over budget."""
         seen = []
-        planned = lattice._planned
+        shape_plan = lattice._shape_plan
 
         def recording(*args):
-            seen.append(planned(*args))
+            seen.append(shape_plan(*args))
             return seen[-1]
 
-        monkeypatch.setattr(lattice, "_planned", recording)
+        monkeypatch.setattr(lattice, "_shape_plan", recording)
         return seen
 
     @pytest.mark.parametrize(
@@ -488,6 +500,11 @@ class TestPlanner:
         with pytest.raises(BudgetExceededError):
             frame_potential_transfer(build_geometry(10, 2, 3, "open"), 3, state_budget=6**3)
         assert plans[3] is plans[0]
+        # the other route on the same shapes has one plan of its own
+        for q in (2, 3):
+            frame_potential_direct(build_geometry(10, q, 3, "open"), 2)
+        assert plans[4] is plans[5] is not plans[0]
+        assert len(plans[4].steps) == 2 * len(plans[0].steps)
 
     def test_n8_t3_k3_fits_default_budget(self, plans):
         geom = build_geometry(8, 2, 3, "open")
@@ -550,35 +567,19 @@ class TestPlanner:
 
         got = [route(geom, k).value for route, geom, k in cases]
 
-        def layer_major_only(n_vars, factors, candidates, *rest):
-            return _plan(n_vars, factors, {"layer-major": candidates["layer-major"]}, *rest)
+        def layer_major_only(model, n, t, bc):
+            n_vars, factors, candidates = model(n, t, bc)
+            layer_major = tuple(c for c in candidates if c[0] == "layer-major")
+            plans.append(lattice._planned(n_vars, factors, layer_major))
+            return plans[-1]
 
-        monkeypatch.setattr(lattice, "_plan", layer_major_only)
+        monkeypatch.setattr(lattice, "_shape_plan", layer_major_only)
         for (route, geom, k), value in zip(cases, got):
-            # the models and plans are warm, and the patch still decides
+            # the plans and programs are warm, and the patch still decides
             assert route(geom, k).value == value, (
                 route.__name__, geom.n, geom.t, k, geom.q, geom.spatial_bc
             )
             assert plans[-1].order == "layer-major"
-
-    def test_hand_built_geometry_gets_its_own_plan_and_value(self, plans):
-        """A geometry built by hand, or whose layout fields were replaced, is
-        modelled from its own legs, not from the memo of its (n, t, bc)."""
-        chain, ring = build_geometry(6, 2, 3, "open"), build_geometry(6, 2, 3, "periodic")
-        hand = CircuitGeometry(
-            6, 2, 3, "open", [list(layer) for layer in ring.layers], list(ring.gates), list(ring.legs)
-        )
-        replaced = dataclasses.replace(chain, layers=ring.layers, gates=ring.gates, legs=ring.legs)
-        assert hand.layout is None and replaced.layout is chain.layout
-        for route in (frame_potential_direct, frame_potential_transfer):
-            expected = route(ring, 2).value
-            ring_plan = plans[-1]
-            assert route(chain, 2).value != expected  # the chain's model is warm
-            chain_plan = plans[-1]
-            for geom in (hand, replaced, hand):
-                assert geom.spatial_bc == "open"
-                assert route(geom, 2).value == expected
-                assert plans[-1] is ring_plan and plans[-1] != chain_plan
 
     def test_largest_state_is_k_factorial_to_the_peak(self, plans, monkeypatch):
         """Each step's state has (k!)^live entries per limb, the largest
@@ -636,13 +637,13 @@ class TestPlanner:
 
 
 class TestCompiledShapes:
-    """Layouts, route models and sweep programs are built once per shape and
-    kept; a cold call gives what a warm one gives."""
+    """Layouts, plans and sweep programs are built once per shape and kept;
+    a cold call gives what a warm one gives."""
 
     @staticmethod
     def clear_caches():
-        """Clear every cache the lattice module keeps: layouts with their
-        models, plans with their programs, indices and tables at q."""
+        """Clear every cache the lattice module keeps: layouts, plans,
+        programs, gather indices and tables at q."""
         for obj in vars(lattice).values():
             if hasattr(obj, "cache_clear") and obj.__module__ == lattice.__name__:
                 obj.cache_clear()
@@ -671,6 +672,29 @@ class TestCompiledShapes:
             rings.add("int64 limbs" if "limbs" in first else first)
         assert rings == {"float64", "int64 throughout", "int64 limbs"}
 
+    def test_programs_share_gather_indices_and_k5_keeps_none(self):
+        """A kept program takes every index from one cache per (k, width,
+        axis layout), so programs of different shapes hold the same index
+        objects; a k = 5 program keeps neither itself nor its indices."""
+
+        def indices(program):
+            return {id(index): index for _, gathers, *_ in program for _, index in gathers}
+
+        self.clear_caches()
+        plans = [lattice._shape_plan(lattice._transfer_model, n, 3, "open") for n in (6, 8)]
+        small, large = (lattice._program(plan, 3, (6,)) for plan in plans)
+        assert lattice._program(plans[0], 3, (6,)) is small
+        assert indices(small).keys() & indices(large).keys()
+        kept = indices(small) | indices(large)
+        assert lattice._gather_index.cache_info().currsize == len(kept)
+        assert lattice._compiled.cache_info().currsize == 2
+
+        program = lattice._program(plans[0], 5, (120,))
+        assert lattice._program(plans[0], 5, (120,)) is not program
+        assert len(indices(program)) < sum(len(gathers) for _, gathers, *_ in program)
+        assert lattice._gather_index.cache_info().currsize == len(kept)
+        assert lattice._compiled.cache_info().currsize == 2
+
 
 def _dense_sweep(plan, tables, k):
     """The plan's steps with every spin summed over all k! values: no pin.
@@ -680,12 +704,10 @@ def _dense_sweep(plan, tables, k):
     state = np.ones((), dtype=tables[0].dtype)
     for factors, drops in plan.steps:
         state = np.repeat(state[..., None], len(rel), axis=-1)
-        last = state.ndim - 1
+        axes = [np.arange(len(rel)).reshape((-1,) + (1,) * (state.ndim - 1 - i))
+                for i in range(state.ndim)]
         for a, b, c, tid in factors:
-            ia = lattice._axis_index(state.shape[a], last - a)
-            ib = lattice._axis_index(state.shape[b], last - b)
-            ic = lattice._axis_index(state.shape[c], last - c)
-            np.multiply(state, tables[tid][rel[ia, ib], rel[ia, ic]], out=state)
+            np.multiply(state, tables[tid][rel[axes[a], axes[b]], rel[axes[a], axes[c]]], out=state)
         if drops:
             state = np.asarray(state.sum(axis=drops), dtype=state.dtype)
     return state[()]
