@@ -4,11 +4,17 @@ The wall counters live on the idealized uniform-width lattice: a configuration
 of `walls` non-intersecting walkers on gate-boundary positions {1..n_g-1},
 each stepping +-1 per layer for 2(t-1) layers, returning to its start and
 never leaving the interval.  Two independent counters are kept (path
-enumeration and a transfer-style DP), and the method-of-images formula is
-tested against them: its reflection offsets are in gate-boundary units
-(offset scale 1), not the doubled units printed in some treatments, and the
-full image series is required -- truncating at one
-reflection per boundary goes wrong as soon as walkers can bounce twice.
+enumeration and a transfer-style DP).
+
+One walker is counted in closed form.  Summed over the starts 1..L-1, the
+method-of-images series of the returning walks of 2m steps confined to
+(0, L) collapses to L*A - 4^m, with A the sum of C(2m, r) over
+r = m (mod L) (:func:`_closed_walks`).  It is the trace of the 2m-th power
+of the path's adjacency matrix, sum_{j=1}^{L-1} (2 cos(pi j / L))^(2m).  On
+the brickwork (L = n, half the sum, m = t-1) the two top terms j = 1, n-1,
+times w^(2(t-1)) with w = q/(q^2+1), give lambda_2^(t-1): lambda_2 =
+(2 w cos(pi/n))^2 is the top eigenvalue of one confined wall's walk, measured
+as the time transfer matrix's largest eigenvalue below its k! unit ones.
 
 That idealized lattice is not the brickwork's single-wall count.  On the open
 brickwork a wall sits on a qudit bond 1..n-1 and moves one bond per layer, so
@@ -18,7 +24,7 @@ counts them.  For n=4 the brickwork has 2^(t-1) single walls, while
 room to step).
 
 All closed-form bounds compute in double precision with log-domain steps where
-q^(2nk) would overflow.
+q^(2nk) would overflow; a bound past the largest double is inf.
 """
 
 from __future__ import annotations
@@ -133,45 +139,33 @@ def count_walls_dp(n_g: int, t: int, walls: int) -> int:
     return total
 
 
-def _interval_loop_count(x: int, length: int, steps_half: int) -> int:
-    """Returning walks from x confined to (0, length), by the full image series.
+def _closed_walks(L: int, m: int) -> int:
+    """Returning walks of 2m steps confined to (0, L), summed over the starts 1..L-1.
 
-    Image offsets are in gate-boundary units (offset scale 1): the images of
-    x sit at -x + 2j * length.
+    The image series summed over the starts: L*A - 4^m, with A the sum of
+    C(2m, r) over r = m (mod L), taken in one pass over the binomials.
     """
-    m = steps_half
-    total = 0
-    j = 0
-    while True:
-        hit = False
-        for jj in (j, -j) if j else (0,):
-            first = math.comb(2 * m, m + jj * length) if abs(jj * length) <= m else 0
-            off = x + jj * length
-            second = math.comb(2 * m, m + off) if abs(off) <= m else 0
-            if first or second:
-                hit = True
-            total += first - second
-        if j and not hit and j * length > m + x:
-            break
-        j += 1
-    return total
+    a, c = 0, 1
+    for r in range(2 * m + 1):
+        if (r - m) % L == 0:
+            a += c
+        c = c * (2 * m - r) // (r + 1)
+    return L * a - 4**m
 
 
 def c1_images(n: int, t: int) -> int:
-    """Single-domain-wall count by the method of images, summed over starts.
+    """Single-domain-wall count of the gate-boundary lattice, summed over starts.
 
     Counts returning walks of 2(t-1) steps confined to the gate-boundary
-    interval, including every repeated reflection (walks can bounce off both
-    boundaries for t large relative to n).  It reproduces
+    interval (0, n//2), every reflection included, by :func:`_closed_walks`:
+    sum_{j=1}^{g-1} (2 cos(pi j/g))^(2(t-1)) with g = n//2.  It reproduces
     count_walls_bruteforce(n_g, t, 1) exactly.
     """
     if n < 4:
         raise ValueError("n must be >= 4 (at least two gates per even layer)")
     if t < 2:
         raise ValueError("t must be >= 2")
-    n_g = n // 2
-    m = t - 1
-    return sum(_interval_loop_count(x, n_g, m) for x in range(1, n_g))
+    return _closed_walks(n // 2, t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +174,15 @@ def c1_images(n: int, t: int) -> int:
 
 
 def fp2_upper_bound(n: int, q: int, t: int) -> float:
-    """Second-moment bound 2(1 + (2q/(q^2+1))^(2(t-1)))^(n_g - 1)."""
+    """Second-moment bound 2(1 + (2q/(q^2+1))^(2(t-1)))^(n_g - 1), inf past a double."""
     if n < 2 or q < 2 or t < 1:
         raise ValueError("need n >= 2, q >= 2, t >= 1")
     n_g = n // 2
     x = (2 * q / (q * q + 1)) ** (2 * (t - 1))
-    return 2.0 * (1.0 + x) ** (n_g - 1)
+    try:
+        return 2.0 * (1.0 + x) ** (n_g - 1)
+    except OverflowError:
+        return math.inf
 
 
 def brickwork_single_wall_count(n: int, t: int) -> int:
@@ -194,17 +191,16 @@ def brickwork_single_wall_count(n: int, t: int) -> int:
     In each layer a wall sits on a qudit bond 1..n-1 that no gate of the
     layer covers, and the next layer's gates shift it by one bond, so a
     single-wall configuration is a returning walk of 2(t-1) steps confined
-    to (0, n).  Walks start on the layer-0 wall bonds 2, 4, ..., which is
-    half of all returning walks on the chain (it is bipartite).  At n=4 this
-    is 2^(t-1).
+    to (0, n).  Walks start on the layer-0 wall bonds 2, 4, ...: the chain
+    is bipartite, so these are exactly half of all returning walks,
+    N1 = (1/2) sum_{j=1}^{n-1} (2 cos(pi j/n))^(2(t-1)) (:func:`_closed_walks`).
+    At n=4 this is 2^(t-1).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if t < 2:
         raise ValueError("t must be >= 2")
-    return sum(
-        _interval_loop_count(x, n, t - 1) for x in range(2, n, 2)
-    )
+    return _closed_walks(n, t - 1) // 2
 
 
 def single_wall_excess_exact(n: int, q: int, t: int, k: int) -> Fraction:

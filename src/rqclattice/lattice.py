@@ -66,8 +66,9 @@ from .weingarten import wg_gram, wg_symbolic
 
 STATE_BUDGET_ENV = "RQCLATTICE_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 4_000_000
-# both rings hold dense numpy states, but an exact entry is a Python int object
-# (often many words), not 8 bytes, so the float backend affords more states
+# both rings hold dense numpy states, but an exact entry grows past int64 into
+# up to _MAX_LIMBS int64 limbs (Python int objects past that, or for tables too
+# wide for limbs), not one 8-byte double, so the float backend affords more states
 DEFAULT_FLOAT_STATE_BUDGET = 128_000_000
 
 

@@ -3,7 +3,8 @@
 This is the package's floating-point physical oracle: it samples Haar 2-site
 gates, multiplies out the reduced depth-2(t-1) brickwork circuit as a dense
 q^n x q^n matrix, and averages |Tr|^(2k) over independent circuits.  It shares
-no code with the exact lattice evaluators beyond the brickwork layer layout
+no code with the exact lattice evaluators beyond the instance check
+(`lattice._check_instance`) and the brickwork layer layout
 (`lattice._layer_pairs`), for open chains and periodic rings alike, so a
 circuit applies the gates of `lattice.build_geometry` in the same order.
 

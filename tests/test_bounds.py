@@ -65,6 +65,15 @@ class TestImagesFormula:
         # n_g=2 leaves a single position; a +-1 walker cannot loop there
         for t in range(2, 7):
             assert c1_images(4, t) == 0
+        assert c1_images(4, 20000) == 0
+
+    def test_matches_spectral_form(self):
+        # the trace of the 2(t-1)-th power of the g-1 position path's adjacency
+        for n in range(4, 41):
+            g = n // 2
+            for t in range(2, 16):
+                trace = sum((2 * math.cos(math.pi * j / g)) ** (2 * (t - 1)) for j in range(1, g))
+                assert c1_images(n, t) == round(trace), (n, t)
 
 
 class TestFp2Bound:
@@ -75,6 +84,11 @@ class TestFp2Bound:
         values = [fp2_upper_bound(8, 2, t) for t in range(2, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(2.0, abs=1e-6)
+
+    def test_overflow_is_infinite(self):
+        # 1.4096^49999 overflows a double
+        assert fp2_upper_bound(100000, 2, 3) == math.inf
+        assert fp2_upper_bound(1000, 2, 3) == 2.0 * (1.0 + 0.8**4) ** 499
 
     def test_dominates_exact(self):
         for n in (4, 6, 8):
@@ -264,6 +278,14 @@ class TestBrickworkSingleWallCount:
     def test_n4_is_power_of_two(self):
         for t in range(2, 10):
             assert brickwork_single_wall_count(4, t) == 2 ** (t - 1)
+        assert brickwork_single_wall_count(4, 20000) == 2**19999
+
+    def test_matches_spectral_form(self):
+        # half the trace of the 2(t-1)-th power of the n-1 bond chain's adjacency
+        for n in range(2, 41):
+            for t in range(2, 16):
+                trace = sum((2 * math.cos(math.pi * j / n)) ** (2 * (t - 1)) for j in range(1, n))
+                assert brickwork_single_wall_count(n, t) == round(trace / 2), (n, t)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,11 @@ class TestBoundsCommand:
         by_name = {row["name"]: row for row in env["result"]}
         assert by_name["fp2_upper_bound"]["value"] == pytest.approx(2.8192)
 
+    def test_fp2_overflow_prints_infinity(self, capsys):
+        env = run_json(capsys, "bounds", "--n", "100000", "--q", "2", "--k", "2", "--t", "3")
+        by_name = {row["name"]: row for row in env["result"]}
+        assert by_name["fp2_upper_bound"]["value"] == float("inf")
+
     def test_design_depth(self, capsys):
         env = run_json(capsys, "bounds", "--n", "10", "--q", "2", "--k", "2",
                        "--epsilon", "0.01")
