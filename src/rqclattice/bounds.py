@@ -37,6 +37,10 @@ from .errors import BudgetExceededError
 
 WALK_NG_CAP = 8
 WALK_T_CAP = 8
+# The confined-walk counts and the unconfined-walk estimates take O(t^2) bit
+# operations in Python ints; past this t they are refused before any is made
+# (t = 40000 takes about 2 s).
+T_CAP = 40_000
 
 
 @dataclass
@@ -57,6 +61,11 @@ def _check_walk_budget(n_g: int, t: int):
         raise BudgetExceededError(
             f"walk enumeration capped at n_g <= {WALK_NG_CAP}, t <= {WALK_T_CAP}"
         )
+
+
+def _check_t(t: int):
+    if t > T_CAP:
+        raise BudgetExceededError(f"walk counts at t = {t} are capped at t <= {T_CAP}")
 
 
 def count_walls_bruteforce(n_g: int, t: int, walls: int) -> int:
@@ -145,6 +154,7 @@ def _closed_walks(L: int, m: int) -> int:
     The image series summed over the starts: L*A - 4^m, with A the sum of
     C(2m, r) over r = m (mod L), taken in one pass over the binomials.
     """
+    _check_t(m + 1)
     a, c = 0, 1
     for r in range(2 * m + 1):
         if (r - m) % L == 0:
@@ -213,6 +223,7 @@ def single_wall_excess_exact(n: int, q: int, t: int, k: int) -> Fraction:
     n=4, t=3); for odd n it overcounts already at t=2 (2 against 1 at n=3).
     It serves the bounds below, not the exact single-wall sector.
     """
+    _check_t(t)
     w = Fraction(q, q * q + 1)
     return (
         Fraction((n - 1) // 2 * math.comb(k, 2) * math.comb(2 * (t - 1), t - 1))

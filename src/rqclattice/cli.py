@@ -2,10 +2,13 @@
 
 Every command prints a JSON envelope {command, parameters, result, provenance}
 to stdout (or bare CSV rows with --format csv); diagnostics go to stderr.
-Exact rationals are serialized as "p/q" strings, never floats.  Exit codes:
-0 success, 2 budget exceeded (including a moment k outside 1..6), 3 invariant
-violation (including surfaced poles), 4 bad arguments.  `verify` runs every
-section at every k <= 6.
+Exact rationals are serialized as "p/q" strings, never floats.  A float that
+is not finite (a `bounds` value past the largest double, say) is written as
+the string "Infinity", "-Infinity" or "NaN", so the envelope is strict JSON;
+Python's float() and JavaScript's Number() read those strings back.  Exit
+codes: 0 success, 2 budget exceeded (including a moment k outside 1..6 and
+`bounds --t` past `bounds.T_CAP`), 3 invariant violation (including surfaced
+poles), 4 bad arguments.  `verify` runs every section at every k <= 6.
 
 A process imports only what its subcommand uses: each `_cmd_*` imports its own
 modules, so `weingarten`, `bounds` and `geometry` run without numpy, and
@@ -21,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -50,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(x) -> str:
     return str(Fraction(x))
+
+
+def _strict(row: dict) -> dict:
+    """The row with each non-finite float as the string "Infinity", "-Infinity" or "NaN"."""
+    return {
+        key: ("NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity")
+        if type(value) is float and not math.isfinite(value) else value
+        for key, value in row.items()
+    }
 
 
 def _envelope(command: str, parameters: dict, result, provenance: dict | None = None) -> dict:
@@ -258,7 +272,7 @@ def _cmd_framepotential(args) -> int:
             two_sided=args.two_sided, bc=args.bc,
         )
         params.update({"samples": samples, "seed": seed, "two_sided": args.two_sided})
-        result = est.to_json_dict()
+        result = _strict(est.to_json_dict())
         result["precision"] = "float64 sample mean; see std_error"
         env = _envelope("framepotential", params, result,
                         {"seed": seed, "method": "montecarlo", "backend": "float"})
@@ -279,7 +293,7 @@ def _cmd_framepotential(args) -> int:
     if res.backend == "exact":
         result = {"value": _frac(res.value), "value_float": float(res.value)}
     else:
-        result = {"value_float": res.value, "precision": "float64 contraction"}
+        result = _strict({"value_float": res.value, "precision": "float64 contraction"})
     env = _envelope("framepotential", params, result,
                     {"method": res.method, "backend": res.backend})
     _emit(env, args.format)
@@ -295,6 +309,7 @@ def _cmd_bounds(args) -> int:
         )
     rows = []
     if args.t is not None:
+        bounds_mod._check_t(args.t)
         rows.append({"name": "fp2_upper_bound", "value": bounds_mod.fp2_upper_bound(args.n, args.q, args.t)})
         if args.k >= 2:
             rows.append({"name": "single_wall_bound_k",
@@ -319,7 +334,7 @@ def _cmd_bounds(args) -> int:
     env = _envelope(
         "bounds",
         {"n": args.n, "q": args.q, "k": args.k, "t": args.t, "epsilon": args.epsilon},
-        rows,
+        [_strict(row) for row in rows],
         {"method": "closed-form", "backend": "float"},
     )
     _emit(env, args.format)
@@ -398,6 +413,7 @@ def _cmd_geometry(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="rqclattice",

@@ -1,24 +1,43 @@
-"""Monte Carlo frame-potential estimation from dense random circuits.
+"""Monte Carlo frame-potential estimation by contracting sampled trace networks.
 
 This is the package's floating-point physical oracle: it samples Haar 2-site
-gates, multiplies out the reduced depth-2(t-1) brickwork circuit as a dense
-q^n x q^n matrix, and averages |Tr|^(2k) over independent circuits.  It shares
-no code with the exact lattice evaluators beyond the instance check
-(`lattice._check_instance`) and the brickwork layer layout
-(`lattice._layer_pairs`), for open chains and periodic rings alike, so a
-circuit applies the gates of `lattice.build_geometry` in the same order.
+gates on the reduced depth-2(t-1) brickwork circuit and averages |Tr|^(2k)
+over independent circuits.  It shares no code with the exact lattice
+evaluators beyond the instance check (`lattice._check_instance`) and the
+brickwork layer layout (`lattice._layer_pairs`), for open chains and periodic
+rings alike, so a circuit has the gates of `lattice.build_geometry` in the
+same order.
+
+A trace is a closed tensor network (Markov & Shi, arXiv:quant-ph/0511069).
+Each gate is a (q, q, q, q) tensor; each qudit's world line is cut into
+segments between its gates, and the trace closes the last segment onto the
+first.  The two-sided Tr(U^dagger V) is the same kind of network: V's gates,
+then U's gates daggered and in reverse order.  `_plan` schedules a network in
+two gate orders, keeps the one whose largest state per sample is smaller and
+compiles it once per (n, q, depth, bc, two_sided):
+
+* column-major, qudit by qudit with a ring's wrap gates first: the state
+  holds about q^depth entries, so a sample costs about n q^depth;
+* layer-major, in order of application: about the dense q^n x q^n product,
+  which small chains and deep rings need.
+
+The compiled plan lays every gate out as the matrix its step multiplies (one
+gather over the chunk's gates; a qudit with a single gate is traced out
+there), and each step of `_traces` is at most one contiguous copy of the
+state and one `np.matmul` batched over the samples.  The plan's peak, the
+larger of a sample's gates and its largest state, is checked against
+PEAK_BUDGET before any stream is drawn.
 
 Sampling is batched over samples.  The estimator splits the samples into
-contiguous chunks; a chunk stacks the circuits of its samples, runs one QR
-over all their gates and multiplies the whole (S, q^n, q^n) stack by one gate
-position at a time (`_apply_gates`).  No stacked array of a chunk holds more
-than CHUNK_ENTRIES complex entries (1 MB), except that a chunk always holds at
-least one sample.  With `threads` > 1 a thread pool runs the chunks.
+contiguous chunks of CHUNK_ENTRIES // peak samples, at least one, so that a
+chunk's arrays hold at most CHUNK_ENTRIES complex entries (1 MB) unless one
+sample needs more; a chunk runs one QR over its gates and one contraction.
+With `threads` > 1 a thread pool runs the chunks.
 
 Sampling is reproducible by construction: the gates of sample i are drawn from
 a counter-based Philox stream keyed by (seed, i), all gates of a sample in one
 call (for the two-sided form U's gates, then V's), and every sample's value is
-computed by the same per-matrix products whatever chunk it falls in.  So
+computed by the same per-sample operations whatever chunk it falls in.  So
 results are bit-identical however samples are chunked and scheduled across
 threads.
 
@@ -34,14 +53,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .lattice import _check_instance, _layer_pairs
 
-DENSE_DIM_BUDGET = 4096
-# complex entries per stacked array of one chunk (circuits or gates): 1 MB
+# complex entries of a sample's largest array (its gates or a planned state):
+# a 4096 x 4096 circuit matrix, so every instance a dense product could hold fits
+PEAK_BUDGET = 1 << 24
+# complex entries per sample array of one chunk (gates or states): 1 MB
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -84,66 +107,166 @@ def sample_haar_gate(dim: int, rng: np.random.Generator, count: int | None = Non
     return _haar_from_normals(rng.standard_normal(shape))
 
 
-def _apply_gates(stack: np.ndarray, gates: np.ndarray, pairs: list, n: int, q: int) -> np.ndarray:
-    """Left-multiply each matrix of a (S, q^n, q^n) stack by its gates, in order.
+class _Plan(NamedTuple):
+    """One trace network, scheduled and compiled (`_plan`)."""
 
-    `gates[s, g]` (a q^2 x q^2 matrix) acts on qudits `pairs[g]` = (a, b),
-    1-based with qudit 1 most significant, of matrix s.  The products
-    alternate between `stack`, which is overwritten, and one spare buffer;
-    the one holding the result is returned.
+    pairs: tuple  # qudit pairs of its gates in order of application
+    peak: int  # complex entries of a sample's largest array: its gates or a state
+    scale: int  # q per qudit that no gate touches
+    gathers: tuple  # (daggered, (q^m, entries) flat gate indices) per kind of gate in use
+    steps: tuple  # (gather, lo, hi, gate shape, state shape, axes or None, product shape)
 
-    The general form copies the stack with the two gate axes moved to the
-    front and multiplies each matrix's (q^2, q^(n-2) q^n) reshape by its gate:
-    the same product, and so the same bits, as for one circuit alone.  For
-    even q an adjacent pair (a, a+1) skips the copies and multiplies the
-    q^(a-1) slabs of the stack in place of that reshape.  The BLAS kernel
-    that computes a column depends on its place in a tile of a few columns;
-    for even q every slab starts on a tile boundary, so the slabs get the bits
-    of the single product.  For odd q they do not (seen at q = 3), so odd q,
-    like the ring's wrap gate (n, 1), takes the general form.
+
+def _network(n: int, depth: int, bc: str, two_sided: bool) -> tuple[list, list]:
+    """The gates of a trace network in order of application, (draw, pair,
+    daggered) each, and the segment labels of each gate's stored axes.
+
+    A gate's stored tensor has axes (out_a, out_b, in_a, in_b) for its pair
+    (a, b); a daggered gate's in and out axes trade places.  Segment (x, r)
+    of qudit x runs from the r-th gate on x to the next; the last closes onto
+    the first, so a qudit with one gate leaves a loop on it.
     """
-    s, dim = stack.shape[0], q**n
-    spare = np.empty_like(stack)
-    full = (s,) + (q,) * n + (dim,)
-    for g, (a, b) in enumerate(pairs):
-        if b == a + 1 and q % 2 == 0:
-            slabs = (s, q ** (a - 1), q * q, -1)
-            np.matmul(gates[:, g, None], stack.reshape(slabs), out=spare.reshape(slabs))
-        else:
-            # moved copy in spare, its product in stack, moved back into spare
-            np.copyto(spare.reshape(full), np.moveaxis(stack.reshape(full), (a, b), (1, 2)))
-            np.matmul(gates[:, g], spare.reshape(s, q * q, -1), out=stack.reshape(s, q * q, -1))
-            np.copyto(spare.reshape(full), np.moveaxis(stack.reshape(full), (1, 2), (a, b)))
-        stack, spare = spare, stack
-    return stack
+    pairs = [pair for layer in range(depth) for pair in _layer_pairs(n, layer, bc)]
+    g = len(pairs)
+    if two_sided:  # a sample draws U's gates, then V's; Tr(U^dagger V)
+        net = [(g + i, pair, False) for i, pair in enumerate(pairs)]
+        net += [(i, pairs[i], True) for i in reversed(range(g))]
+    else:
+        net = [(i, pair, False) for i, pair in enumerate(pairs)]
+    touches: dict[int, list[int]] = {}
+    for pos, (_, pair, _) in enumerate(net):
+        for x in pair:
+            touches.setdefault(x, []).append(pos)
+    legs = [[None] * 4 for _ in net]
+    for x, positions in touches.items():
+        for r, pos in enumerate(positions):
+            _, (a, _), daggered = net[pos]
+            side = 0 if x == a else 1
+            out_axis, in_axis = (side + 2, side) if daggered else (side, side + 2)
+            legs[pos][out_axis] = (x, r)
+            legs[pos][in_axis] = (x, (r - 1) % len(positions))
+    return net, legs
 
 
-def _circuit_pairs(n: int, q: int, t: int, bc: str, two_sided: bool = False) -> list[tuple[int, int]]:
-    """Gate pairs of one circuit of a time-t estimate, after the instance and
-    budget checks: t layers two-sided, the 2(t-1) reduced layers otherwise."""
-    _check_instance(n, q, t, bc)
-    dim = q**n
-    if dim > DENSE_DIM_BUDGET:
-        raise BudgetExceededError(f"q^n = {dim} exceeds dense budget {DENSE_DIM_BUDGET}")
-    depth = t if two_sided else 2 * (t - 1)
-    return [pair for layer in range(depth) for pair in _layer_pairs(n, layer, bc)]
+def _schedule(legs: list, order, q: int) -> tuple[list, int] | None:
+    """Contract the gates in `order` into one state: per gate its traced sides,
+    shared and new axes and the state axes it keeps, with the peak state;
+    None once a state passes PEAK_BUDGET.
+
+    The state's axes are its open segments; a gate's shared segments move to
+    the end, in state order, and its new ones are appended.
+    """
+    state: list = []
+    steps, peak = [], 1
+    for pos in order:
+        labels = legs[pos]
+        loops = [side for side in (0, 1) if labels[side] == labels[side + 2]]
+        where = {label: i for i, label in enumerate(state)}
+        free = [ax for ax in range(4) if ax % 2 not in loops]
+        shared = sorted((ax for ax in free if labels[ax] in where), key=lambda ax: where[labels[ax]])
+        new = [ax for ax in free if labels[ax] not in where]
+        closed = {labels[ax] for ax in shared}
+        kept = [i for i, label in enumerate(state) if label not in closed]
+        axes = kept + [where[labels[ax]] for ax in shared]
+        state = [state[i] for i in kept] + [labels[ax] for ax in new]
+        peak = max(peak, q ** len(state))
+        if peak > PEAK_BUDGET:
+            return None
+        steps.append((pos, loops, shared, new, kept, axes))
+    return steps, peak
 
 
-def _circuits(normals: np.ndarray, pairs: list, n: int, q: int) -> np.ndarray:
-    """Dense products of circuits from their (S, G, 2, q^2, q^2) gate normals."""
-    dim = q**n
-    stack = np.zeros((len(normals), dim, dim), dtype=complex)
-    stack[:, range(dim), range(dim)] = 1
-    return _apply_gates(stack, _haar_from_normals(normals), pairs, n, q)
+@lru_cache(maxsize=64)
+def _plan(n: int, q: int, depth: int, bc: str, two_sided: bool) -> _Plan:
+    """The trace network of depth-`depth` circuits, one Tr W or Tr(U^dagger V),
+    in whichever gate order peaks lower: column-major (by leftmost qudit, the
+    ring's wrap gates (n, 1) as column 0, then in order of application) or
+    layer-major (in order of application).  Raises BudgetExceededError when
+    a sample's gates, or a state in both orders, pass PEAK_BUDGET complex
+    entries.
+    """
+    # layers alternate between the layouts of layers 0 and 1
+    gates = (2 if two_sided else 1) * sum(
+        len(_layer_pairs(n, parity, bc)) * ((depth + 1 - parity) // 2) for parity in (0, 1)
+    )
+    if gates * q**4 > PEAK_BUDGET:
+        raise BudgetExceededError(
+            f"{gates} gates of q^4 = {q**4} entries exceed budget {PEAK_BUDGET} per sample"
+        )
+    net, legs = _network(n, depth, bc, two_sided)
+    column = sorted(range(len(net)), key=lambda p: (0 if net[p][1][0] > net[p][1][1] else net[p][1][0], p))
+    candidates = [s for s in (_schedule(legs, column, q), _schedule(legs, range(len(net)), q)) if s]
+    if not candidates:
+        raise BudgetExceededError(
+            f"trace network of n={n}, q={q}, depth {depth} ({bc}) peaks past {PEAK_BUDGET} "
+            "complex entries per sample in both gate orders"
+        )
+    schedule, peak = min(candidates, key=lambda c: c[1])  # a tie keeps column-major
+    # a kind of gate: its traced qudits m and whether it enters daggered
+    kinds = sorted({(len(loops), net[pos][2]) for pos, loops, *_ in schedule})
+    gathers: list[list] = [[] for _ in kinds]  # per kind, (q^m, entries) index blocks
+    ends = [0] * len(kinds)
+    steps = []
+    for pos, loops, shared, new, kept, axes in schedule:
+        draw, _, daggered = net[pos]
+        index = np.array(draw * q**4)
+        for group in [(ax,) for ax in shared + new] + [(side, side + 2) for side in loops]:
+            index = np.add.outer(index, np.arange(q) * sum(q ** (3 - ax) for ax in group))
+        g = kinds.index((len(loops), daggered))
+        gathers[g].append(index.reshape(-1, q ** len(loops)).T)
+        lo, ends[g] = ends[g], ends[g] + index.size // q ** len(loops)
+        width = len(kept) + len(shared)
+        steps.append((
+            g, lo, ends[g], (-1, q ** len(shared), q ** len(new)),
+            (-1,) + (q,) * width,
+            None if axes == list(range(width)) else (0, *(1 + i for i in axes)),
+            (-1, q ** len(kept), q ** len(shared)),
+        ))
+    return _Plan(
+        pairs=tuple(pair for _, pair, _ in net),
+        peak=max(peak, len(net) * q**4),
+        scale=q ** (n - len({x for _, pair, _ in net for x in pair})),
+        gathers=tuple((kind[1], np.concatenate(parts, axis=1)) for kind, parts in zip(kinds, gathers)),
+        steps=tuple(steps),
+    )
+
+
+def _traces(gates: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Traces of the plan's network for each sample of a (S, G, q^2, q^2) gate stack.
+
+    Every gate is first laid out as the (shared, new) matrix its step
+    multiplies, by one gather over all gates of a kind (a traced qudit's q
+    terms summed in a fixed order; a daggered gate taken conjugated); each
+    step is then at most one contiguous copy of the state and one matmul
+    batched over the samples.
+    """
+    s = len(gates)
+    flat = gates.reshape(s, -1)
+    blocks = []
+    for daggered, rows in plan.gathers:
+        source = flat.conj() if daggered else flat
+        # np.take keeps each sample's row contiguous (source[:, rows[0]] would
+        # not), so every matrix of a step has the same strides in any chunk
+        block = np.take(source, rows[0], axis=1)
+        for row in rows[1:]:
+            block += np.take(source, row, axis=1)
+        blocks.append(block)
+    state = np.ones((s, 1, 1), dtype=complex)
+    for g, lo, hi, gate_shape, full, axes, shape in plan.steps:
+        if axes is not None:
+            state = state.reshape(full).transpose(axes)
+        state = np.matmul(state.reshape(shape), blocks[g][:, lo:hi].reshape(gate_shape))
+    return state.reshape(s) * plan.scale
 
 
 def circuit_trace(n: int, q: int, t: int, rng: np.random.Generator, bc: str = "open") -> complex:
-    """Trace of a freshly sampled depth-2(t-1) brickwork circuit (dense product)."""
+    """Trace of a freshly sampled depth-2(t-1) brickwork circuit."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    pairs = _circuit_pairs(n, q, t, bc)
-    normals = rng.standard_normal((1, len(pairs), 2, q * q, q * q))
-    return complex(np.trace(_circuits(normals, pairs, n, q)[0]))
+    _check_instance(n, q, t, bc)
+    plan = _plan(n, q, 2 * (t - 1), bc, False)
+    normals = rng.standard_normal((1, len(plan.pairs), 2, q * q, q * q))
+    return complex(_traces(_haar_from_normals(normals), plan)[0])
 
 
 _ZEROS4 = np.zeros(4, np.uint64)  # a fresh Philox counter and (empty) buffer
@@ -169,25 +292,15 @@ def _sample_rng(
     return reuse
 
 
-def _chunk_values(
-    n: int, q: int, k: int, seed: int, pairs: list, two_sided: bool, lo: int, hi: int
-) -> list[float]:
-    """|Tr|^(2k) of samples lo..hi-1, their circuits built as one stack."""
+def _chunk_values(q: int, k: int, seed: int, plan: _Plan, lo: int, hi: int) -> list[float]:
+    """|Tr|^(2k) of samples lo..hi-1, their networks contracted as one stack."""
     d = q * q
-    per_sample = 2 * len(pairs) if two_sided else len(pairs)
-    normals = np.empty((hi - lo, per_sample, 2, d, d))
+    normals = np.empty((hi - lo, len(plan.pairs), 2, d, d))
     rng = None
     for row, i in zip(normals, range(lo, hi)):
         rng = _sample_rng(seed, i, rng)
         rng.standard_normal(out=row)
-    if two_sided:
-        # sample i's U then V become circuits 2i and 2i+1 of the stack
-        stack = _circuits(normals.reshape(2 * (hi - lo), len(pairs), 2, d, d), pairs, n, q)
-        traces = [(u.conj().T @ v).trace() for u, v in zip(stack[0::2], stack[1::2])]
-    else:
-        # row sums of the contiguous diagonals: the same pairwise sums as np.trace
-        stack = _circuits(normals, pairs, n, q)
-        traces = np.ascontiguousarray(stack.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    traces = _traces(_haar_from_normals(normals), plan)
     return [float(abs(complex(tr)) ** (2 * k)) for tr in traces]
 
 
@@ -229,14 +342,13 @@ def estimate_frame_potential(
             f"the single-circuit estimate needs t >= 2 (got t={t}); "
             "use the two-sided form (--two-sided) for t < 2"
         )
-    pairs = _circuit_pairs(n, q, t, bc, two_sided)
-    # complex entries per sample in the largest stacked array: circuits or gates
-    entries = (2 if two_sided else 1) * max(q ** (2 * n), len(pairs) * q**4)
-    size = max(1, CHUNK_ENTRIES // entries)
+    _check_instance(n, q, t, bc)
+    plan = _plan(n, q, t if two_sided else 2 * (t - 1), bc, two_sided)
+    size = max(1, CHUNK_ENTRIES // plan.peak)
     chunks = [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
     def run(chunk: tuple[int, int]) -> list[float]:
-        return _chunk_values(n, q, k, seed, pairs, two_sided, *chunk)
+        return _chunk_values(q, k, seed, plan, *chunk)
 
     if threads == 1 or len(chunks) == 1:
         parts = [run(chunk) for chunk in chunks]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rqclattice.bounds import (
+    T_CAP,
     brickwork_single_wall_count,
     c1_images,
     conjecture_evidence,
@@ -292,3 +293,11 @@ class TestBrickworkSingleWallCount:
             brickwork_single_wall_count(1, 3)
         with pytest.raises(ValueError):
             brickwork_single_wall_count(4, 1)
+
+    def test_t_capped(self):
+        # the O(t^2) walk counts refuse t past the cap before counting
+        assert T_CAP >= 20000  # what the console-script check runs
+        for count in (lambda t: brickwork_single_wall_count(4, t), lambda t: c1_images(4, t),
+                      lambda t: single_wall_bound_k(4, 2, t, 2), lambda t: fp_k_leading(4, 2, t, 2)):
+            with pytest.raises(BudgetExceededError, match="t <= "):
+                count(T_CAP + 1)

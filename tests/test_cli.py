@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,18 @@ class TestFramePotentialCommand:
         assert env["result"]["value"] == str(haar_frame_potential(6, 9)) == "720"
 
 
+class TestParser:
+    def test_built_once_and_reused(self, capsys):
+        from rqclattice import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        # a flag of one call does not carry into the next
+        args = ["framepotential", "montecarlo", "--n", "4", "--q", "2", "--t", "2", "--k", "1",
+                "--samples", "4", "--seed", "3"]
+        assert run_json(capsys, *args, "--two-sided")["parameters"]["two_sided"] is True
+        assert run_json(capsys, *args)["parameters"]["two_sided"] is False
+
+
 class TestBoundsCommand:
     def test_fp2_substitution(self, capsys):
         env = run_json(capsys, "bounds", "--n", "4", "--q", "2", "--k", "2", "--t", "3")
@@ -251,7 +264,35 @@ class TestBoundsCommand:
     def test_fp2_overflow_prints_infinity(self, capsys):
         env = run_json(capsys, "bounds", "--n", "100000", "--q", "2", "--k", "2", "--t", "3")
         by_name = {row["name"]: row for row in env["result"]}
-        assert by_name["fp2_upper_bound"]["value"] == float("inf")
+        assert by_name["fp2_upper_bound"]["value"] == "Infinity"
+        assert float(by_name["fp2_upper_bound"]["value"]) == math.inf
+
+    def test_overflow_envelope_is_strict_json(self, capsys):
+        # no bare Infinity or NaN token: a strict parser reads the envelope
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for fmt in ("json", "csv"):
+            code, out, _ = run_cli(capsys, "bounds", "--n", "100000", "--q", "2", "--k", "2",
+                                   "--t", "3", "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                json.loads(out, parse_constant=refuse)
+            else:
+                assert "fp2_upper_bound,Infinity" in out
+
+    def test_t_capped_before_any_work(self, capsys, monkeypatch):
+        from rqclattice import bounds
+
+        def never(*args):
+            raise AssertionError("a bound was computed")
+
+        for name in ("fp2_upper_bound", "single_wall_bound_k", "fp_k_leading", "c1_images"):
+            monkeypatch.setattr(bounds, name, never)
+        code, out, err = run_cli(capsys, "bounds", "--n", "4", "--q", "2", "--k", "2",
+                                 "--t", str(bounds.T_CAP + 1))
+        assert (code, out) == (2, "")
+        assert "t <= 40000" in err
 
     def test_design_depth(self, capsys):
         env = run_json(capsys, "bounds", "--n", "10", "--q", "2", "--k", "2",

@@ -10,8 +10,10 @@ from rqclattice.lattice import _layer_pairs, build_geometry, frame_potential_tra
 from rqclattice.montecarlo import (
     CHUNK_ENTRIES,
     MCEstimate,
-    _apply_gates,
+    _chunk_values,
+    _plan,
     _sample_rng,
+    _traces,
     circuit_trace,
     estimate_frame_potential,
     sample_haar_gate,
@@ -58,21 +60,50 @@ def _one_sample(n, q, t, k, seed, index, two_sided, bc):
     return float(abs(complex(tr)) ** (2 * k))
 
 
-class TestApplyGate:
-    def test_matches_explicit_embedding_for_every_pair(self):
-        # a stack of 3 matrices, each with its own gate; (n, 1) is the ring's wrap pair
+def _dense_trace(gates, pairs, n, q, two_sided):
+    """Reference: Tr W, or Tr(U^dagger V) with U's gates first, from dense circuits."""
+    if not two_sided:
+        return np.trace(_one_circuit(gates, pairs, n, q))
+    u = _one_circuit(gates[: len(pairs)], pairs, n, q)
+    v = _one_circuit(gates[len(pairs):], pairs, n, q)
+    return np.vdot(u, v)  # sum of conj(U) * V entries: Tr(U^dagger V)
+
+
+class TestTrace:
+    # dense references of q^n x q^n matrices; q = 3 stops at n = 6 (729)
+    SHAPES = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)]
+
+    @pytest.mark.parametrize("q,n", SHAPES)
+    def test_matches_dense_products(self, q, n):
+        # every brickwork network of 0..6 layers a circuit, open and ring, one
+        # circuit or two; the wrap pair (n, 1) and U's daggered gates included
+        rng = np.random.default_rng(100 * q + n)
+        for bc, two_sided, depth in itertools.product(("open", "periodic"), (False, True), range(7)):
+            plan = _plan(n, q, depth, bc, two_sided)
+            pairs = [p for layer in range(depth) for p in _layer_pairs(n, layer, bc)]
+            gates = sample_haar_gate(q * q, rng, 2 * len(plan.pairs))
+            gates = gates.reshape(2, len(plan.pairs), q * q, q * q)
+            got = _traces(gates, plan)
+            for s in range(2):
+                want = _dense_trace(gates[s], pairs, n, q, two_sided)
+                assert abs(got[s] - want) <= 1e-12 * q**n, (bc, two_sided, depth, s)
+
+    def test_reference_circuit_is_the_embedded_product(self):
+        # the dense reference multiplies the embedded gates, wrap pair included
         rng = np.random.default_rng(5)
-        for n, q in ((4, 2), (5, 2), (3, 3)):
-            dim = q**n
-            stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
-            for a, b in itertools.permutations(range(1, n + 1), 2):
-                gates = sample_haar_gate(q * q, rng, 3)
-                got = _apply_gates(stack.copy(), gates[:, None], [(a, b)], n, q)
-                for s in range(3):
-                    np.testing.assert_allclose(
-                        got[s], _embedded(gates[s], a, b, n, q) @ stack[s], atol=1e-12,
-                        err_msg=f"{(n, q)}, {(a, b)}, matrix {s}",
-                    )
+        for n, q, bc in ((4, 2, "periodic"), (5, 2, "open"), (3, 3, "open"), (4, 3, "periodic")):
+            pairs = [p for layer in range(3) for p in _layer_pairs(n, layer, bc)]
+            gates = sample_haar_gate(q * q, rng, len(pairs))
+            want = np.eye(q**n)
+            for (a, b), gate in zip(pairs, gates):
+                want = _embedded(gate, a, b, n, q) @ want
+            np.testing.assert_allclose(_one_circuit(gates, pairs, n, q), want, atol=1e-12)
+
+    def test_plan_keeps_the_lower_peak(self):
+        # a deep small ring runs layer-major: the dense 3^4 x 3^4 operator,
+        # where column-major would carry the wrap gates' segments (3^12)
+        assert _plan(4, 3, 6, "periodic", False).peak == 3**8
+        assert _plan(64, 2, 6, "open", False) is _plan(64, 2, 6, "open", False)
 
 
 class TestHaarGate:
@@ -138,9 +169,12 @@ class TestCircuitTrace:
         se = np.std(vals, ddof=1) / math.sqrt(n_samples)
         assert abs(np.mean(vals) - 2.0) < 4 * se
 
-    def test_dense_budget(self):
-        with pytest.raises(BudgetExceededError):
-            circuit_trace(13, 2, 2, np.random.default_rng(0))
+    def test_peak_budget(self):
+        # a deep q = 3 ring peaks past the budget in both gate orders
+        with pytest.raises(BudgetExceededError, match="both gate orders"):
+            circuit_trace(16, 3, 5, np.random.default_rng(0), "periodic")
+        # the dense products stopped at q^n = 4096; an open chain is cheap
+        assert abs(circuit_trace(13, 2, 2, np.random.default_rng(0))) <= 2**13
 
     def test_t0_rejected(self):
         with pytest.raises(ValueError):
@@ -150,12 +184,14 @@ class TestCircuitTrace:
     def test_gates_follow_lattice_geometry(self, monkeypatch, bc):
         applied = []
 
-        def record(stack, gates, pairs, n, q):
-            assert gates.shape[:2] == (len(stack), len(pairs))
-            applied.extend(pairs)
-            return stack
+        traces = rqclattice.montecarlo._traces
 
-        monkeypatch.setattr(rqclattice.montecarlo, "_apply_gates", record)
+        def record(gates, plan):
+            assert gates.shape[:2] == (1, len(plan.pairs))
+            applied.extend(plan.pairs)
+            return traces(gates, plan)
+
+        monkeypatch.setattr(rqclattice.montecarlo, "_traces", record)
         for n in range(2, 8):
             for t in range(1, 5):
                 applied.clear()
@@ -206,6 +242,32 @@ class TestEstimator:
         exact = float(frame_potential_transfer(build_geometry(4, 2, 2, "periodic"), 2).value)
         assert exact == pytest.approx(2.1024)
         assert abs(est.mean - exact) < 4 * est.std_error
+
+    @pytest.mark.parametrize("n,bc", [(16, "open"), (32, "open"), (16, "periodic")])
+    def test_agreement_with_exact_past_the_dense_cap(self, n, bc):
+        # q^n far past the 4096 the dense products took.  A sample x = |Tr|^(2k)
+        # has Var x = F^(2k) - (F^(k))^2, so the error is exact where the
+        # 2k-th moment fits its budget: the heavy-tailed sample error of k = 2
+        # at n = 32 is a tenth of it.  k = 1 (F = 1) is the sharp check
+        geom = build_geometry(n, 2, 3, bc)
+
+        def exact(k):
+            try:
+                return float(frame_potential_transfer(geom, k, backend="float").value)
+            except BudgetExceededError:  # F^(4) of the n = 16 ring
+                return None
+
+        for k in (1, 2):
+            est = estimate_frame_potential(n, 2, 3, k, samples=4000, seed=20261020, bc=bc)
+            mean, second = exact(k), exact(2 * k)
+            error = est.std_error if second is None else math.sqrt((second - mean**2) / est.samples)
+            assert abs(est.mean - mean) <= 5 * error, (k, est.mean, mean, error)
+
+    def test_long_open_chain(self):
+        # n = 64 contracts column by column: its largest array is its gates
+        assert _plan(64, 2, 6, "open", False).peak == 189 * 16
+        est = estimate_frame_potential(64, 2, 4, 1, samples=100, seed=64)
+        assert abs(est.mean - 1.0) <= 5 * est.std_error  # F^(1) = 1 at any depth
 
     def test_k1_estimates_one(self):
         est = estimate_frame_potential(4, 2, 3, 1, samples=5000, seed=2718)
@@ -280,8 +342,8 @@ class TestBatching:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_budget_checked_before_any_stream(self, monkeypatch, threads):
         monkeypatch.setattr(rqclattice.montecarlo, "_sample_rng", _fail_rng)
-        with pytest.raises(BudgetExceededError):
-            estimate_frame_potential(13, 2, 2, 2, samples=8, seed=0, threads=threads)
+        with pytest.raises(BudgetExceededError):  # a deep q = 3 ring
+            estimate_frame_potential(16, 3, 5, 2, samples=8, seed=0, threads=threads, bc="periodic")
         with pytest.raises(ValueError, match="boundary"):
             estimate_frame_potential(4, 2, 2, 2, samples=8, seed=0, threads=threads, bc="twisted")
 
@@ -289,10 +351,8 @@ class TestBatching:
     @pytest.mark.parametrize("bc", ["open", "periodic"])
     @pytest.mark.parametrize("two_sided", [False, True])
     def test_values_independent_of_chunks_and_threads(self, monkeypatch, n, bc, two_sided):
-        t = 2
-        depth = t if two_sided else 2 * (t - 1)
-        gates = sum(len(_layer_pairs(n, layer, bc)) for layer in range(depth))
-        per_sample = (2 if two_sided else 1) * max(4**n, gates * 16)
+        t = 3
+        per_sample = _plan(n, 2, t if two_sided else 2 * (t - 1), bc, two_sided).peak
         samples = 12 if n < 8 else 8
         reference = None
         for size in (1, 7, samples):
@@ -309,31 +369,35 @@ class TestBatching:
 
     def test_stacked_arrays_within_chunk_bound(self, monkeypatch):
         seen = []
-        haar, apply = rqclattice.montecarlo._haar_from_normals, rqclattice.montecarlo._apply_gates
+        haar, matmul = rqclattice.montecarlo._haar_from_normals, np.matmul
 
         def record_haar(normals):
             gates = haar(normals)
             seen.extend([("normals", normals), ("gates", gates)])
             return gates
 
-        def record_apply(stack, gates, pairs, n, q):
-            out = apply(stack, gates, pairs, n, q)
-            seen.extend([("stack", stack), ("product", out)])
+        def record_matmul(state, gate):
+            out = matmul(state, gate)
+            seen.extend([("state", state), ("gate", gate), ("product", out)])
             return out
 
         monkeypatch.setattr(rqclattice.montecarlo, "_haar_from_normals", record_haar)
-        monkeypatch.setattr(rqclattice.montecarlo, "_apply_gates", record_apply)
+        monkeypatch.setattr(np, "matmul", record_matmul)
         for n, samples in ((8, 3), (4, 600)):
             seen.clear()
             estimate_frame_potential(n, 2, 3, 1, samples=samples, seed=1, threads=2, bc="periodic")
             largest = max(array.nbytes for _, array in seen)
             assert largest <= 16 * CHUNK_ENTRIES  # complex128: 16 bytes an entry
             if n == 4:
-                assert largest == 16 * CHUNK_ENTRIES  # full chunks of 256 samples
-        # two-sided n=8 needs two 2^16-entry circuits per sample: chunks of one sample
+                # full chunks of 256 samples, each with a planned peak of 256
+                assert largest == 16 * CHUNK_ENTRIES
+        # the n = 8 ring at t = 5 runs layer-major, through states of 2^16
+        # entries, its planned peak: chunks of one sample
+        assert _plan(8, 2, 8, "periodic", False).peak == CHUNK_ENTRIES
         seen.clear()
-        estimate_frame_potential(8, 2, 2, 1, samples=2, seed=1, two_sided=True)
-        assert {len(array) for name, array in seen if name == "stack"} == {2}
+        estimate_frame_potential(8, 2, 5, 1, samples=2, seed=1, bc="periodic")
+        assert {len(array) for name, array in seen if name == "gates"} == {1}
+        assert max(array.size for name, array in seen if name == "product") == CHUNK_ENTRIES
 
     @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
     @pytest.mark.parametrize("bc", ["open", "periodic"])
@@ -341,9 +405,13 @@ class TestBatching:
     def test_values_equal_one_sample_at_a_time(self, monkeypatch, n, q, bc, two_sided):
         est, values, _ = _chunked_estimate(monkeypatch, n, q, 3, 2, samples=10, seed=31,
                                            two_sided=two_sided, bc=bc)
-        want = [_one_sample(n, q, 3, 2, 31, i, two_sided, bc) for i in range(10)]
-        assert values == want
-        assert est.max_sample == max(want)
+        plan = _plan(n, q, 3 if two_sided else 4, bc, two_sided)
+        alone = [_chunk_values(q, 2, 31, plan, i, i + 1)[0] for i in range(10)]
+        assert values == alone
+        assert est.max_sample == max(alone)
+        # the dense products sum each trace in another order: equal to rounding
+        dense = [_one_sample(n, q, 3, 2, 31, i, two_sided, bc) for i in range(10)]
+        assert values == pytest.approx(dense, rel=1e-12, abs=0)
 
     # estimates of the per-sample loop this batched estimator replaced, frozen
     # from its output; a relative tolerance absorbs BLAS rounding but not a
