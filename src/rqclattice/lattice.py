@@ -692,7 +692,13 @@ def _evaluate(
         plan = _plan(model, geom, math.factorial(k), budget)
         weights, denom, bounds = tables(k, geom.q)
         value = _sweep(plan, weights, k, bounds)
-    value = Fraction(value, denom**geom.n_gates) if backend == "exact" else float(value)
+    if backend == "exact":
+        value = Fraction(value, denom**geom.n_gates)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:  # a t <= 1 closed form past the largest double
+            value = math.inf
     return FramePotentialResult(
         value, k, geom.n, geom.q, geom.t, geom.spatial_bc, method, backend, gauge_fixed=method != "special"
     )

@@ -31,8 +31,10 @@ PEAK_BUDGET before any stream is drawn.
 Sampling is batched over samples.  The estimator splits the samples into
 contiguous chunks of CHUNK_ENTRIES // peak samples, at least one, so that a
 chunk's arrays hold at most CHUNK_ENTRIES complex entries (1 MB) unless one
-sample needs more; a chunk runs one QR over its gates and one contraction.
-With `threads` > 1 a thread pool runs the chunks.
+sample needs more.  A chunk draws its samples' normals from one Philox
+generator, re-keyed for each sample, then runs one Gram-Schmidt kernel over
+all its gates (`_haar_from_normals`; no LAPACK) and one contraction.  With
+`threads` > 1 a thread pool runs the chunks.
 
 Sampling is reproducible by construction: the gates of sample i are drawn from
 a counter-based Philox stream keyed by (seed, i), all gates of a sample in one
@@ -87,19 +89,53 @@ class MCEstimate:
         return asdict(self)
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... + a[-1] of two or more rows, added in that order.
+
+    np.sum may reorder a short axis (pairwise, once the rest of the array is
+    a single entry), which would make a gate's bits depend on its batch.
+    """
+    s = a[0] + a[1]
+    for row in a[2:]:
+        s += row
+    return s
+
+
 def _haar_from_normals(g: np.ndarray) -> np.ndarray:
-    """Haar unitaries from (..., 2, dim, dim) normals: QR of the Ginibre matrix, phases fixed."""
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2)
-    u, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return u * (diag / np.abs(diag))[..., None, :]
+    """Haar unitaries from (..., 2, dim, dim) normals, real parts then imaginary.
+
+    The Q factor of a complex Ginibre matrix whose R has a positive diagonal
+    is Haar-distributed (Mezzadri, arXiv:math-ph/0609050), and Gram-Schmidt
+    gives that Q with no phase fix.  The matrices are one complex
+    (dim, dim, N) array with the batch on the last axis.  Right-looking, column
+    by column: normalise column i, then project it out of all later columns
+    at once, twice (reorthogonalisation).  Every step is elementwise over the
+    batch and every sum over rows runs in row order, so a gate's bits do not
+    depend on the batch it is in.
+    """
+    *lead, _, dim, _ = g.shape
+    flat = g.reshape(-1, 2, dim, dim)
+    a = np.empty((dim, dim, len(flat)), dtype=complex)
+    a.real = flat[:, 0].transpose(1, 2, 0)
+    a.imag = flat[:, 1].transpose(1, 2, 0)
+    for i in range(dim):
+        col = a[:, i]
+        parts = col.view(float)  # (dim, 2N): real and imaginary parts interleaved
+        norm2 = _row_sum(parts * parts)
+        col /= np.sqrt(norm2[0::2] + norm2[1::2])
+        if i + 1 < dim:
+            later, left, right = a[:, i + 1:], col[:, None], col.conj()[:, None]
+            for _ in range(2):
+                later -= left * _row_sum(right * later)
+    return np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(*lead, dim, dim)
 
 
 def sample_haar_gate(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Haar-random unitary from QR of a complex Ginibre matrix with phase fixing.
+    """Haar-random unitary: Gram-Schmidt Q of a complex Ginibre matrix.
 
     With `count`, a (count, dim, dim) stack of independent gates from one draw;
-    its normals come in the same order as `count` single-gate calls.
+    its normals come in the same order as `count` single-gate calls, and each
+    gate is bit-identical to its single-gate draw.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -269,8 +305,18 @@ def circuit_trace(n: int, q: int, t: int, rng: np.random.Generator, bc: str = "o
     return complex(_traces(_haar_from_normals(normals), plan)[0])
 
 
-_ZEROS4 = np.zeros(4, np.uint64)  # a fresh Philox counter and (empty) buffer
-_ZEROS4.flags.writeable = False
+def _stream_start(seed: int, index: int) -> dict:
+    """Philox state at the start of the stream of sample `index`.
+
+    Its key is [index, seed]: writing state["state"]["key"][0] re-keys it to
+    another sample of the run.  Plain lists, not arrays: the state setter
+    reads them entry by entry.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [index, seed]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def _sample_rng(
@@ -278,30 +324,30 @@ def _sample_rng(
 ) -> np.random.Generator:
     """The stream of sample `index`: Philox keyed by (seed, index), at its start.
 
-    Given `reuse`, a generator this function made, it rekeys and returns that
-    generator instead of building one (a quarter of the cost).
+    Given `reuse`, a generator this function made, it re-keys and returns that
+    generator instead of building one.  `_chunk_values` re-keys one generator
+    per chunk the same way, through one state dict.
     """
     # Philox takes a 128-bit key: high word = run seed, low word = sample index
     if reuse is None:
         return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
-    reuse.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": np.array([index, seed], np.uint64)},
-        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    reuse.bit_generator.state = _stream_start(seed, index)
     return reuse
 
 
-def _chunk_values(q: int, k: int, seed: int, plan: _Plan, lo: int, hi: int) -> list[float]:
+def _chunk_values(q: int, k: int, seed: int, plan: _Plan, lo: int, hi: int) -> np.ndarray:
     """|Tr|^(2k) of samples lo..hi-1, their networks contracted as one stack."""
     d = q * q
     normals = np.empty((hi - lo, len(plan.pairs), 2, d, d))
-    rng = None
-    for row, i in zip(normals, range(lo, hi)):
-        rng = _sample_rng(seed, i, rng)
+    rng = _sample_rng(seed, lo)
+    bits = rng.bit_generator
+    state = _stream_start(seed, lo)
+    key = state["state"]["key"]
+    for i, row in enumerate(normals, lo):
+        key[0] = i
+        bits.state = state
         rng.standard_normal(out=row)
-    traces = _traces(_haar_from_normals(normals), plan)
-    return [float(abs(complex(tr)) ** (2 * k)) for tr in traces]
+    return np.abs(_traces(_haar_from_normals(normals), plan)) ** (2 * k)
 
 
 def estimate_frame_potential(
@@ -355,7 +401,7 @@ def estimate_frame_potential(
     else:
         with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             parts = list(pool.map(run, chunks))
-    values = np.array([v for part in parts for v in part], dtype=float)
+    values = np.concatenate(parts)
 
     mean = float(np.sum(values) / samples)  # numpy pairwise sum, index order fixed
     var = float(np.sum((values - mean) ** 2) / (samples - 1))

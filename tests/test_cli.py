@@ -127,6 +127,15 @@ class TestFramePotentialCommand:
                        "--n", "6", "--q", "2", "--t", "1", "--k", "2")
         assert env["result"]["value"] == "8"
 
+    def test_float_t1_overflow_is_strict_json_infinity(self, capsys):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(capsys, "framepotential", "exact-transfer", "--n", "1000", "--q", "3",
+                               "--t", "1", "--k", "6", "--backend", "float")
+        assert code == 0
+        assert json.loads(out, parse_constant=refuse)["result"]["value_float"] == "Infinity"
+
     def test_k1_exact_direct(self, capsys):
         env = run_json(capsys, "framepotential", "exact-direct",
                        "--n", "4", "--q", "2", "--t", "2", "--k", "1")

@@ -159,6 +159,12 @@ class TestSpecialValues:
                     kind, expected, backend, "special", False
                 )
 
+    def test_float_special_past_the_largest_double_is_infinite(self):
+        # (6!)^500 has 1429 digits: the float ring gives inf, the exact one the integer
+        geom = build_geometry(1000, 3, 1, "open")
+        assert frame_potential_transfer(geom, 6, backend="float").value == math.inf
+        assert frame_potential_transfer(geom, 6).value == math.factorial(6) ** 500
+
 
 class TestHandAnchors:
     """n=4, t=2, k=2, q=2 contractions worked out by hand from the k=2 rules."""

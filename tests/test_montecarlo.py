@@ -69,6 +69,14 @@ def _dense_trace(gates, pairs, n, q, two_sided):
     return np.vdot(u, v)  # sum of conj(U) * V entries: Tr(U^dagger V)
 
 
+def _lapack_haar(normals):
+    """Reference: LAPACK QR of the same Ginibre matrices, R's diagonal made positive."""
+    z = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    u, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return u * (diag / np.abs(diag))[..., None, :]
+
+
 class TestTrace:
     # dense references of q^n x q^n matrices; q = 3 stops at n = 6 (729)
     SHAPES = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)]
@@ -135,6 +143,33 @@ class TestHaarGate:
         for gate in stack:
             np.testing.assert_array_equal(gate, sample_haar_gate(4, rng))
         assert sample_haar_gate(4, rng, 0).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_matches_phase_fixed_lapack_qr(self, dim):
+        # 10^4 gates against the LAPACK oracle, drawn in four stacks
+        rng = np.random.default_rng(dim)
+        for _ in range(4):
+            normals = rng.standard_normal((2500, 2, dim, dim))
+            gates = rqclattice.montecarlo._haar_from_normals(normals)
+            assert np.max(np.abs(gates - _lapack_haar(normals))) <= 1e-12
+            products = np.matmul(gates.conj().transpose(0, 2, 1), gates)
+            assert np.max(np.abs(products - np.eye(dim))) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_gate_bits_independent_of_the_stack(self, dim):
+        for count in (1, 2, 3, 17):
+            stack = sample_haar_gate(dim, _sample_rng(dim, count), count)
+            rng = _sample_rng(dim, count)
+            for gate in stack:
+                np.testing.assert_array_equal(gate, sample_haar_gate(dim, rng))
+
+    def test_trace_moments_of_u9(self):
+        # E|Tr u|^2 = 1 and E|Tr u|^4 = 2 for Haar U(9), the gates of q = 3
+        tr = np.abs(np.trace(sample_haar_gate(9, _sample_rng(99, 0), 20000), axis1=1, axis2=2))
+        for power, moment in ((2, 1.0), (4, 2.0)):
+            values = tr**power
+            se = np.std(values, ddof=1) / math.sqrt(len(values))
+            assert abs(np.mean(values) - moment) < 4 * se
 
     def test_reused_stream_starts_afresh(self):
         used = _sample_rng(3, 1)
