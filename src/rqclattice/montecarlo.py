@@ -53,6 +53,7 @@ potentials only for t >= 2.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -305,49 +306,45 @@ def circuit_trace(n: int, q: int, t: int, rng: np.random.Generator, bc: str = "o
     return complex(_traces(_haar_from_normals(normals), plan)[0])
 
 
-def _stream_start(seed: int, index: int) -> dict:
-    """Philox state at the start of the stream of sample `index`.
+def _sample_rng(seed: int, index: int) -> np.random.Generator:
+    """The stream of sample `index`: Philox keyed by (seed, index), at its start."""
+    # Philox takes a 128-bit key: high word = run seed, low word = sample index
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
 
-    Its key is [index, seed]: writing state["state"]["key"][0] re-keys it to
-    another sample of the run.  Plain lists, not arrays: the state setter
-    reads them entry by entry.
+
+def _sample_streams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """The streams of samples lo..hi-1 in turn, each equal to `_sample_rng`'s.
+
+    One generator is re-keyed for every sample, which is cheaper than building
+    one: its state is set from one dict at a stream's start whose key is
+    [index, seed], so only key[0] is written.  Plain lists, not arrays: the
+    state setter reads them entry by entry.
     """
-    return {
+    rng = _sample_rng(seed, lo)
+    bits = rng.bit_generator
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [index, seed]},
+        "state": {"counter": [0, 0, 0, 0], "key": [lo, seed]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-
-
-def _sample_rng(
-    seed: int, index: int, reuse: np.random.Generator | None = None
-) -> np.random.Generator:
-    """The stream of sample `index`: Philox keyed by (seed, index), at its start.
-
-    Given `reuse`, a generator this function made, it re-keys and returns that
-    generator instead of building one.  `_chunk_values` re-keys one generator
-    per chunk the same way, through one state dict.
-    """
-    # Philox takes a 128-bit key: high word = run seed, low word = sample index
-    if reuse is None:
-        return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
-    reuse.bit_generator.state = _stream_start(seed, index)
-    return reuse
+    key = state["state"]["key"]
+    for i in range(lo, hi):
+        key[0] = i
+        bits.state = state
+        yield rng
 
 
 def _chunk_values(q: int, k: int, seed: int, plan: _Plan, lo: int, hi: int) -> np.ndarray:
-    """|Tr|^(2k) of samples lo..hi-1, their networks contracted as one stack."""
+    """|Tr|^(2k) of samples lo..hi-1, their networks contracted as one stack.
+
+    A value past the largest double is inf.
+    """
     d = q * q
     normals = np.empty((hi - lo, len(plan.pairs), 2, d, d))
-    rng = _sample_rng(seed, lo)
-    bits = rng.bit_generator
-    state = _stream_start(seed, lo)
-    key = state["state"]["key"]
-    for i, row in enumerate(normals, lo):
-        key[0] = i
-        bits.state = state
+    for row, rng in zip(normals, _sample_streams(seed, lo, hi)):
         rng.standard_normal(out=row)
-    return np.abs(_traces(_haar_from_normals(normals), plan)) ** (2 * k)
+    with np.errstate(over="ignore"):
+        return np.abs(_traces(_haar_from_normals(normals), plan)) ** (2 * k)
 
 
 def estimate_frame_potential(
@@ -368,7 +365,9 @@ def estimate_frame_potential(
     potential; the default single-circuit form uses the reduced depth-2(t-1)
     trace.  `bc` selects the open chain or the periodic ring (an odd-n ring has
     no wrap gate).  The heavy-tailed |Tr|^(2k) distribution is why the max
-    sample rides along with the standard error.
+    sample rides along with the standard error.  A sample past the largest
+    double (a large k) is inf, and so are the mean and the max sample; the
+    standard error is then NaN.
 
     The single-circuit form needs t >= 2: at t = 1 the reduced circuit is
     empty and its trace moment is q^(2nk), not the frame potential.  The
@@ -393,7 +392,7 @@ def estimate_frame_potential(
     size = max(1, CHUNK_ENTRIES // plan.peak)
     chunks = [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
-    def run(chunk: tuple[int, int]) -> list[float]:
+    def run(chunk: tuple[int, int]) -> np.ndarray:
         return _chunk_values(q, k, seed, plan, *chunk)
 
     if threads == 1 or len(chunks) == 1:
@@ -403,8 +402,9 @@ def estimate_frame_potential(
             parts = list(pool.map(run, chunks))
     values = np.concatenate(parts)
 
-    mean = float(np.sum(values) / samples)  # numpy pairwise sum, index order fixed
-    var = float(np.sum((values - mean) ** 2) / (samples - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past a double: inf, NaN
+        mean = float(np.sum(values) / samples)  # numpy pairwise sum, index order fixed
+        var = float(np.sum((values - mean) ** 2) / (samples - 1))
     std_error = math.sqrt(var / samples)
 
     return MCEstimate(

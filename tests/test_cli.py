@@ -136,6 +136,16 @@ class TestFramePotentialCommand:
         assert code == 0
         assert json.loads(out, parse_constant=refuse)["result"]["value_float"] == "Infinity"
 
+    def test_montecarlo_overflow_is_strict_json(self, capsys):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(capsys, "framepotential", "montecarlo", "--n", "4", "--q", "2",
+                               "--t", "2", "--k", "2000", "--samples", "20", "--seed", "0")
+        assert code == 0
+        result = json.loads(out, parse_constant=refuse)["result"]
+        assert (result["mean"], result["std_error"], result["max_sample"]) == ("Infinity", "NaN", "Infinity")
+
     def test_k1_exact_direct(self, capsys):
         env = run_json(capsys, "framepotential", "exact-direct",
                        "--n", "4", "--q", "2", "--t", "2", "--k", "1")

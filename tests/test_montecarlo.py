@@ -13,6 +13,7 @@ from rqclattice.montecarlo import (
     _chunk_values,
     _plan,
     _sample_rng,
+    _sample_streams,
     _traces,
     circuit_trace,
     estimate_frame_potential,
@@ -172,11 +173,11 @@ class TestHaarGate:
             assert abs(np.mean(values) - moment) < 4 * se
 
     def test_reused_stream_starts_afresh(self):
-        used = _sample_rng(3, 1)
-        used.random(), used.integers(0, 2**31, dtype=np.uint32), used.standard_normal(3)
-        rekeyed = _sample_rng(8, 5, used)
-        assert rekeyed is used
-        np.testing.assert_array_equal(rekeyed.standard_normal(41), _sample_rng(8, 5).standard_normal(41))
+        # the chunk's one generator, re-keyed after each sample used it up
+        for i, rekeyed in zip(range(5, 8), _sample_streams(8, 5, 8)):
+            fresh = _sample_rng(8, i)
+            np.testing.assert_array_equal(rekeyed.standard_normal(41), fresh.standard_normal(41))
+            rekeyed.random(), rekeyed.integers(0, 2**31, dtype=np.uint32), rekeyed.standard_normal(3)
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -349,6 +350,14 @@ class TestEstimator:
         for seed, k in ((0, 2), (2**64 - 1, 2), (1, 7)):
             est = estimate_frame_potential(4, 2, 2, k, samples=4, seed=seed)
             assert (est.seed, est.k) == (seed, k)
+
+    def test_value_past_the_largest_double_is_infinite(self):
+        # |Tr|^4000 passes the largest double once |Tr| > 1.2; no RuntimeWarning
+        est = estimate_frame_potential(4, 2, 2, 2000, samples=20, seed=0)
+        assert est.mean == est.max_sample == math.inf
+        assert math.isnan(est.std_error)
+        finite = estimate_frame_potential(4, 2, 2, 200, samples=20, seed=0)
+        assert math.isfinite(finite.mean) and math.isfinite(finite.std_error)
 
 
 def _fail_rng(*args):
