@@ -80,8 +80,53 @@ def _envelope(command: str, parameters: dict, result, provenance: dict | None = 
 
 # One flat row of a list result at the depth the indented dump puts it: its
 # fields on lines of their own, six spaces in.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_ROW_SEP = ",\n      "
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_ROW_SEP, ": "))
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class _KeyedRows(list):
+    """The rows {"key_left": names[a], "key_right": names[b], **fields[c]} of
+    `cells` (a, b, c), made one by one as the list is read; a class no cell
+    names may have None for its fields.
+
+    json and csv read it as the list of those rows, by iterating it and taking
+    its length, the only reads it serves (its list storage stays empty).  It
+    holds only the cells and one dict of fields per class c, so `_dumps`
+    encodes each class's fields once and splices the key names in.  No field
+    name may sort between the two key names, and every field is a scalar.
+    """
+
+    def __init__(self, names: list[str], cells: list[tuple[int, int, int]], fields: list[dict]):
+        super().__init__()
+        for row in filter(None, fields):  # the splice is byte-exact only for these
+            if any("key_left" <= name <= "key_right" for name in row):
+                raise ValueError("a field name sorts between key_left and key_right")
+            if not _SCALARS.issuperset(map(type, row.values())):
+                raise ValueError("a field value is not a scalar")
+        self.names, self.cells, self.fields = names, cells, fields
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __iter__(self):
+        names, fields = self.names, self.fields
+        return ({"key_left": names[a], "key_right": names[b], **fields[c]} for a, b, c in self.cells)
+
+    def encoded(self) -> list[str]:
+        """Each row as `_dumps` writes it: the fields of a class encoded once, around
+        its keys, which sort between the fields before and after them."""
+        encode = _ROW_ENCODER.encode
+        names = [encode(name) for name in self.names]
+        heads, tails = [], []
+        for fields in self.fields:
+            fields = fields or {}
+            before = encode({k: v for k, v in fields.items() if k < "key_left"})[1:-1]
+            after = encode({k: v for k, v in fields.items() if k > "key_right"})[1:-1]
+            heads.append("{\n      " + (before + _ROW_SEP if before else "") + '"key_left": ')
+            tails.append((_ROW_SEP + after if after else "") + "\n    }")
+        middle = _ROW_SEP + '"key_right": '
+        return [heads[c] + names[a] + middle + names[b] + tails[c] for a, b, c in self.cells]
 
 
 def _dumps(envelope: dict) -> str:
@@ -89,18 +134,23 @@ def _dumps(envelope: dict) -> str:
 
     Python's indented dump runs its pure-Python encoder.  A result that is a
     list of flat rows (non-empty dicts of scalars) is encoded row by row by the
-    C encoder instead, and the rows are spliced into the indented envelope, in
-    which `result` sorts last; any other result takes the indented dump.
+    C encoder instead, a `_KeyedRows` result class by class, and the rows are
+    spliced into the indented envelope, in which `result` sorts last; any other
+    result takes the indented dump.
     """
     rows = envelope["result"]
-    if (type(rows) is list and rows
-            and all(type(row) is dict and row and _SCALARS.issuperset(map(type, row.values()))
-                    for row in rows)):
+    encoded = None
+    if type(rows) is _KeyedRows:
+        encoded = rows.encoded()
+    elif type(rows) is list and all(
+        type(row) is dict and row and _SCALARS.issuperset(map(type, row.values())) for row in rows
+    ):
+        encode = _ROW_ENCODER.encode
+        encoded = ["{\n      " + encode(row)[1:-1] + "\n    }" for row in rows]
+    if encoded:
         head = json.dumps({**envelope, "result": None}, indent=2, sort_keys=True)
         if head.endswith('"result": null\n}'):
-            encode = _ROW_ENCODER.encode
-            body = ",\n    ".join(["{\n      " + encode(row)[1:-1] + "\n    }" for row in rows])
-            return head[: -len("null\n}")] + "[\n    " + body + "\n  ]\n}"
+            return head[: -len("null\n}")] + "[\n    " + ",\n    ".join(encoded) + "\n  ]\n}"
     return json.dumps(envelope, indent=2, sort_keys=True)
 
 
@@ -113,7 +163,8 @@ def _emit(envelope: dict, fmt: str, csv_rows: list[dict] | None = None) -> None:
     rows = csv_rows
     if rows is None:
         result = envelope["result"]
-        rows = result if isinstance(result, list) else [_flatten(result)]
+        # list(): a `_KeyedRows` result makes its rows once for both passes below
+        rows = list(result) if isinstance(result, list) else [_flatten(result)]
     buf = io.StringIO()
     if rows:
         fieldnames: list[str] = []
@@ -198,20 +249,14 @@ def _cmd_plaquettes(args) -> int:
     else:
         weights, classes = table.key_classes()
         signatures = [table.class_signature(c) for c in range(len(weights))]
-        cells = (
-            (ia, ib, c) for ia, row in enumerate(classes.tolist()) for ib, c in enumerate(row)
-        )
+        cells = [(ia, ib, c) for ia, row in enumerate(classes.tolist()) for ib, c in enumerate(row)]
     # each class is rendered once; its keys share the rendered fields
     fields = [
         None if args.nonzero_only and w.is_zero() else _plaquette_fields(sig, w, args.q)
         for sig, w in zip(signatures, weights)
     ]
     names = ["".join(map(str, p.images)) for p in gt.perms]
-    rows = [
-        {"key_left": names[ia], "key_right": names[ib], **fields[c]}
-        for ia, ib, c in cells
-        if fields[c] is not None
-    ]
+    rows = _KeyedRows(names, [cell for cell in cells if fields[cell[2]] is not None], fields)
     env = _envelope(
         "plaquettes",
         {"k": k, "q": args.q, "nonzero_only": args.nonzero_only},
@@ -291,7 +336,11 @@ def _cmd_framepotential(args) -> int:
         res = frame_potential_transfer(geom, args.k, backend=args.backend or "exact")
     params.update({"backend": res.backend, "gauge_fix": res.gauge_fixed})
     if res.backend == "exact":
-        result = {"value": _frac(res.value), "value_float": float(res.value)}
+        try:
+            value_float = float(res.value)
+        except OverflowError:  # an exact value past the largest double
+            value_float = math.inf if res.value > 0 else -math.inf
+        result = _strict({"value": _frac(res.value), "value_float": value_float})
     else:
         result = _strict({"value_float": res.value, "precision": "float64 contraction"})
     env = _envelope("framepotential", params, result,

@@ -4,7 +4,7 @@ Carriers for Weingarten functions Wg(sigma, d) and plaquette weights J(q).
 A polynomial is a list of Python ints, its coefficients lowest degree first;
 [] is the zero polynomial.  Every computation runs on that one representation
 with one integer kernel: convolution, a primitive pseudo-remainder gcd, exact
-division, lcm, Horner evaluation, an integer-root scan, and one reduction to
+division, lcm, Horner evaluation, a rational-root search, and one reduction to
 the normal form every `RationalFunction` is kept in (coprime num and den,
 joint content 1, positive leading den coefficient, no trailing zeros), so
 equality is tuple equality.  Fraction coefficients over a monic denominator
@@ -36,10 +36,22 @@ def horner(coeffs: list[int], x: int | Fraction) -> int | Fraction:
 
 
 def integer_roots(coeffs: list[int], lo: int, hi: int) -> set[int]:
-    """All integer roots in [lo, hi] of an integer polynomial, by direct evaluation."""
+    """All integer roots in [lo, hi] of an integer polynomial.
+
+    By the rational root theorem a nonzero integer root divides the lowest
+    nonzero coefficient c, so only 0 and the divisors of c in the range are
+    evaluated; divisors are found by trial division up to min(sqrt|c|, the
+    largest |x| in the range).
+    """
     if not any(coeffs):
         raise ValueError("zero polynomial has every root")
-    return {x for x in range(lo, hi + 1) if horner(coeffs, x) == 0}
+    c = abs(next(filter(None, coeffs)))
+    reach = max(abs(lo), abs(hi))
+    divisors = set()
+    for d in range(1, min(math.isqrt(c), reach) + 1):
+        if c % d == 0:
+            divisors.update((d, -d, c // d, -c // d))
+    return {x for x in divisors | {0} if lo <= x <= hi and horner(coeffs, x) == 0}
 
 
 def _format(coeffs: list, var: str) -> str:

@@ -45,11 +45,13 @@ independent, so their exact equality on every in-budget geometry is the
 package's central oracle; :func:`_frame_potential_bruteforce` checks both
 against raw enumeration on tiny instances, and the tests keep the unpinned
 sweep as the pinned one's oracle.  numpy is imported on the first
-contraction, so the geometry runs without it.
+contraction, and the weight modules (plaquette, weingarten, exact) on the
+first table at q, so the geometry runs without any of them.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import os
@@ -59,10 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetExceededError, PoleError
-from .exact import scale_to_ints
 from .perms import check_moment, group_table
-from .plaquette import build_table
-from .weingarten import wg_gram, wg_symbolic
 
 STATE_BUDGET_ENV = "RQCLATTICE_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 4_000_000
@@ -70,6 +69,17 @@ DEFAULT_STATE_BUDGET = 4_000_000
 # up to _MAX_LIMBS int64 limbs (Python int objects past that, or for tables too
 # wide for limbs), not one 8-byte double, so the float backend affords more states
 DEFAULT_FLOAT_STATE_BUDGET = 128_000_000
+
+
+# names the routes import where they use them, still readable here: each
+# access returns the defining module's current function (PEP 562)
+_ROUTE_TABLES = {"build_table": "plaquette", "wg_gram": "weingarten"}
+
+
+def __getattr__(name):
+    if name not in _ROUTE_TABLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_ROUTE_TABLES[name]}", __package__), name)
 
 
 def _state_budget(default: int = DEFAULT_STATE_BUDGET) -> int:
@@ -715,6 +725,9 @@ def _gram_tables(k: int, q: int) -> tuple[tuple[np.ndarray, ...], int, tuple[int
     sweep's `bounds`: Wg(x, q^2) from the Gram oracle, scaled to integers
     over their least common denominator D, and q^ell(x).  Memoized, so
     `wg_gram` runs once per (k, q)."""
+    from .exact import scale_to_ints
+    from .weingarten import wg_gram
+
     gt = group_table(k)
     gram = wg_gram(k, q * q)
     ints, denom = scale_to_ints([gram[p] for p in gt.perms])
@@ -773,6 +786,9 @@ def _plaquette_table(k: int, q: int, backend: str) -> tuple[tuple[np.ndarray], i
     have D = 1 and no bounds.  Memoized, so each class weight is evaluated
     once per (k, q) and ring."""
     import numpy as np
+
+    from .exact import scale_to_ints
+    from .plaquette import build_table
 
     weights, cls = build_table(k).key_classes()
     if backend == "exact":
@@ -841,6 +857,8 @@ def _frame_potential_bruteforce(
         raise BudgetExceededError(
             f"(k!)^(2G) = {order ** (2 * n_gates)} exceeds brute-force budget"
         )
+    from .weingarten import wg_symbolic
+
     q = geom.q
     wg_vals = {
         ct: wg_symbolic(ct, k).evaluate(q * q) for ct in gt.cycle_types

@@ -228,73 +228,89 @@ def verify_rules(
     Rules: (i) J^s_{ss} = 1; (ii) J^s_{s's'} = 0 for s != s'; (iii) a single
     outgoing wall forces a single ingoing wall, with the k=2 weight q/(q^2+1);
     (iv) symmetry under s2 <-> s3; (v) invariance under simultaneous right
-    translation.
+    translation.  Every key's wall signature must satisfy the triangle
+    inequality (ValueError otherwise, as from :class:`WallSignature`).
+
+    The rules run on arrays over the class map: each weight a key uses gets
+    one id per distinct value, so rules i-iv compare ids, and every
+    translation is one gather.  Violations are listed in the order of a walk
+    over the keys, each key's rules in order, then the translations.
     """
+    import numpy as np
+
     gt = group_table(k)  # checks the moment cap
     report = RuleReport(name=f"plaquette rules k={k}")
     table = build_table(k)
+    cls = table._cls
     rng = random.Random(seed)
+    n = gt.order
 
-    one = RationalFunction.constant(1)
-    zero = RationalFunction.constant(0)
+    def draws(width: int) -> tuple[np.ndarray, ...]:
+        """`samples` tuples of `width` random indices, drawn tuple by tuple."""
+        randrange = rng.randrange
+        flat = [randrange(n) for _ in range(samples * width)]
+        return tuple(np.array(flat, dtype=np.intp).reshape(-1, width).T)
 
-    if k <= 4:
-        keys = [(ia, ib) for ia in range(gt.order) for ib in range(gt.order)]
-    else:
-        keys = [
-            (rng.randrange(gt.order), rng.randrange(gt.order)) for _ in range(samples)
-        ]
+    ka, kb = np.divmod(np.arange(n * n), n) if k <= 4 else draws(2)
+    c_ab, c_ba = cls[ka, kb], cls[kb, ka]
+    ids: dict[RationalFunction, int] = {}  # one id per distinct weight
+    wid = np.full(len(table._reps), -1)
+    for c in np.flatnonzero(np.bincount(np.concatenate([c_ab, c_ba]))).tolist():
+        wid[c] = ids.setdefault(table._class_weight(c), len(ids))
+    # the ids of 1, 0 and q/(q^2+1); -2, no id, where no key has that weight
+    one, zero, single = (ids.get(w, -2) for w in (RationalFunction.constant(1),
+                                                   RationalFunction.constant(0), _SINGLE_WALL))
+    w_ab = wid[c_ab]
 
-    for ia, ib in keys:
+    left, right = k - gt.n_cycles[ka], k - gt.n_cycles[kb]
+    across = k - gt.n_cycles[gt.rel[ka, kb]]
+    trio = np.stack([left, right, across])
+    broken = np.flatnonzero((trio < 0).any(axis=0) | (2 * trio.max(axis=0) > trio.sum(axis=0)))
+    if broken.size:
+        WallSignature(*trio[:, broken[0]].tolist())  # raises
+
+    rule_i = (ka == 0) & (kb == 0) & (w_ab != one)
+    rule_ii = (ka == kb) & (ka != 0) & (w_ab != zero)
+    # single outgoing wall: nonzero only if s1 matches s2 or s3
+    at_id = (ka == 0) | (kb == 0)
+    rule_iii = (across == 1) & (w_ab != np.where(at_id, single, zero))
+    rule_iv = w_ab != wid[c_ba]
+    report.checked += 2 * len(ka)
+    for i in np.flatnonzero(rule_i | rule_ii | rule_iii | rule_iv).tolist():
+        ia, ib = int(ka[i]), int(kb[i])
         w = table._weight_by_index(ia, ib)
-        sig = table._signature_by_index(ia, ib)
-        report.checked += 1
-        if ia == 0 and ib == 0:
-            if w != one:
-                report.note(f"rule i: J[id,id] = {w}, expected 1")
-        elif ia == ib:
-            if w != zero:
-                report.note(f"rule ii: J[a,a] != 0 at key {(ia, ib)}")
-        if sig.across == 1:
-            # single outgoing wall: nonzero only if s1 matches s2 or s3
-            if ia == 0 or ib == 0:
-                if w != _SINGLE_WALL:
-                    report.note(
-                        f"rule iii: single-wall weight at key {(ia, ib)} is {w}"
-                    )
-            elif w != zero:
+        if rule_i[i]:
+            report.note(f"rule i: J[id,id] = {w}, expected 1")
+        if rule_ii[i]:
+            report.note(f"rule ii: J[a,a] != 0 at key {(ia, ib)}")
+        if rule_iii[i]:
+            if at_id[i]:
+                report.note(f"rule iii: single-wall weight at key {(ia, ib)} is {w}")
+            else:
                 report.note(f"rule iii: key {(ia, ib)} should vanish, got {w}")
-        if table._weight_by_index(ib, ia) != w:
+        if rule_iv[i]:
             report.note(f"rule iv: J[a,b] != J[b,a] at key {(ia, ib)}")
-        report.checked += 1
 
     # rule v: simultaneous right translation conjugates the key
-    if k <= 4:
-        translations = [
-            (ia, ib, p)
-            for ia in range(gt.order)
-            for ib in range(gt.order)
-            for p in range(gt.order)
-        ]
-    else:
-        translations = [
-            (rng.randrange(gt.order), rng.randrange(gt.order), rng.randrange(gt.order))
-            for _ in range(samples)
-        ]
+    ta, tb, tp = (axis.ravel() for axis in np.indices((n, n, n))) if k <= 4 else draws(3)
+    ja, jb = gt.mul[gt.rel[tp, ta], tp], gt.mul[gt.rel[tp, tb], tp]
+    moved = cls[ja, jb] != cls[ta, tb]
+    report.checked += len(ta)
     # the class map puts a key and its translate in one class by construction,
     # so the weights of an even spread of translations are recomputed raw
-    spread = {len(translations) * i // raw_spot_checks for i in range(raw_spot_checks)}
-    for i, (ia, ib, p) in enumerate(translations):
-        ja, jb = gt.mul[gt.rel[p, [ia, ib]], p].tolist()
-        report.checked += 1
-        if table._cls[ja, jb] != table._cls[ia, ib] or (
-            i in spread and table._weight_raw(ja, jb) != table._weight_raw(ia, ib)
+    spread = {len(ta) * i // raw_spot_checks for i in range(raw_spot_checks)} if len(ta) else ()
+    for i in sorted(spread):
+        if not moved[i] and table._weight_raw(int(ja[i]), int(jb[i])) != table._weight_raw(
+            int(ta[i]), int(tb[i])
         ):
-            report.note(f"rule v: key {(ia, ib)} changed under translation {p}")
+            moved[i] = True
+    for i in np.flatnonzero(moved).tolist():
+        key = (int(ta[i]), int(tb[i]))
+        report.note(f"rule v: key {key} changed under translation {int(tp[i])}")
 
     # spot-check the class map against raw tau-sums
     for _ in range(raw_spot_checks):
-        ia, ib = rng.randrange(gt.order), rng.randrange(gt.order)
+        ia, ib = rng.randrange(n), rng.randrange(n)
         report.checked += 1
         if table._weight_raw(ia, ib) != table._weight_by_index(ia, ib):
             report.note(f"raw recomputation mismatch at key {(ia, ib)}")

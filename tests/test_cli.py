@@ -136,6 +136,18 @@ class TestFramePotentialCommand:
         assert code == 0
         assert json.loads(out, parse_constant=refuse)["result"]["value_float"] == "Infinity"
 
+    def test_exact_t1_overflow_is_strict_json_infinity(self, capsys):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(capsys, "framepotential", "exact-transfer", "--n", "1000", "--q", "3",
+                               "--t", "1", "--k", "6")
+        assert code == 0
+        result = json.loads(out, parse_constant=refuse)["result"]
+        assert result["value_float"] == "Infinity"
+        value = Fraction(result["value"])
+        assert value.denominator == 1 and value > 10**400
+
     def test_montecarlo_overflow_is_strict_json(self, capsys):
         def refuse(token):
             raise ValueError(f"non-standard JSON token {token}")

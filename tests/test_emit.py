@@ -13,9 +13,17 @@ def reference(envelope) -> str:
 
 
 @pytest.mark.parametrize("argv", [
+    "plaquettes --k 1",
+    "plaquettes --k 2",
+    "plaquettes --k 2 --q 7 --nonzero-only",
     "plaquettes --k 3 --q 2",
     "plaquettes --k 3 --nonzero-only",
+    "plaquettes --k 4",
+    "plaquettes --k 4 --q 3",
+    "plaquettes --k 4 --nonzero-only",
+    "plaquettes --k 4 --q 2 --nonzero-only",
     "plaquettes --k 2 --key 21 12 --q 5",
+    "plaquettes --k 3 --key 213 213 --nonzero-only",
     "weingarten --k 4 --d 3",
     "weingarten --k 3 --d 2",
     "weingarten --k 2",
@@ -109,3 +117,75 @@ def test_rows_take_the_c_encoder(monkeypatch):
     monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
     assert cli._dumps(env) == expected
     assert [obj["result"] for obj in encoded] == [None]
+
+
+def _plaquette_envelope(monkeypatch, argv):
+    """The envelope a plaquettes command hands to `_emit`."""
+    envelopes = []
+    monkeypatch.setattr(cli, "_emit", lambda envelope, *args: envelopes.append(envelope))
+    assert cli.main(argv.split()) == 0
+    monkeypatch.undo()
+    return envelopes[0]
+
+
+def test_plaquette_rows_are_spliced_per_class(monkeypatch):
+    env = _plaquette_envelope(monkeypatch, "plaquettes --k 4 --q 3")
+    rows = env["result"]
+    assert type(rows) is cli._KeyedRows and len(rows) == 24**2
+    assert len(rows.fields) == 43  # classes of S_4 keys under simultaneous conjugation
+    # only the envelope around the rows goes through the pure-Python encoder
+    make = json.encoder._make_iterencode
+    encoded = []
+
+    def recording(*args, **kwargs):
+        iterencode = make(*args, **kwargs)
+
+        def run(obj, level):
+            encoded.append(obj)
+            return iterencode(obj, level)
+
+        return run
+
+    expected = reference(env)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+    assert cli._dumps(env) == expected
+    assert [obj["result"] for obj in encoded] == [None]
+
+
+@pytest.mark.parametrize("argv", ["plaquettes --k 3 --q 2", "plaquettes --k 4 --nonzero-only"])
+def test_plaquette_csv_is_that_of_the_row_list(monkeypatch, capsys, argv):
+    env = _plaquette_envelope(monkeypatch, argv)
+    cli._emit(env, "csv")
+    spliced = capsys.readouterr().out
+    cli._emit({**env, "result": list(env["result"])}, "csv")
+    assert spliced == capsys.readouterr().out
+
+
+def test_keyed_rows_read_as_their_list():
+    names = ["12", "21"]
+    fields = [{"across": 0, "weight": "1", "tag": 'a "b"'}, None, {"in_left": 1, "value_at_q": None}]
+    rows = cli._KeyedRows(names, [(0, 0, 0), (1, 0, 2), (0, 1, 2)], fields)
+    as_list = [
+        {"key_left": "12", "key_right": "12", **fields[0]},
+        {"key_left": "21", "key_right": "12", **fields[2]},
+        {"key_left": "12", "key_right": "21", **fields[2]},
+    ]
+    assert list(rows) == as_list and len(rows) == 3 and rows
+    assert not cli._KeyedRows(names, [], fields)
+    for result in (rows, cli._KeyedRows(names, [], fields), cli._KeyedRows([], [], [])):
+        env = envelope(result, k=2)
+        assert cli._dumps(env) == reference(env)
+    # rows with no field before, or none after, the keys
+    env = envelope(cli._KeyedRows(names, [(1, 1, 0)], [{"aaa": 1}]))
+    assert cli._dumps(env) == reference(env)
+    env = envelope(cli._KeyedRows(names, [(1, 1, 0)], [{"zzz": 1}]))
+    assert cli._dumps(env) == reference(env)
+
+
+@pytest.mark.parametrize("field, match", [
+    ({"key_left": 1}, "between"), ({"key_m": 1}, "between"), ({"key_right": 1}, "between"),
+    ({"a": [1, 2]}, "scalar"), ({"z": {"b": 1}}, "scalar"),
+])
+def test_keyed_rows_refuse_what_the_splice_cannot_write(field, match):
+    with pytest.raises(ValueError, match=match):
+        cli._KeyedRows(["1"], [(0, 0, 0)], [None, field])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,24 @@ class TestPolynomial:
         for zero in ([], [0, 0]):
             with pytest.raises(ValueError):
                 integer_roots(zero, 2, 100)
+
+    @pytest.mark.parametrize("lo, hi", [(2, 1000), (-40, 40), (-1000, -2), (0, 0), (-5, 3)])
+    def test_integer_roots_against_direct_evaluation(self, lo, hi):
+        # products of (x - r) with roots in and out of the range, zero constant
+        # terms (a root at 0, of any multiplicity) and constants with many divisors
+        rng = random.Random(lo * 7919 + hi)
+        polys = [[5], [-7], [0, 1], [0, 0, 3], [0, 0, -2, 0, 1], [720, 0, -1]]
+        for _ in range(60):
+            roots = [rng.choice([0, 1, -1, 2, -6, 12, 36, -36, 49, 999, -1000, 1001])
+                     for _ in range(rng.randrange(1, 5))]
+            poly = [rng.choice([-3, -1, 1, 2])]
+            for r in roots:
+                poly = int_mul(poly, [-r, 1])
+            polys.append(poly)
+            polys.append(int_mul(poly, [1, 0, 1]))  # no real root added
+        for poly in polys:
+            direct = {x for x in range(lo, hi + 1) if horner(poly, x) == 0}
+            assert integer_roots(poly, lo, hi) == direct, poly
 
     def test_evaluate(self):
         assert horner([1, 6], 3) == 19

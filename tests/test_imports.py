@@ -56,6 +56,16 @@ class TestColdProcessFootprint:
         assert ours == {"rqclattice.cli", "rqclattice.bounds", "rqclattice.errors"}
 
     @pytest.mark.parametrize("command", [
+        "geometry --n 8 --t 3 --bc periodic",
+        "geometry --n 5 --q 3 --t 2 --format csv",
+    ])
+    def test_geometry_skips_the_weight_modules(self, command):
+        modules = _cli_modules(command)
+        assert "rqclattice.lattice" in modules
+        assert not modules & {"rqclattice.plaquette", "rqclattice.weingarten",
+                              "rqclattice.exact", "rqclattice.characters"}
+
+    @pytest.mark.parametrize("command", [
         "plaquettes --k 3 --q 2",
         "plaquettes --k 4 --key 2134 1243 --q 3",
     ])
@@ -63,6 +73,12 @@ class TestColdProcessFootprint:
         modules = _cli_modules(command)
         assert "rqclattice.plaquette" in modules
         assert not modules & {"rqclattice.lattice", "rqclattice.montecarlo", "rqclattice.bounds"}
+
+    @pytest.mark.parametrize("command", ["verify --k 3 --q 2", "plaquettes --k 4 --q 2"])
+    def test_rule_suite_and_dump_skip_numpy_ma(self, command):
+        # numpy loads numpy.ma lazily, on first use (np.unique, say): about
+        # 20 ms of a cold process
+        assert "numpy.ma" not in _cli_modules(command)
 
     def test_bare_package_import(self):
         modules = set(_loaded("import json, sys, rqclattice\n"
@@ -111,3 +127,12 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             rqclattice.no_such_name
         assert not hasattr(rqclattice, "_no_such_private")
+
+    def test_lattice_still_reads_the_route_tables(self):
+        # the routes import them where they use them; the module returns the
+        # defining module's current function
+        lattice = importlib.import_module("rqclattice.lattice")
+        assert lattice.build_table is importlib.import_module("rqclattice.plaquette").build_table
+        assert lattice.wg_gram is importlib.import_module("rqclattice.weingarten").wg_gram
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lattice.no_such_name

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import rqclattice.lattice as lattice
+import rqclattice.plaquette as plaquette
+import rqclattice.weingarten as weingarten
 from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError, PoleError
 from rqclattice.lattice import (
@@ -333,8 +335,10 @@ class TestGuards:
         def no_tables(*args):
             raise AssertionError("weight table built before the budget check")
 
+        # the tables at q are memoized, so the memo and the builder behind it
         monkeypatch.setattr(lattice, "_gram_tables", no_tables)
-        monkeypatch.setattr(lattice, "build_table", no_tables)
+        monkeypatch.setattr(lattice, "_plaquette_table", no_tables)
+        monkeypatch.setattr(plaquette, "build_table", no_tables)
         g = build_geometry(6, 2, 3, "periodic")
         with pytest.raises(BudgetExceededError):
             frame_potential_direct(g, 3, state_budget=1000)
@@ -368,13 +372,13 @@ class TestGuards:
     def test_gram_solved_once_per_k_and_q(self, monkeypatch):
         # the direct route's tables are memoized per (k, q), whatever the shape
         calls = []
-        gram = lattice.wg_gram
+        gram = weingarten.wg_gram
 
         def counting(k, d):
             calls.append((k, d))
             return gram(k, d)
 
-        monkeypatch.setattr(lattice, "wg_gram", counting)
+        monkeypatch.setattr(weingarten, "wg_gram", counting)
         lattice._gram_tables.cache_clear()
         shapes = [(4, 2, "open"), (5, 3, "periodic"), (4, 2, "open"), (6, 2, "open")]
         values = [frame_potential_direct(build_geometry(n, 2, t, bc), 3).value for n, t, bc in shapes]

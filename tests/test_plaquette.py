@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -13,8 +14,10 @@ from rqclattice.errors import BudgetExceededError
 from rqclattice.exact import RationalFunction, int_mul
 from rqclattice.perms import Perm, conjugacy_class_size, enumerate_sk
 from rqclattice.weingarten import weingarten_table, wg_in_q
+from rqclattice import plaquette
 from rqclattice.plaquette import (
     PlaquetteTable,
+    RuleReport,
     WallSignature,
     asymptotic_check,
     build_table,
@@ -42,6 +45,60 @@ def every_key(table):
 
 
 SINGLE_WALL = RationalFunction(P(0, 1), P(1, 0, 1))  # q/(q^2+1)
+
+
+def per_key_rules(k, samples=10_000, raw_spot_checks=50, seed=20240613):
+    """The rule suite as a walk over keys, one weight and signature lookup each;
+    the oracle of the array suite `verify_rules`, same draws and messages."""
+    gt = plaquette.group_table(k)
+    report = RuleReport(name=f"plaquette rules k={k}")
+    table = plaquette.build_table(k)
+    rng = random.Random(seed)
+    one, zero = RationalFunction.constant(1), RationalFunction.constant(0)
+    if k <= 4:
+        keys = [(ia, ib) for ia in range(gt.order) for ib in range(gt.order)]
+    else:
+        keys = [(rng.randrange(gt.order), rng.randrange(gt.order)) for _ in range(samples)]
+    for ia, ib in keys:
+        w = table._weight_by_index(ia, ib)
+        sig = table._signature_by_index(ia, ib)
+        report.checked += 1
+        if ia == 0 and ib == 0:
+            if w != one:
+                report.note(f"rule i: J[id,id] = {w}, expected 1")
+        elif ia == ib:
+            if w != zero:
+                report.note(f"rule ii: J[a,a] != 0 at key {(ia, ib)}")
+        if sig.across == 1:
+            if ia == 0 or ib == 0:
+                if w != SINGLE_WALL:
+                    report.note(f"rule iii: single-wall weight at key {(ia, ib)} is {w}")
+            elif w != zero:
+                report.note(f"rule iii: key {(ia, ib)} should vanish, got {w}")
+        if table._weight_by_index(ib, ia) != w:
+            report.note(f"rule iv: J[a,b] != J[b,a] at key {(ia, ib)}")
+        report.checked += 1
+    if k <= 4:
+        translations = list(itertools.product(range(gt.order), repeat=3))
+    else:
+        translations = [
+            (rng.randrange(gt.order), rng.randrange(gt.order), rng.randrange(gt.order))
+            for _ in range(samples)
+        ]
+    spread = {len(translations) * i // raw_spot_checks for i in range(raw_spot_checks)}
+    for i, (ia, ib, p) in enumerate(translations):
+        ja, jb = gt.mul[gt.rel[p, [ia, ib]], p].tolist()
+        report.checked += 1
+        if table._cls[ja, jb] != table._cls[ia, ib] or (
+            i in spread and table._weight_raw(ja, jb) != table._weight_raw(ia, ib)
+        ):
+            report.note(f"rule v: key {(ia, ib)} changed under translation {p}")
+    for _ in range(raw_spot_checks):
+        ia, ib = rng.randrange(gt.order), rng.randrange(gt.order)
+        report.checked += 1
+        if table._weight_raw(ia, ib) != table._weight_by_index(ia, ib):
+            report.note(f"raw recomputation mismatch at key {(ia, ib)}")
+    return report
 
 # golden k=3 reference weights, constructed from their published factored forms
 K3_DEN = PP((2, 0, 1), (1, 0, 1), (-2, 0, 1))  # (q^2+2)(q^2+1)(q^2-2)
@@ -246,6 +303,61 @@ class TestRules:
         report = verify_rules(3)
         assert report.checked == 338
         assert any(v.startswith("rule v:") for v in report.violations)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_array_suite_matches_per_key_loop(self, k):
+        samples = 10_000
+        expected, got = per_key_rules(k, samples=samples), verify_rules(k, samples=samples)
+        assert (got.checked, got.ok, got.violations) == (
+            expected.checked, expected.ok, expected.violations)
+
+    def test_sampled_counts_and_no_samples(self):
+        # 2 checks a key, 1 a translation, 1 a raw spot check
+        assert verify_rules(5, samples=300, raw_spot_checks=7).checked == 3 * 300 + 7
+        report = verify_rules(5, samples=0, raw_spot_checks=3)
+        assert report.ok and report.checked == 3
+
+    @pytest.mark.parametrize("k, rule", [
+        *((k, rule) for k in (3, 4) for rule in ("i", "ii", "iii", "iv", "v")),
+        # sampled: the corrupted classes hold 10 and 60 keys, which the seeded
+        # draws hit, so the violation lists pin the drawn keys too
+        (5, "iii"), (5, "iv"),
+    ])
+    def test_corruption_reported(self, monkeypatch, k, rule):
+        # one corrupted class weight or class-map entry in a fresh table;
+        # the array suite reports what the per-key loop reports
+        table = PlaquetteTable(k)
+        weights, cls = table.key_classes()
+        gt = table._gt
+        t = gt.idx(Perm.from_cycles(k, (1, 2)))
+        c = gt.idx(Perm.from_cycles(k, (1, 2, 3)))  # (t, c) and (c, t): two classes
+        if rule == "v":
+            cls = cls.copy()
+            cls[t, c] = cls[0, 0]
+            table._cls = cls
+        else:
+            key = {"i": (0, 0), "ii": (t, t), "iii": (t, 0), "iv": (t, c)}[rule]
+            table._weights[cls[key]] = RationalFunction(P(1, 1), P(3))
+        monkeypatch.setattr(plaquette, "build_table", lambda k: table)
+        samples = 10_000
+        report = verify_rules(k, samples=samples)
+        assert any(v.startswith(f"rule {rule}:") for v in report.violations)
+        expected = per_key_rules(k, samples=samples)
+        assert report.violations == expected.violations
+
+    def test_broken_triangle_raises(self, monkeypatch):
+        table = PlaquetteTable(3)
+        gt = copy.copy(table._gt)
+        gt.n_cycles = gt.n_cycles.copy()
+        gt.n_cycles[1] = 3  # a transposition no wall from the identity
+        table._gt = gt
+        monkeypatch.setattr(plaquette, "build_table", lambda k: table)
+        monkeypatch.setattr(plaquette, "group_table", lambda k: gt)
+        with pytest.raises(ValueError, match="triangle inequality violated") as exc:
+            verify_rules(3)
+        with pytest.raises(ValueError) as expected:
+            per_key_rules(3)
+        assert str(exc.value) == str(expected.value)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_negative_weights_only_with_annihilation(self, k):
