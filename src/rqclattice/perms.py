@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceededError
 
@@ -214,7 +214,9 @@ class SymmetricGroupTable:
     Every table is a numpy integer array over element indices, built by
     composing image arrays and ranking the results, and shared by every
     caller.  Convert entries with ``int()`` or ``.tolist()`` before they reach
-    exact arithmetic or JSON.
+    exact arithmetic or JSON.  The O(k! k) tables are built with the object;
+    the (k!)^2 tables `mul` and `rel` once, on first access, so a caller that
+    needs only a few relative elements reads them from :meth:`rel_column`.
 
     Attributes:
         perms: list of Perm, perms[0] is the identity.
@@ -234,23 +236,40 @@ class SymmetricGroupTable:
         self.k = k
         self.perms = enumerate_sk(k)
         self.order = len(self.perms)
-        images = np.array([p.images for p in self.perms]) - 1
+        self._images = np.array([p.images for p in self.perms]) - 1
         # an image row read as a base-k number; lexicographic order sorts them
         self._place = k ** np.arange(k - 1, -1, -1)
-        self._codes = images @ self._place
-        self.inv = self._rank(np.argsort(images, axis=1) @ self._place)
-        # (a * b)(x) = a(b(x)): column j of images[:, images[j, x]] is a(b_j(x))
-        self.mul = self._rank(
-            sum(images[:, images[:, x]] * self._place[x] for x in range(k))
-        )
-        self.rel = self.mul[self.inv]
+        self._codes = self._images @ self._place
+        self.inv = self._rank(np.argsort(self._images, axis=1) @ self._place)
         self.n_cycles = np.array([num_cycles(p) for p in self.perms])
         cts = [cycle_type(p) for p in self.perms]
         self.cycle_types = sorted(set(cts), reverse=True)
         ct_pos = {ct: i for i, ct in enumerate(self.cycle_types)}
         self.ct_index = np.array([ct_pos[ct] for ct in cts])
-        for table in (self.inv, self.mul, self.rel, self.n_cycles, self.ct_index):
+        for table in (self._images, self.inv, self.n_cycles, self.ct_index):
             table.setflags(write=False)
+
+    @cached_property
+    def mul(self):
+        images, place = self._images, self._place
+        # (a * b)(x) = a(b(x)): column j of images[:, images[j, x]] is a(b_j(x))
+        mul = self._rank(sum(images[:, images[:, x]] * place[x] for x in range(self.k)))
+        mul.setflags(write=False)
+        return mul
+
+    @cached_property
+    def rel(self):
+        rel = self.mul[self.inv]
+        rel.setflags(write=False)
+        return rel
+
+    def rel_column(self, j: int):
+        """rel[:, j], the index of perms[i]^-1 * perms[j] for every i, in O(k! k)
+        without `rel`, or a view of it once it is built."""
+        if "rel" in vars(self):
+            return self.rel[:, j]
+        # (a^-1 b)(x) = a^-1(b(x)), with the rows of a^-1's images at b's images
+        return self._rank(self._images[self.inv][:, self._images[j]] @ self._place)
 
     def _rank(self, codes):
         """Element indices of the permutations with the given image codes."""

@@ -10,10 +10,13 @@ through the key (s1^-1 s2, s1^-1 s3), and keys related by simultaneous
 conjugation share a weight and a wall signature.  Each table labels those
 classes once, in one (k!, k!) map that every lookup goes through, and computes
 a class weight on first use, the same way for every k <= 6: the k=5 table has
-161 classes for its 14400 keys and k=6 has 901 for 518400.  The asymptotic
-and pole checks walk the classes, each counting for its size, so they certify
-every k <= 6.  Rule checks recompute a sample of weights from the raw tau-sum
-so the class map itself stays under test.
+161 classes for its 14400 keys and k=6 has 901 for 518400.  A single key
+needs no table: `key_weight` and `key_signature` read two columns of the
+group's `rel` (O(k! k) work, no (k!)^2 array), and each table computes its
+class weights with them.  The asymptotic and pole checks walk the classes,
+each counting for its size, so they certify every k <= 6.  Rule checks
+recompute a sample of weights from the raw tau-sum so the class map itself
+stays under test.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import RationalFunction, _format, int_lcm, int_mul, integer_roots
-from .perms import Perm, group_table
+from .perms import Perm, SymmetricGroupTable, group_table
 from .weingarten import wg_in_q
 
 _SINGLE_WALL = RationalFunction.from_ints([0, 1], [1, 0, 1])  # q/(q^2+1)
@@ -142,17 +145,7 @@ class PlaquetteTable:
 
     def _weight_raw(self, ia: int, ib: int) -> RationalFunction:
         """J^{id}_{a b} from the defining tau-sum, bypassing the class map."""
-        import numpy as np
-
-        gt = self._gt
-        shifted, common = _wg_numerators(self.k)
-        # counts[ct * width + m]: how many tau of each cycle type give q-exponent m
-        width = 2 * self.k + 1
-        exponents = gt.n_cycles[gt.rel[:, ia]] + gt.n_cycles[gt.rel[:, ib]]
-        counts = np.bincount(gt.ct_index * width + exponents, minlength=len(shifted))
-        used = np.flatnonzero(counts)
-        total = np.array(counts[used].tolist(), dtype=object).dot(shifted[used])
-        return RationalFunction.from_ints(total.tolist(), common)
+        return key_weight(self._gt, ia, ib)
 
     def _class_weight(self, c: int) -> RationalFunction:
         w = self._weights[c]
@@ -182,10 +175,31 @@ class PlaquetteTable:
         return self._signature_by_index(*self._reps[c])
 
     def _signature_by_index(self, ia: int, ib: int) -> WallSignature:
-        gt = self._gt
-        # plain ints: the fields reach JSON output
-        in_left, in_right, across = (self.k - gt.n_cycles[[ia, ib, gt.rel[ia, ib]]]).tolist()
-        return WallSignature(in_left=in_left, in_right=in_right, across=across)
+        return key_signature(self._gt, ia, ib)
+
+
+def key_weight(gt: SymmetricGroupTable, ia: int, ib: int) -> RationalFunction:
+    """J^{id}_{a b} of the key with element indices (ia, ib) in S_k's table `gt`,
+    from the defining tau-sum over columns ia and ib of `rel`: O(k! k) work,
+    and no (k!)^2 table is built for it."""
+    import numpy as np
+
+    k = gt.k
+    shifted, common = _wg_numerators(k)
+    # counts[ct * width + m]: how many tau of each cycle type give q-exponent m
+    width = 2 * k + 1
+    exponents = gt.n_cycles[gt.rel_column(ia)] + gt.n_cycles[gt.rel_column(ib)]
+    counts = np.bincount(gt.ct_index * width + exponents, minlength=len(shifted))
+    used = np.flatnonzero(counts)
+    total = np.array(counts[used].tolist(), dtype=object).dot(shifted[used])
+    return RationalFunction.from_ints(total.tolist(), common)
+
+
+def key_signature(gt: SymmetricGroupTable, ia: int, ib: int) -> WallSignature:
+    """The wall signature of the key (ia, ib), its across count from rel[ia, ib]."""
+    # plain ints: the fields reach JSON output
+    in_left, in_right, across = (gt.k - gt.n_cycles[[ia, ib, gt.rel_column(ib)[ia]]]).tolist()
+    return WallSignature(in_left=in_left, in_right=in_right, across=across)
 
 
 @lru_cache(maxsize=None)

@@ -3,13 +3,15 @@ import hashlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from rqclattice import cli, perms, plaquette
 from rqclattice.cli import main
 from rqclattice.montecarlo import estimate_frame_potential
-from rqclattice.perms import haar_frame_potential
+from rqclattice.perms import SymmetricGroupTable, group_table, haar_frame_potential
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,75 @@ class TestPlaquettesCommand:
         assert code == 4
         env = run_json(capsys, "plaquettes", "--k", "6", "--key", "213456", "123456", "--q", "2")
         assert env["result"][0]["weight"] == "(q) / (q^2 + 1)"
+
+
+def plaquette_rows(monkeypatch, argv) -> dict:
+    """Each row of a plaquettes command as the bytes its dump writes, by key."""
+    envelopes = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda envelope, *args: envelopes.append(envelope))
+        assert main(argv.split()) == 0
+    rows = envelopes[0]["result"]
+    keys = [(rows.names[a], rows.names[b]) for a, b, _ in rows.cells]
+    return dict(zip(keys, rows.encoded()))
+
+
+# the option sets every single-key row is checked under
+KEY_OPTIONS = ["", "--q 3", "--nonzero-only", "--q 2 --nonzero-only"]
+
+
+class TestSingleKey:
+    """`plaquettes --key` renders one key from two columns of rel, without the
+    class map: its row must be the full dump's row for that key, byte for byte."""
+
+    @staticmethod
+    def _check_keys(monkeypatch, k, options, keys):
+        full = plaquette_rows(monkeypatch, f"plaquettes --k {k} {options}")
+        for a, b in keys:
+            single = plaquette_rows(monkeypatch, f"plaquettes --k {k} --key {a} {b} {options}")
+            # --nonzero-only drops a zero weight from both
+            assert single == ({(a, b): full[a, b]} if (a, b) in full else {}), (a, b)
+
+    @pytest.mark.parametrize("options", KEY_OPTIONS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_key_small_k(self, monkeypatch, k, options):
+        names = ["".join(map(str, p.images)) for p in group_table(k).perms]
+        self._check_keys(monkeypatch, k, options, [(a, b) for a in names for b in names])
+
+    @pytest.mark.parametrize("options", KEY_OPTIONS)
+    def test_seeded_keys_k5(self, monkeypatch, options):
+        names = ["".join(map(str, p.images)) for p in group_table(5).perms]
+        rng = random.Random(5)
+        keys = [(rng.choice(names), rng.choice(names)) for _ in range(500)]
+        self._check_keys(monkeypatch, 5, options, keys)
+
+    def test_seeded_keys_k6_against_the_class_table(self, monkeypatch):
+        table = plaquette.build_table(6)
+        gt = group_table(6)
+        # a fresh group table, so the columns come from the image codes, not rel
+        fresh = SymmetricGroupTable(6)
+        rng = random.Random(6)
+        for _ in range(20):
+            ia, ib = rng.randrange(720), rng.randrange(720)
+            sig = table.class_signature(table._cls[ia, ib])
+            w = table._weight_by_index(ia, ib)
+            assert plaquette.key_weight(fresh, ia, ib) == w
+            assert plaquette.key_signature(fresh, ia, ib) == sig
+            a, b = ("".join(map(str, gt.perms[i].images)) for i in (ia, ib))
+            expected = {"key_left": a, "key_right": b, **cli._plaquette_fields(sig, w, 2)}
+            rows = plaquette_rows(monkeypatch, f"plaquettes --k 6 --key {a} {b} --q 2")
+            assert list(rows) == [(a, b)] and json.loads(rows[a, b]) == expected
+        assert "rel" not in vars(fresh) and "mul" not in vars(fresh)
+
+    def test_moment_cap_checked_before_any_work(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("work before the moment cap")
+
+        for module, name in [(perms, "enumerate_sk"), (plaquette, "key_weight"),
+                             (plaquette, "key_signature"), (plaquette, "build_table")]:
+            monkeypatch.setattr(module, name, never)
+        code, out, err = run_cli(capsys, "plaquettes", "--k", "7", "--key", "2134567", "1234567")
+        assert code == 2 and out == ""
 
 
 class TestWeingartenCommand:

@@ -1,7 +1,10 @@
 """The JSON emitter: its bytes equal `json.dumps(envelope, indent=2, sort_keys=True)`."""
 
+import csv
+import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -68,9 +71,15 @@ ROWS = [
 ]
 
 
+# more rows than one piece of `_emit` holds, the last piece a short one
+MANY_ROWS = [{"i": i, "text": f"row {i}", "odd": i % 2 == 1} for i in range(2 * cli._CHUNK_ROWS + 3)]
+
+
 @pytest.mark.parametrize("result", [
     ROWS,
     ROWS[:1],
+    MANY_ROWS,
+    ROWS * cli._CHUNK_ROWS,
     [{"only": "field"}] * 3,
     [],
     [{}],
@@ -152,13 +161,25 @@ def test_plaquette_rows_are_spliced_per_class(monkeypatch):
     assert [obj["result"] for obj in encoded] == [None]
 
 
-@pytest.mark.parametrize("argv", ["plaquettes --k 3 --q 2", "plaquettes --k 4 --nonzero-only"])
+def csv_reference(rows) -> str:
+    """`csv.DictWriter` on the materialised rows, fields in order of first appearance."""
+    rows = list(rows)
+    buf = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(name for row in rows for name in row)))
+        writer.writeheader()
+        writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", list(dict.fromkeys(["plaquettes --k 3 --q 2"] + [
+    f"plaquettes --k {k}{options}" for k in (1, 2, 3, 4)
+    for options in ("", " --q 3", " --nonzero-only", " --q 2 --nonzero-only")
+])))
 def test_plaquette_csv_is_that_of_the_row_list(monkeypatch, capsys, argv):
     env = _plaquette_envelope(monkeypatch, argv)
-    cli._emit(env, "csv")
-    spliced = capsys.readouterr().out
-    cli._emit({**env, "result": list(env["result"])}, "csv")
-    assert spliced == capsys.readouterr().out
+    assert cli.main(f"{argv} --format csv".split()) == 0
+    assert capsys.readouterr().out == csv_reference(env["result"])
 
 
 def test_keyed_rows_read_as_their_list():
@@ -175,6 +196,12 @@ def test_keyed_rows_read_as_their_list():
     for result in (rows, cli._KeyedRows(names, [], fields), cli._KeyedRows([], [], [])):
         env = envelope(result, k=2)
         assert cli._dumps(env) == reference(env)
+    # more cells than one piece holds
+    many = cli._KeyedRows(names, [(i % 2, i // 2 % 2, i % 3 // 2 * 2) for i in range(cli._CHUNK_ROWS + 1)],
+                          fields)
+    assert len(list(many)) == len(many) == cli._CHUNK_ROWS + 1
+    env = envelope(many, k=2)
+    assert cli._dumps(env) == reference(env)
     # rows with no field before, or none after, the keys
     env = envelope(cli._KeyedRows(names, [(1, 1, 0)], [{"aaa": 1}]))
     assert cli._dumps(env) == reference(env)
@@ -189,3 +216,46 @@ def test_keyed_rows_read_as_their_list():
 def test_keyed_rows_refuse_what_the_splice_cannot_write(field, match):
     with pytest.raises(ValueError, match=match):
         cli._KeyedRows(["1"], [(0, 0, 0)], [None, field])
+
+
+class _Pieces:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("rows", [
+    MANY_ROWS,
+    # a field first seen in the last piece still heads the CSV
+    [{"a": i} for i in range(2 * cli._CHUNK_ROWS)] + [{"b": "late", "a": -1}],
+])
+def test_emit_writes_a_list_result_piece_by_piece(monkeypatch, rows):
+    env = envelope(rows)
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit(env, "json")
+    assert "".join(stdout.pieces) == reference(env) + "\n"
+    assert len(stdout.pieces) > len(rows) // cli._CHUNK_ROWS
+    assert max(piece.count("\n    {") for piece in stdout.pieces) <= cli._CHUNK_ROWS
+    stdout.pieces.clear()
+    cli._emit(env, "csv")
+    assert "".join(stdout.pieces) == csv_reference(rows)
+    assert len(stdout.pieces) > len(rows) // cli._CHUNK_ROWS
+    assert max(piece.count("\r\n") for piece in stdout.pieces) <= cli._CHUNK_ROWS + 1  # and the header
+
+
+def test_plaquette_dump_is_written_piece_by_piece(monkeypatch):
+    env = _plaquette_envelope(monkeypatch, "plaquettes --k 4 --q 2")
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit(env, "json")
+    assert "".join(stdout.pieces) == reference(env) + "\n"
+    # full pieces of rows, a short last one, then the closing bracket and newline
+    counts = [piece.count('"key_left"') for piece in stdout.pieces]
+    assert counts[-2:] == [0, 0] and sum(counts) == 576
+    assert set(counts[:-3]) == {cli._CHUNK_ROWS} and 0 < counts[-3] <= cli._CHUNK_ROWS

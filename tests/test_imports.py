@@ -23,6 +23,22 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
+# runs one CLI command with its output discarded, then reports which tables
+# of S_k it built: the (k!)^2 ones of a group table, and plaquette tables
+_TABLE_PROBE = """
+import contextlib, io, json, sys
+from rqclattice.cli import main
+from rqclattice.perms import group_table
+from rqclattice.plaquette import build_table
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+groups = group_table.cache_info().misses
+built = [name for name in ("mul", "rel") if name in vars(group_table(int(sys.argv[1])))]
+print(json.dumps({"code": code, "group_tables": groups, "square_tables": built,
+                  "plaquette_tables": build_table.cache_info().misses}))
+"""
+
+
 def _loaded(code: str, *argv: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
@@ -79,6 +95,19 @@ class TestColdProcessFootprint:
         # numpy loads numpy.ma lazily, on first use (np.unique, say): about
         # 20 ms of a cold process
         assert "numpy.ma" not in _cli_modules(command)
+
+    @pytest.mark.parametrize("k, command", [
+        (6, "plaquettes --k 6 --key 213456 123456 --q 2"),
+        (5, "plaquettes --k 5 --key 21345 13452 --nonzero-only"),
+    ])
+    def test_single_key_builds_no_square_table(self, k, command):
+        report = _loaded(_TABLE_PROBE, str(k), *command.split())
+        assert report == {"code": 0, "group_tables": 1, "square_tables": [], "plaquette_tables": 0}
+
+    def test_full_dump_builds_its_tables(self):
+        report = _loaded(_TABLE_PROBE, "3", *"plaquettes --k 3 --q 2".split())
+        assert report == {"code": 0, "group_tables": 1, "square_tables": ["mul", "rel"],
+                          "plaquette_tables": 1}
 
     def test_bare_package_import(self):
         modules = set(_loaded("import json, sys, rqclattice\n"

@@ -9,6 +9,7 @@ from rqclattice.lattice import build_geometry, frame_potential_direct, frame_pot
 from rqclattice.perms import (
     MOMENT_CAP,
     Perm,
+    SymmetricGroupTable,
     check_moment,
     compose,
     conjugacy_class_size,
@@ -210,3 +211,16 @@ def test_group_table_consistency():
         for i, j in pairs:
             assert mul[i][j] == index[perms[i] * perms[j]]
             assert rel[i][j] == index[perms[i].inverse() * perms[j]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_rel_column_before_and_after_rel(k):
+    """The (k!)^2 tables are built on first use; a column of rel is read without them."""
+    gt = SymmetricGroupTable(k)
+    assert "mul" not in vars(gt) and "rel" not in vars(gt)
+    before = [gt.rel_column(j).tolist() for j in range(gt.order)]
+    assert "mul" not in vars(gt) and "rel" not in vars(gt)
+    rel = gt.rel
+    assert gt.rel is rel and "mul" in vars(gt)
+    assert before == rel.T.tolist() == group_table(k).rel.T.tolist()
+    assert [gt.rel_column(j).tolist() for j in range(gt.order)] == before
