@@ -44,7 +44,7 @@ _EXPORTS = {
     "classify": "plaquette",
     "plaquette_weight": "plaquette",
     "verify_rules": "plaquette",
-    "CircuitGeometry": "lattice",
+    "CircuitGeometry": "geometry",
     "FramePotentialResult": "lattice",
     "build_geometry": "lattice",
     "frame_potential_direct": "lattice",

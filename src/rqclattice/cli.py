@@ -6,9 +6,10 @@ Exact rationals are serialized as "p/q" strings, never floats.  A float that
 is not finite (a `bounds` value past the largest double, say) is written as
 the string "Infinity", "-Infinity" or "NaN", so the envelope is strict JSON;
 Python's float() and JavaScript's Number() read those strings back.  Exit
-codes: 0 success, 2 budget exceeded (including a moment k outside 1..6 and
-`bounds --t` past `bounds.T_CAP`), 3 invariant violation (including surfaced
-poles), 4 bad arguments.  `verify` runs every section at every k <= 6.
+codes: 0 success, 2 budget exceeded (a moment k outside 1..6, a brickwork
+past `geometry.GATE_CAP` gates, `bounds --t` past `bounds.T_CAP`), 3
+invariant violation (including surfaced poles), 4 bad arguments.  `verify`
+runs every section at every k <= 6.
 
 A process imports only what its subcommand uses: each `_cmd_*` imports its own
 modules, so `weingarten`, `bounds` and `geometry` run without numpy, and
@@ -465,9 +466,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    from .lattice import build_geometry
+    from .geometry import CircuitGeometry
 
-    geom = build_geometry(args.n, args.q, args.t, args.bc)
+    geom = CircuitGeometry(args.n, args.q, args.t, args.bc)
     env = _envelope(
         "geometry",
         {"n": args.n, "q": args.q, "t": args.t, "bc": args.bc},

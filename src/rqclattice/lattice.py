@@ -1,7 +1,8 @@
-"""Brickwork circuit geometry and exact frame-potential evaluation.
+"""Exact frame-potential evaluation on the brickwork lattice.
 
 A time-t brickwork circuit on n qudits maps to a lattice of depth 2(t-1)
-layers with periodic boundary conditions in time.  The k-th frame potential is
+layers with periodic boundary conditions in time; its shape (gates, layers,
+legs, the gate cap) is `geometry`'s.  The k-th frame potential is
 the contraction
 
     F = sum over (sigma_g, tau_g) per gate of
@@ -29,12 +30,11 @@ whatever n is.  Every weight depends on relative elements a^-1 x only, so the
 plan pins one live spin per connected stretch to the identity and re-pins it
 by one gather (:func:`_repin`): every state is k! smaller at its peak.
 
-What depends on the brickwork shape alone is built once.  A
-:class:`CircuitGeometry` is its checked shape, and its gates and legs are one
-immutable layout per (n, t, bc).  Each route's plan is memoized per (route
-model, n, t, bc), so geometries that differ only in q share it, and is
-compiled per k and table widths into a :func:`_program` (every factor's gather
-index, shared by all shapes, the axes summed, the re-pins), kept for k <= 4.
+What depends on the brickwork shape alone is built once: each route's plan
+is memoized per (route model, n, t, bc), so geometries that differ only in q
+share it, and is compiled per k and table widths into a :func:`_program`
+(every factor's gather index, shared by all shapes, the axes summed, the
+re-pins), kept for k <= 4.
 A call checks the state budget, looks up the tables at q (memoized per (k, q)
 and ring; exact ones are integers over a denominator D, and the swept value
 is divided by D^(number of gates)) and runs :func:`_sweep` on dense numpy
@@ -44,14 +44,11 @@ so every exact value is the same in any ring.  The weights stay
 independent, so their exact equality on every in-budget geometry is the
 package's central oracle; :func:`_frame_potential_bruteforce` checks both
 against raw enumeration on tiny instances, and the tests keep the unpinned
-sweep as the pinned one's oracle.  numpy is imported on the first
-contraction, and the weight modules (plaquette, weingarten, exact) on the
-first table at q, so the geometry runs without any of them.
+sweep as the pinned one's oracle.
 """
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import math
 import os
@@ -60,8 +57,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceededError, PoleError
+from .exact import scale_to_ints
+from .geometry import CircuitGeometry, Gate, _column, _layout
 from .perms import check_moment, group_table
+from .plaquette import build_table
+from .weingarten import wg_gram, wg_symbolic
 
 STATE_BUDGET_ENV = "RQCLATTICE_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 4_000_000
@@ -71,124 +74,14 @@ DEFAULT_STATE_BUDGET = 4_000_000
 DEFAULT_FLOAT_STATE_BUDGET = 128_000_000
 
 
-# names the routes import where they use them, still readable here: each
-# access returns the defining module's current function (PEP 562)
-_ROUTE_TABLES = {"build_table": "plaquette", "wg_gram": "weingarten"}
-
-
-def __getattr__(name):
-    if name not in _ROUTE_TABLES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_ROUTE_TABLES[name]}", __package__), name)
-
-
 def _state_budget(default: int = DEFAULT_STATE_BUDGET) -> int:
     raw = os.environ.get(STATE_BUDGET_ENV)
     return default if raw is None else int(raw)
 
 
-@dataclass(frozen=True)
-class Gate:
-    gid: int
-    layer: int
-    qudits: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CircuitGeometry:
-    """A checked brickwork shape, with its layer structure and full output-leg
-    connectivity.
-
-    Layers alternate even bricks (1,2),(3,4),... and odd bricks (2,3),(4,5),...
-    (plus the wrap gate (n,1) on odd layers for periodic chains of even n; an
-    odd-n ring admits no conflict-free wrap gate, so its layout coincides with
-    open boundaries).  `legs` maps every gate output leg to the gate that
-    consumes it, wrapping the final layer back to the first (time periodicity):
-    legs[2g] and legs[2g + 1] are the two output legs of gate g, in the order
-    of its qudits, each (source gid, qudit, consumer gid).  `layers`, `gates`
-    and `legs` are the tuples of one layout per (n, t, bc), shared by every
-    geometry of that shape whatever its q.
-    """
-
-    n: int
-    q: int
-    t: int
-    spatial_bc: str
-
-    def __post_init__(self):
-        _check_instance(self.n, self.q, self.t, self.spatial_bc)
-
-    @property
-    def layers(self) -> tuple[tuple[Gate, ...], ...]:
-        return _layout(self.n, self.t, self.spatial_bc)[0]
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return _layout(self.n, self.t, self.spatial_bc)[1]
-
-    @property
-    def legs(self) -> tuple[tuple[int, int, int], ...]:
-        return _layout(self.n, self.t, self.spatial_bc)[2]
-
-    @property
-    def n_gates(self) -> int:
-        return len(self.gates)
-
-    def to_json_dict(self) -> dict:
-        layers = [[list(g.qudits) for g in layer] for layer in self.layers]
-        return {"n": self.n, "q": self.q, "t": self.t, "spatial_bc": self.spatial_bc,
-                "layers": layers, "legs": [list(leg) for leg in self.legs]}
-
-
-def _layer_pairs(n: int, layer_index: int, spatial_bc: str) -> list[tuple[int, int]]:
-    start = 1 if layer_index % 2 == 0 else 2
-    pairs = [(a, a + 1) for a in range(start, n, 2) if a + 1 <= n]
-    if spatial_bc == "periodic" and layer_index % 2 == 1 and n % 2 == 0:
-        pairs.append((n, 1))
-    return pairs
-
-
-def _check_instance(n: int, q: int, t: int, spatial_bc: str) -> None:
-    """Reject a brickwork instance that no route evaluates."""
-    if n < 2:
-        raise ValueError("need at least 2 qudits")
-    if q < 2:
-        raise ValueError("local dimension must be >= 2")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if spatial_bc not in ("open", "periodic"):
-        raise ValueError(f"unknown boundary condition {spatial_bc!r}")
-
-
 def build_geometry(n: int, q: int, t: int, spatial_bc: str = "open") -> CircuitGeometry:
     """Brickwork lattice geometry for the time-t frame potential (depth 2(t-1))."""
     return CircuitGeometry(n, q, t, spatial_bc)
-
-
-@lru_cache(maxsize=256)
-def _layout(n: int, t: int, spatial_bc: str) -> tuple[tuple, tuple, tuple]:
-    """The gates, layer by layer, all gates and the legs of one checked
-    brickwork shape."""
-    depth = 2 * (t - 1) if t >= 1 else 0
-    layers, gates = [], []
-    for ell in range(depth):
-        pairs = _layer_pairs(n, ell, spatial_bc)
-        layers.append(tuple(Gate(len(gates) + i, ell, pair) for i, pair in enumerate(pairs)))
-        gates += layers[-1]
-
-    # owner[ell][u]: the gate of layer ell acting on qudit u
-    owner = [{u: g for g in layer for u in g.qudits} for layer in layers]
-    legs = []
-    for g in gates:
-        for u in g.qudits:
-            consumer = None
-            for step in range(1, depth + 1):
-                consumer = owner[(g.layer + step) % depth].get(u)
-                if consumer is not None:
-                    break
-            assert consumer is not None, f"qudit {u} has no consuming gate"
-            legs.append((g.gid, u, consumer.gid))
-    return tuple(layers), tuple(gates), tuple(legs)
 
 
 @dataclass
@@ -393,12 +286,11 @@ def _pin_schedule(drop_at: list[int]) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(live), frozenset(repins)
 
 
-def _column_major(n: int, gates: tuple[Gate, ...]) -> list[Gate]:
-    """Gates sorted by (leftmost qudit, layer); the ring's wrap gate (n, 1)
-    counts as column 0.  Sweeping columns keeps about 2t - 1 spins live on an
-    open chain, where the layer-major order keeps a whole layer."""
-    wrap = (n, 1)
-    return sorted(gates, key=lambda g: (0 if g.qudits == wrap else g.qudits[0], g.layer))
+def _column_major(gates: tuple[Gate, ...]) -> list[Gate]:
+    """Gates sorted by (column, layer).  Sweeping columns keeps about 2t - 1
+    spins live on an open chain, where the layer-major order keeps a whole
+    layer."""
+    return sorted(gates, key=lambda g: (_column(g.qudits), g.layer))
 
 
 def _program(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]:
@@ -440,8 +332,6 @@ def _gather_index(k: int, width: int, *axes: tuple[int, int]) -> np.ndarray:
     """The flat weight index rel(x_a, x_b) * width + rel(x_a, x_c) of a factor
     on the spin axes a, b, c, each given as (size, number of axes after it),
     broadcast along them."""
-    import numpy as np
-
     rel = group_table(k).rel
     ia, ib, ic = (np.arange(size).reshape((size,) + (1,) * trailing) for size, trailing in axes)
     index = rel[ia, ib] * width + rel[ia, ic]
@@ -469,8 +359,6 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
     Python ints for the rest of the sweep.  The DEBUG record names the ring,
     the limb width, the step of each switch and the limb count at the end.
     """
-    import numpy as np
-
     gt = group_table(k)
     program = _program(plan, k, tuple(t.shape[1] for t in tables))
     tables = [t.ravel() for t in tables]
@@ -576,8 +464,6 @@ def _carry(
     Every lower limb is then below 2^bits + 2^(62 - bits), and the top limb
     below 2^bits unless its product with `factor` stays below the limit.
     """
-    import numpy as np
-
     mask = (1 << bits) - 1
     low = 0  # the bound on every |limb| below the top one
     if len(state) > 1:
@@ -614,8 +500,6 @@ def _abs_sum(state: np.ndarray, axes: tuple[int, ...]) -> int:
     """A certified bound on every |sum of an int64 state over `axes`|: the
     largest float64 sum of |entries| over them, in chunks of at most _CHUNK
     entries along the first axis longer than 1, raised to cover rounding."""
-    import numpy as np
-
     axis = next((i for i, size in enumerate(state.shape) if size > 1), 0)
     rows = max(1, _CHUNK * state.shape[axis] // state.size)
     total, peak = 0.0, 0.0
@@ -641,8 +525,6 @@ def _repin(state: np.ndarray, slot: int, k: int, lead: int = 0) -> np.ndarray:
     x_slot = id, G(id, y) = sum_s T(s^-1, s^-1 y), gathered in chunks of s of
     at most _CHUNK entries.
     """
-    import numpy as np
-
     order = group_table(k).order
     head, spins = state.shape[:lead], state.shape[lead:]
     flat = state.reshape(head + (-1,))
@@ -665,8 +547,6 @@ def _repin(state: np.ndarray, slot: int, k: int, lead: int = 0) -> np.ndarray:
 def _repin_index(k: int, ndim: int, slot: int, start: int, stop: int) -> np.ndarray:
     """Flat indices of (s^-1 y) into a state of `ndim` full axes, for s in
     start..stop-1 (rows) and every y with y_slot = id (columns, C order)."""
-    import numpy as np
-
     rel = group_table(k).rel
     s = np.arange(start, stop)
     index = np.zeros((len(s), 1), dtype=np.intp)
@@ -680,8 +560,6 @@ def _repin_index(k: int, ndim: int, slot: int, start: int, stop: int) -> np.ndar
 def _exact_table(ints: list[int]) -> tuple[np.ndarray, int]:
     """Integer weights as a table of the exact ring, int64 if every |entry| is
     below _INT64_LIMIT and object otherwise, with their largest |entry|."""
-    import numpy as np
-
     bound = max(map(abs, ints))
     return np.array(ints, dtype=np.int64 if bound < _INT64_LIMIT else object), bound
 
@@ -725,9 +603,6 @@ def _gram_tables(k: int, q: int) -> tuple[tuple[np.ndarray, ...], int, tuple[int
     sweep's `bounds`: Wg(x, q^2) from the Gram oracle, scaled to integers
     over their least common denominator D, and q^ell(x).  Memoized, so
     `wg_gram` runs once per (k, q)."""
-    from .exact import scale_to_ints
-    from .weingarten import wg_gram
-
     gt = group_table(k)
     gram = wg_gram(k, q * q)
     ints, denom = scale_to_ints([gram[p] for p in gt.perms])
@@ -769,7 +644,7 @@ def _direct_model(n: int, t: int, spatial_bc: str) -> tuple[int, tuple[_Factor, 
     bonds = tuple((2 * src + 1, 2 * dst, 2 * src + 1, 1) for src, _, dst in legs)
     return 2 * len(gates), pairs + bonds, (
         ("layer-major", tuple(2 * g.gid + side for layer in layers for side in (0, 1) for g in layer)),
-        ("column-major", tuple(2 * g.gid + side for g in _column_major(n, gates) for side in (0, 1))),
+        ("column-major", tuple(2 * g.gid + side for g in _column_major(gates) for side in (0, 1))),
     )
 
 
@@ -785,11 +660,6 @@ def _plaquette_table(k: int, q: int, backend: str) -> tuple[tuple[np.ndarray], i
     their least common denominator D, with their largest |entry|; float ones
     have D = 1 and no bounds.  Memoized, so each class weight is evaluated
     once per (k, q) and ring."""
-    import numpy as np
-
-    from .exact import scale_to_ints
-    from .plaquette import build_table
-
     weights, cls = build_table(k).key_classes()
     if backend == "exact":
         ints, denom = scale_to_ints([w.evaluate(q) for w in weights])
@@ -834,7 +704,7 @@ def _transfer_model(n: int, t: int, spatial_bc: str) -> tuple[int, tuple[_Factor
     layers, gates, legs = _layout(n, t, spatial_bc)
     return len(gates), tuple((g, legs[2 * g][2], legs[2 * g + 1][2], 0) for g in range(len(gates))), (
         ("layer-major", tuple(g.gid for layer in layers for g in layer)),
-        ("column-major", tuple(g.gid for g in _column_major(n, gates))),
+        ("column-major", tuple(g.gid for g in _column_major(gates))),
     )
 
 
@@ -857,8 +727,6 @@ def _frame_potential_bruteforce(
         raise BudgetExceededError(
             f"(k!)^(2G) = {order ** (2 * n_gates)} exceeds brute-force budget"
         )
-    from .weingarten import wg_symbolic
-
     q = geom.q
     wg_vals = {
         ct: wg_symbolic(ct, k).evaluate(q * q) for ct in gt.cycle_types

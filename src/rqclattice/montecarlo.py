@@ -3,10 +3,9 @@
 This is the package's floating-point physical oracle: it samples Haar 2-site
 gates on the reduced depth-2(t-1) brickwork circuit and averages |Tr|^(2k)
 over independent circuits.  It shares no code with the exact lattice
-evaluators beyond the instance check (`lattice._check_instance`) and the
-brickwork layer layout (`lattice._layer_pairs`), for open chains and periodic
-rings alike, so a circuit has the gates of `lattice.build_geometry` in the
-same order.
+evaluators, only the brickwork shape of `geometry`: the instance check, the
+layer layout of open chains and periodic rings (a circuit has the gates of a
+`CircuitGeometry`, in the same order), the gate count and the column key.
 
 A trace is a closed tensor network (Markov & Shi, arXiv:quant-ph/0511069).
 Each gate is a (q, q, q, q) tensor; each qudit's world line is cut into
@@ -62,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError
-from .lattice import _check_instance, _layer_pairs
+from .geometry import _check_instance, _column, _gate_count, _layer_pairs
 
 # complex entries of a sample's largest array (its gates or a planned state):
 # a 4096 x 4096 circuit matrix, so every instance a dense product could hold fits
@@ -216,22 +215,18 @@ def _schedule(legs: list, order, q: int) -> tuple[list, int] | None:
 @lru_cache(maxsize=64)
 def _plan(n: int, q: int, depth: int, bc: str, two_sided: bool) -> _Plan:
     """The trace network of depth-`depth` circuits, one Tr W or Tr(U^dagger V),
-    in whichever gate order peaks lower: column-major (by leftmost qudit, the
-    ring's wrap gates (n, 1) as column 0, then in order of application) or
-    layer-major (in order of application).  Raises BudgetExceededError when
-    a sample's gates, or a state in both orders, pass PEAK_BUDGET complex
-    entries.
+    in whichever gate order peaks lower: column-major (by `_column`, then in
+    order of application) or layer-major (in order of application).  Raises
+    BudgetExceededError when a sample's gates, or a state in both orders,
+    pass PEAK_BUDGET complex entries.
     """
-    # layers alternate between the layouts of layers 0 and 1
-    gates = (2 if two_sided else 1) * sum(
-        len(_layer_pairs(n, parity, bc)) * ((depth + 1 - parity) // 2) for parity in (0, 1)
-    )
+    gates = (2 if two_sided else 1) * _gate_count(n, depth, bc)
     if gates * q**4 > PEAK_BUDGET:
         raise BudgetExceededError(
             f"{gates} gates of q^4 = {q**4} entries exceed budget {PEAK_BUDGET} per sample"
         )
     net, legs = _network(n, depth, bc, two_sided)
-    column = sorted(range(len(net)), key=lambda p: (0 if net[p][1][0] > net[p][1][1] else net[p][1][0], p))
+    column = sorted(range(len(net)), key=lambda p: (_column(net[p][1]), p))
     candidates = [s for s in (_schedule(legs, column, q), _schedule(legs, range(len(net)), q)) if s]
     if not candidates:
         raise BudgetExceededError(
@@ -371,8 +366,9 @@ def estimate_frame_potential(
 
     The single-circuit form needs t >= 2: at t = 1 the reduced circuit is
     empty and its trace moment is q^(2nk), not the frame potential.  The
-    instance is checked as by `lattice.build_geometry`, k >= 1 (k > 6 too: no
-    tables are needed) and the seed, one word of the key, is in [0, 2^64).
+    instance is checked as a `CircuitGeometry` checks it (not its gate cap:
+    the plan's budget stands in), k >= 1 (k > 6 too: no tables are needed)
+    and the seed, one word of the key, is in [0, 2^64).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1 (got {k})")

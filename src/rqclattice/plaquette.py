@@ -143,14 +143,10 @@ class PlaquetteTable:
         cls.setflags(write=False)  # shared by every caller of the table
         return cls, reps
 
-    def _weight_raw(self, ia: int, ib: int) -> RationalFunction:
-        """J^{id}_{a b} from the defining tau-sum, bypassing the class map."""
-        return key_weight(self._gt, ia, ib)
-
     def _class_weight(self, c: int) -> RationalFunction:
         w = self._weights[c]
         if w is None:
-            w = self._weights[c] = self._weight_raw(*self._reps[c])
+            w = self._weights[c] = key_weight(self._gt, *self._reps[c])
         return w
 
     # -- public surface ----------------------------------------------------
@@ -172,10 +168,7 @@ class PlaquetteTable:
 
     def class_signature(self, c: int) -> WallSignature:
         """The wall signature shared by every key of class c."""
-        return self._signature_by_index(*self._reps[c])
-
-    def _signature_by_index(self, ia: int, ib: int) -> WallSignature:
-        return key_signature(self._gt, ia, ib)
+        return key_signature(self._gt, *self._reps[c])
 
 
 def key_weight(gt: SymmetricGroupTable, ia: int, ib: int) -> RationalFunction:
@@ -314,8 +307,8 @@ def verify_rules(
     # so the weights of an even spread of translations are recomputed raw
     spread = {len(ta) * i // raw_spot_checks for i in range(raw_spot_checks)} if len(ta) else ()
     for i in sorted(spread):
-        if not moved[i] and table._weight_raw(int(ja[i]), int(jb[i])) != table._weight_raw(
-            int(ta[i]), int(tb[i])
+        if not moved[i] and key_weight(gt, int(ja[i]), int(jb[i])) != key_weight(
+            gt, int(ta[i]), int(tb[i])
         ):
             moved[i] = True
     for i in np.flatnonzero(moved).tolist():
@@ -326,7 +319,7 @@ def verify_rules(
     for _ in range(raw_spot_checks):
         ia, ib = rng.randrange(n), rng.randrange(n)
         report.checked += 1
-        if table._weight_raw(ia, ib) != table._weight_by_index(ia, ib):
+        if key_weight(gt, ia, ib) != table._weight_by_index(ia, ib):
             report.note(f"raw recomputation mismatch at key {(ia, ib)}")
 
     return report
@@ -350,7 +343,7 @@ def asymptotic_check(k: int) -> RuleReport:
     for (ia, ib), w, size in zip(table._reps, weights, sizes.tolist()):
         if w.is_zero():
             continue
-        sig = table._signature_by_index(ia, ib)
+        sig = key_signature(gt, ia, ib)
         order, _ = w.asymptotic_order()
         report.checked += size
         key = f"class of key ({gt.perms[ia]}, {gt.perms[ib]})"

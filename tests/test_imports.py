@@ -1,5 +1,6 @@
 """What a cold process imports, and the package's lazily loaded public names."""
 
+import ast
 import importlib
 import json
 import os
@@ -76,10 +77,22 @@ class TestColdProcessFootprint:
         "geometry --n 5 --q 3 --t 2 --format csv",
     ])
     def test_geometry_skips_the_weight_modules(self, command):
+        # the shape is the geometry module's: no contraction engine, no tables
         modules = _cli_modules(command)
-        assert "rqclattice.lattice" in modules
-        assert not modules & {"rqclattice.plaquette", "rqclattice.weingarten",
-                              "rqclattice.exact", "rqclattice.characters"}
+        assert "rqclattice.geometry" in modules
+        assert not _has_numpy(modules)
+        assert not modules & {"rqclattice.lattice", "rqclattice.perms", "rqclattice.plaquette",
+                              "rqclattice.weingarten", "rqclattice.exact", "rqclattice.characters"}
+
+    @pytest.mark.parametrize("command", [
+        "framepotential montecarlo --n 4 --q 2 --t 3 --k 2 --samples 20",
+        "framepotential montecarlo --n 6 --q 2 --t 2 --k 3 --samples 20 --bc periodic --two-sided",
+    ])
+    def test_montecarlo_skips_the_lattice(self, command):
+        # the oracle shares only the brickwork shape with the exact routes
+        ours = {m for m in _cli_modules(command) if m.startswith("rqclattice.")}
+        assert ours == {"rqclattice.cli", "rqclattice.errors", "rqclattice.geometry",
+                        "rqclattice.montecarlo"}
 
     @pytest.mark.parametrize("command", [
         "plaquettes --k 3 --q 2",
@@ -124,7 +137,7 @@ class TestLazyExports:
         assert getattr(rqclattice, name) is expected
 
     @pytest.mark.parametrize("name", ["errors", "exact", "perms", "characters", "weingarten",
-                                      "plaquette", "lattice", "montecarlo", "bounds"])
+                                      "plaquette", "geometry", "lattice", "montecarlo", "bounds"])
     def test_submodules_are_attributes(self, name):
         assert getattr(rqclattice, name) is importlib.import_module(f"rqclattice.{name}")
 
@@ -165,3 +178,38 @@ class TestLazyExports:
         assert lattice.wg_gram is importlib.import_module("rqclattice.weingarten").wg_gram
         with pytest.raises(AttributeError, match="no_such_name"):
             lattice.no_such_name
+
+
+def _imports(name: str) -> tuple[set[str], list[int]]:
+    """The modules a package module imports at its top level (relative ones
+    as ".name"), and the lines of every import inside a function or class."""
+    tree = ast.parse(Path(SRC, "rqclattice", f"{name}.py").read_text())
+    top = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            top.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            top.add("." * node.level + (node.module or ""))
+    nested = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              and not any(node is top_node for top_node in tree.body)]
+    return top, nested
+
+
+class TestModuleBoundaries:
+    def test_geometry_imports_only_the_stdlib_and_errors(self):
+        top, nested = _imports("geometry")
+        assert nested == []
+        assert {m for m in top if m.startswith(".")} == {".errors"}
+        assert {m for m in top if not m.startswith(".")} <= set(sys.stdlib_module_names) | {"__future__"}
+
+    def test_lattice_imports_at_its_top_and_keeps_no_shim(self):
+        top, nested = _imports("lattice")
+        assert nested == []
+        assert "importlib" not in top
+        lattice = importlib.import_module("rqclattice.lattice")
+        assert "__getattr__" not in vars(lattice) and "_ROUTE_TABLES" not in vars(lattice)
+
+    def test_montecarlo_imports_nothing_of_the_lattice(self):
+        top, nested = _imports("montecarlo")
+        assert ".geometry" in top
+        assert ".lattice" not in top and nested == []

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import rqclattice.lattice as lattice
-import rqclattice.plaquette as plaquette
 import rqclattice.weingarten as weingarten
 from rqclattice.characters import partitions
 from rqclattice.errors import BudgetExceededError, PoleError
@@ -335,10 +334,11 @@ class TestGuards:
         def no_tables(*args):
             raise AssertionError("weight table built before the budget check")
 
-        # the tables at q are memoized, so the memo and the builder behind it
+        # the tables at q are memoized, so the memos and the builders behind them
         monkeypatch.setattr(lattice, "_gram_tables", no_tables)
         monkeypatch.setattr(lattice, "_plaquette_table", no_tables)
-        monkeypatch.setattr(plaquette, "build_table", no_tables)
+        monkeypatch.setattr(lattice, "build_table", no_tables)
+        monkeypatch.setattr(lattice, "wg_gram", no_tables)
         g = build_geometry(6, 2, 3, "periodic")
         with pytest.raises(BudgetExceededError):
             frame_potential_direct(g, 3, state_budget=1000)
@@ -378,7 +378,7 @@ class TestGuards:
             calls.append((k, d))
             return gram(k, d)
 
-        monkeypatch.setattr(weingarten, "wg_gram", counting)
+        monkeypatch.setattr(lattice, "wg_gram", counting)
         lattice._gram_tables.cache_clear()
         shapes = [(4, 2, "open"), (5, 3, "periodic"), (4, 2, "open"), (6, 2, "open")]
         values = [frame_potential_direct(build_geometry(n, 2, t, bc), 3).value for n, t, bc in shapes]

@@ -6,7 +6,8 @@ import pytest
 
 import rqclattice.montecarlo
 from rqclattice.errors import BudgetExceededError
-from rqclattice.lattice import _layer_pairs, build_geometry, frame_potential_transfer
+from rqclattice.geometry import _layer_pairs
+from rqclattice.lattice import build_geometry, frame_potential_transfer
 from rqclattice.montecarlo import (
     CHUNK_ENTRIES,
     MCEstimate,
