@@ -13,10 +13,11 @@ runs every section at every k <= 6.
 
 A process imports only what its subcommand uses: each `_cmd_*` imports its own
 modules, so `weingarten`, `bounds` and `geometry` run without numpy, and
-`plaquettes` without the lattice, Monte Carlo and bounds modules.  A result
-that is a list of flat rows is written through the C JSON encoder, byte for
-byte the indented dump every other result gets, and reaches stdout a few
-rows at a time.
+`plaquettes` without the lattice, Monte Carlo and bounds modules.  The JSON
+output is the indented dump `json.dumps(envelope, indent=2, sort_keys=True)`.
+A plaquette dump's rows alone are encoded through the C JSON encoder, one
+class of keys at a time, byte for byte that dump, and reach stdout a few rows
+at a time.
 
 Environment knob: RQCLATTICE_STATE_BUDGET (contraction state budget, default
 4e6 states exact, 1.28e8 float).
@@ -140,24 +141,16 @@ class _KeyedRows(list):
 def _pieces(envelope: dict) -> Iterator[str]:
     """`json.dumps(envelope, indent=2, sort_keys=True)` in pieces, joined byte for byte.
 
-    Python's indented dump runs its pure-Python encoder.  A result that is a
-    list of flat rows (non-empty dicts of scalars) is encoded row by row by the
-    C encoder instead, a `_KeyedRows` result class by class, and the rows are
+    Python's indented dump runs its pure-Python encoder.  A `_KeyedRows` result
+    is encoded class by class by the C encoder instead, and its rows are
     spliced into the indented envelope, in which `result` sorts last, one piece
     per `_CHUNK_ROWS` rows; any other result is one piece, the indented dump.
     """
     rows = envelope["result"]
-    encoded = None
-    if type(rows) is _KeyedRows:
-        encoded = rows.encoded()
-    elif type(rows) is list and all(
-        type(row) is dict and row and _SCALARS.issuperset(map(type, row.values())) for row in rows
-    ):
-        encode = _ROW_ENCODER.encode
-        encoded = ("{\n      " + encode(row)[1:-1] + "\n    }" for row in rows)
-    if encoded is not None and len(rows):
+    if type(rows) is _KeyedRows and len(rows):
         head = json.dumps({**envelope, "result": None}, indent=2, sort_keys=True)
         if head.endswith('"result": null\n}'):
+            encoded = rows.encoded()
             opening = head[: -len("null\n}")] + "[\n    "
             while batch := list(itertools.islice(encoded, _CHUNK_ROWS)):
                 yield opening + ",\n    ".join(batch)
@@ -175,8 +168,9 @@ def _dumps(envelope: dict) -> str:
 
 def _emit(envelope: dict, fmt: str, csv_rows: list[dict] | None = None) -> None:
     """Print the envelope as JSON, or as CSV rows: `csv_rows`, else a list result's
-    rows, else the flattened result.  A list result reaches stdout `_CHUNK_ROWS`
-    JSON rows or one CSV row at a time, never as one string."""
+    rows, else the flattened result.  A `_KeyedRows` result reaches stdout
+    `_CHUNK_ROWS` JSON rows at a time, and a list result one CSV row at a
+    time, never as one string."""
     if fmt == "json":
         write = sys.stdout.write
         for piece in _pieces(envelope):

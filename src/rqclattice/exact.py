@@ -7,8 +7,11 @@ with one integer kernel: convolution, a primitive pseudo-remainder gcd, exact
 division, lcm, Horner evaluation, a rational-root search, and one reduction to
 the normal form every `RationalFunction` is kept in (coprime num and den,
 joint content 1, positive leading den coefficient, no trailing zeros), so
-equality is tuple equality.  Fraction coefficients over a monic denominator
-are built only to print a function.  Intermediate sums in Weingarten tables
+equality is tuple equality.  A `RationalFunction` is a value, not a field
+element: it has no + - * /, and callers that sum or multiply functions do it
+on the kernel (over an `int_lcm` common denominator) and wrap the result once
+with `from_ints`.  Fraction coefficients over a monic denominator are built
+only to print a function.  Intermediate sums in Weingarten tables
 have large numerators and silent overflow would corrupt the golden tests, so
 nothing here is ever fixed-width.
 """
@@ -104,15 +107,6 @@ def int_mul(a: list[int], b: list[int]) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
-
-
-def _int_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
     return out
 
 
@@ -220,9 +214,10 @@ class RationalFunction:
     Every construction goes through one integer normal form, `ints`: num and
     den as coprime integer polynomials with joint content 1 and a positive
     leading denominator coefficient, i.e. the rational num/den scaled by the
-    least common denominator of all their coefficients.  Arithmetic,
-    equality, hashing and evaluation run on `ints`; `monic()` gives the
-    rational coefficients with a monic denominator, for display.
+    least common denominator of all their coefficients.  Equality, hashing,
+    evaluation and `substitute_power` run on `ints`; there are no arithmetic
+    operators.  `monic()` gives the rational coefficients with a monic
+    denominator, for display.
     """
 
     __slots__ = ("ints",)
@@ -271,46 +266,6 @@ class RationalFunction:
     def __hash__(self) -> int:
         num, den = self.ints
         return hash((tuple(num), tuple(den)))
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(other)
-        raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
-
-    def __add__(self, other) -> "RationalFunction":
-        (n1, d1), (n2, d2) = self.ints, self._coerce(other).ints
-        num = _int_add(int_mul(n1, d2), int_mul(n2, d1))
-        return RationalFunction.from_ints(num, int_mul(d1, d2))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        num, den = self.ints
-        return RationalFunction.from_ints([-c for c in num], den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        (n1, d1), (n2, d2) = self.ints, self._coerce(other).ints
-        return RationalFunction.from_ints(int_mul(n1, n2), int_mul(d1, d2))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        (n1, d1), (n2, d2) = self.ints, o.ints
-        return RationalFunction.from_ints(int_mul(n1, d2), int_mul(d1, n2))
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
 
     def evaluate(self, x) -> Fraction:
         """Exact value at an int or Fraction x; raises PoleError at a root of the reduced denominator."""

@@ -565,19 +565,18 @@ def _exact_table(ints: list[int]) -> tuple[np.ndarray, int]:
 
 
 def _evaluate(
-    geom: CircuitGeometry, k: int, method: str, backend: str, model, tables, state_budget: int | None,
+    geom: CircuitGeometry, k: int, method: str, backend: str, model, tables,
 ) -> FramePotentialResult:
     """The frame potential of one route on `geom`, in `backend`'s ring: the
     route's `model(n, t, bc)`, (n_vars, factors, candidates) for `_planned`,
     and `tables(k, q)`, the memoized (tables, D, bounds) of its weights at q for
-    `_sweep` over a denominator D (1 for float).  The budget, given or the
-    ring's default, is checked before any table is looked up."""
+    `_sweep` over a denominator D (1 for float).  The budget, STATE_BUDGET_ENV
+    or the ring's default, is checked before any table is looked up."""
     if geom.t <= 1:
         method, value, denom = "special", frame_potential_special(geom.n, geom.q, geom.t, k), 1
     else:
         default = DEFAULT_STATE_BUDGET if backend == "exact" else DEFAULT_FLOAT_STATE_BUDGET
-        budget = _state_budget(default) if state_budget is None else state_budget
-        plan = _plan(model, geom, math.factorial(k), budget)
+        plan = _plan(model, geom, math.factorial(k), _state_budget(default))
         weights, denom, bounds = tables(k, geom.q)
         value = _sweep(plan, weights, k, bounds)
     if backend == "exact":
@@ -614,9 +613,7 @@ def _gram_tables(k: int, q: int) -> tuple[tuple[np.ndarray, ...], int, tuple[int
     return tables, denom, (wg_bound, q_bound)
 
 
-def frame_potential_direct(
-    geom: CircuitGeometry, k: int, gauge_fix: bool = False, state_budget: int | None = None
-) -> FramePotentialResult:
+def frame_potential_direct(geom: CircuitGeometry, k: int, gauge_fix: bool = False) -> FramePotentialResult:
     """Exact frame potential from the hexagonal model.
 
     Sums over a permutation pair (sigma, tau) per gate with a Weingarten
@@ -632,7 +629,7 @@ def frame_potential_direct(
     d = geom.q * geom.q
     if geom.t > 1 and d < k:
         raise PoleError(f"Weingarten function has a pole at d = q^2 = {d} for k={k}")
-    return _evaluate(geom, k, "direct", "exact", _direct_model, _gram_tables, state_budget)
+    return _evaluate(geom, k, "direct", "exact", _direct_model, _gram_tables)
 
 
 def _direct_model(n: int, t: int, spatial_bc: str) -> tuple[int, tuple[_Factor, ...], tuple]:
@@ -673,8 +670,7 @@ def _plaquette_table(k: int, q: int, backend: str) -> tuple[tuple[np.ndarray], i
 
 
 def frame_potential_transfer(
-    geom: CircuitGeometry, k: int, backend: str = "exact", gauge_fix: bool = False,
-    state_budget: int | None = None,
+    geom: CircuitGeometry, k: int, backend: str = "exact", gauge_fix: bool = False
 ) -> FramePotentialResult:
     """Frame potential from the triangular plaquette model.
 
@@ -694,7 +690,7 @@ def frame_potential_transfer(
         raise ValueError(f"unknown backend {backend!r}")
     return _evaluate(
         geom, k, "transfer", backend, _transfer_model,
-        lambda k, q: _plaquette_table(k, q, backend), state_budget,
+        lambda k, q: _plaquette_table(k, q, backend),
     )
 
 

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError
-from .geometry import _check_instance, _column, _gate_count, _layer_pairs
+from .geometry import _check_instance, _column, _depth, _gate_count, _layer_pairs
 
 # complex entries of a sample's largest array (its gates or a planned state):
 # a 4096 x 4096 circuit matrix, so every instance a dense product could hold fits
@@ -296,7 +296,7 @@ def circuit_trace(n: int, q: int, t: int, rng: np.random.Generator, bc: str = "o
     if t < 1:
         raise ValueError("t must be >= 1")
     _check_instance(n, q, t, bc)
-    plan = _plan(n, q, 2 * (t - 1), bc, False)
+    plan = _plan(n, q, _depth(t), bc, False)
     normals = rng.standard_normal((1, len(plan.pairs), 2, q * q, q * q))
     return complex(_traces(_haar_from_normals(normals), plan)[0])
 
@@ -384,7 +384,7 @@ def estimate_frame_potential(
             "use the two-sided form (--two-sided) for t < 2"
         )
     _check_instance(n, q, t, bc)
-    plan = _plan(n, q, t if two_sided else 2 * (t - 1), bc, two_sided)
+    plan = _plan(n, q, t if two_sided else _depth(t), bc, two_sided)
     size = max(1, CHUNK_ENTRIES // plan.peak)
     chunks = [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 

@@ -241,8 +241,8 @@ class SymmetricGroupTable:
         self._place = k ** np.arange(k - 1, -1, -1)
         self._codes = self._images @ self._place
         self.inv = self._rank(np.argsort(self._images, axis=1) @ self._place)
-        self.n_cycles = np.array([num_cycles(p) for p in self.perms])
         cts = [cycle_type(p) for p in self.perms]
+        self.n_cycles = np.array([len(ct) for ct in cts])
         self.cycle_types = sorted(set(cts), reverse=True)
         ct_pos = {ct: i for i, ct in enumerate(self.cycle_types)}
         self.ct_index = np.array([ct_pos[ct] for ct in cts])

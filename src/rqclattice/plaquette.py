@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .exact import RationalFunction, _format, int_lcm, int_mul, integer_roots
-from .perms import Perm, SymmetricGroupTable, group_table
+from .perms import Perm, SymmetricGroupTable, group_table, transposition_distance
 from .weingarten import wg_in_q
 
 _SINGLE_WALL = RationalFunction.from_ints([0, 1], [1, 0, 1])  # q/(q^2+1)
@@ -95,8 +96,6 @@ def _wg_numerators(k: int) -> tuple[np.ndarray, list[int]]:
     type with index ct times q^m, for m = 0..2k (the exponents of the tau-sum),
     so a weight numerator is one integer dot product with its tau counts.
     """
-    import numpy as np
-
     wgq = wg_in_q(k)
     ints = [wgq[ct].ints for ct in group_table(k).cycle_types]
     common, cofactors = int_lcm([den for _, den in ints])
@@ -128,8 +127,6 @@ class PlaquetteTable:
 
     def _label_classes(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """The (k!, k!) class of every key and each class's least key."""
-        import numpy as np
-
         gt = self._gt
         # conj[p, a] = index of p^-1 a p
         conj = gt.mul[gt.rel, np.arange(gt.order)[:, None]]
@@ -175,8 +172,6 @@ def key_weight(gt: SymmetricGroupTable, ia: int, ib: int) -> RationalFunction:
     """J^{id}_{a b} of the key with element indices (ia, ib) in S_k's table `gt`,
     from the defining tau-sum over columns ia and ib of `rel`: O(k! k) work,
     and no (k!)^2 table is built for it."""
-    import numpy as np
-
     k = gt.k
     shifted, common = _wg_numerators(k)
     # counts[ct * width + m]: how many tau of each cycle type give q-exponent m
@@ -211,8 +206,6 @@ def plaquette_weight(s1: Perm, s2: Perm, s3: Perm) -> RationalFunction:
 
 def classify(s1: Perm, s2: Perm, s3: Perm) -> WallSignature:
     """Wall signature (|s1^-1 s2|, |s1^-1 s3|, |s2^-1 s3|) of a triple."""
-    from .perms import transposition_distance
-
     return WallSignature(
         in_left=transposition_distance(s1, s2),
         in_right=transposition_distance(s1, s3),
@@ -243,8 +236,6 @@ def verify_rules(
     translation is one gather.  Violations are listed in the order of a walk
     over the keys, each key's rules in order, then the translations.
     """
-    import numpy as np
-
     gt = group_table(k)  # checks the moment cap
     report = RuleReport(name=f"plaquette rules k={k}")
     table = build_table(k)
@@ -333,8 +324,6 @@ def asymptotic_check(k: int) -> RuleReport:
     Weight and signature are class invariants, so each key class is checked
     once, through its representative, and counts for every key it holds.
     """
-    import numpy as np
-
     table = build_table(k)
     weights, cls = table.key_classes()
     sizes = np.bincount(cls.ravel())

@@ -209,6 +209,12 @@ class TestModuleBoundaries:
         lattice = importlib.import_module("rqclattice.lattice")
         assert "__getattr__" not in vars(lattice) and "_ROUTE_TABLES" not in vars(lattice)
 
+    def test_plaquette_imports_at_its_top(self):
+        # every command that loads it has built a group table, so numpy is loaded
+        top, nested = _imports("plaquette")
+        assert nested == []
+        assert "numpy" in top
+
     def test_montecarlo_imports_nothing_of_the_lattice(self):
         top, nested = _imports("montecarlo")
         assert ".geometry" in top

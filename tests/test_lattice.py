@@ -318,15 +318,17 @@ class TestDecayStructure:
 
 
 class TestGuards:
-    def test_budget_guard_direct(self):
+    def test_budget_guard_direct(self, monkeypatch):
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "1000")
         g = build_geometry(6, 2, 3, "periodic")
         with pytest.raises(BudgetExceededError):
-            frame_potential_direct(g, 3, state_budget=1000)
+            frame_potential_direct(g, 3)
 
-    def test_budget_guard_transfer(self):
+    def test_budget_guard_transfer(self, monkeypatch):
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "1000")
         g = build_geometry(10, 2, 4, "periodic")
         with pytest.raises(BudgetExceededError):
-            frame_potential_transfer(g, 3, state_budget=1000)
+            frame_potential_transfer(g, 3)
 
     def test_budget_checked_before_weight_tables(self, monkeypatch):
         import rqclattice.lattice as lattice
@@ -339,12 +341,13 @@ class TestGuards:
         monkeypatch.setattr(lattice, "_plaquette_table", no_tables)
         monkeypatch.setattr(lattice, "build_table", no_tables)
         monkeypatch.setattr(lattice, "wg_gram", no_tables)
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "1000")
         g = build_geometry(6, 2, 3, "periodic")
         with pytest.raises(BudgetExceededError):
-            frame_potential_direct(g, 3, state_budget=1000)
+            frame_potential_direct(g, 3)
         for backend in ("exact", "float"):
             with pytest.raises(BudgetExceededError):
-                frame_potential_transfer(g, 3, backend=backend, state_budget=1000)
+                frame_potential_transfer(g, 3, backend=backend)
 
     def test_each_distinct_plaquette_weight_evaluated_once(self, monkeypatch):
         # once per (k, q), however many requests use it
@@ -416,13 +419,14 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             frame_potential_transfer(g, 7)
 
-    def test_pole_surfaced_for_k_above_q_squared(self):
+    def test_pole_surfaced_for_k_above_q_squared(self, monkeypatch):
         # for d = q^2 < k the Gram system is singular, and for every such
         # (k, q) within the moment cap the unrestricted Weingarten function has
         # a pole at d, so the direct route raises PoleError without trying it,
         # ahead of any budget verdict
         cases = [(k, q) for q in range(2, MOMENT_CAP) for k in range(q * q + 1, MOMENT_CAP + 1)]
         assert cases == [(5, 2), (6, 2)]
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "0")
         for k, q in cases:
             poles = []
             for ct in partitions(k):
@@ -433,7 +437,7 @@ class TestGuards:
             assert poles, (k, q)
             g = build_geometry(4, q, 2, "open")
             with pytest.raises(PoleError):
-                frame_potential_direct(g, k, state_budget=0)
+                frame_potential_direct(g, k)
 
     @pytest.mark.xfail(
         strict=True,
@@ -494,21 +498,23 @@ class TestPlanner:
             (6, 3, "periodic", "layer-major", 7),
         ],
     )
-    def test_budget_message_names_order_step_and_states(self, plans, n, t, bc, order, peak):
+    def test_budget_message_names_order_step_and_states(self, plans, monkeypatch, n, t, bc, order, peak):
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "5")
         geom = build_geometry(n, 2, t, bc)
         with pytest.raises(BudgetExceededError) as exc:
-            frame_potential_transfer(geom, 3, state_budget=5)
+            frame_potential_transfer(geom, 3)
         assert (plans[-1].order, plans[-1].peak) == (order, peak)
         step = plans[-1].live.index(1)  # the first state of 6 > 5 entries
         assert f"reach 6 > budget 5 at step {step} of the {order} order" in str(exc.value)
 
-    def test_plan_memoized_per_shape_budget_checked_per_call(self, plans):
+    def test_plan_memoized_per_shape_budget_checked_per_call(self, plans, monkeypatch):
         # the scopes depend on neither q, k nor the backend
         for q, k, backend in ((2, 2, "exact"), (3, 3, "float"), (5, 2, "exact")):
             frame_potential_transfer(build_geometry(10, q, 3, "open"), k, backend=backend)
         assert plans[0] is plans[1] is plans[2]
-        with pytest.raises(BudgetExceededError):
-            frame_potential_transfer(build_geometry(10, 2, 3, "open"), 3, state_budget=6**3)
+        with monkeypatch.context() as m, pytest.raises(BudgetExceededError):
+            m.setenv(lattice.STATE_BUDGET_ENV, str(6**3))
+            frame_potential_transfer(build_geometry(10, 2, 3, "open"), 3)
         assert plans[3] is plans[0]
         # the other route on the same shapes has one plan of its own
         for q in (2, 3):
@@ -568,8 +574,9 @@ class TestPlanner:
         for n, t, k, q, bc in _criterion_06_grid():
             geom = build_geometry(n, q, t, bc)
             for route in routes:
-                with pytest.raises(BudgetExceededError):
-                    route(geom, k, state_budget=0)
+                with monkeypatch.context() as m, pytest.raises(BudgetExceededError):
+                    m.setenv(lattice.STATE_BUDGET_ENV, "0")
+                    route(geom, k)
                 # a layer-major winner would run the same plan twice
                 if plans[-1].order == "column-major":
                     cases.append((route, geom, k))
@@ -765,9 +772,10 @@ class TestPinnedSweep:
         ):
             geom = build_geometry(n, q, t, bc)
             budget = lattice.DEFAULT_STATE_BUDGET // math.factorial(k)
+            monkeypatch.setenv(lattice.STATE_BUDGET_ENV, str(budget))
             for route, kwargs in runs:
                 try:
-                    route(geom, k, state_budget=budget, **kwargs)
+                    route(geom, k, **kwargs)
                 except BudgetExceededError:
                     continue
                 covered.add((n, t, k, q, bc))

@@ -167,11 +167,15 @@ def test_row_sum_identity(k):
     from rqclattice.perms import conjugacy_class_size
 
     table = weingarten_table(k)
-    total = RationalFunction.constant(0)
-    for ct, rf in table.items():
-        mono = [0] * len(ct) + [1]  # d^ell, ell = number of cycles
-        total = total + rf * RationalFunction(mono) * conjugacy_class_size(ct)
-    assert total == RationalFunction.constant(1)
+    # over the lcm L of the integer denominators, as in test_orthogonality_symbolic
+    common, cofactors = int_lcm([rf.ints[1] for rf in table.values()])
+    terms = [(len(ct), conjugacy_class_size(ct), int_mul(rf.ints[0], cof))
+             for (ct, rf), cof in zip(table.items(), cofactors)]
+    total = [0] * max(ell + len(num) for ell, _, num in terms)
+    for ell, size, num in terms:  # += |ct| * d^ell * num(ct), ell = number of cycles
+        for i, c in enumerate(num):
+            total[ell + i] += size * c
+    assert RationalFunction.from_ints(total, common) == RationalFunction.constant(1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
