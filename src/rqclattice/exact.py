@@ -278,7 +278,8 @@ class RationalFunction:
         return Fraction(horner(num, x), dv)
 
     def evaluate_float(self, x: float) -> float:
-        """Float value at x, by float Horner over the monic coefficients.
+        """Float value at x, by float Horner over the monic coefficients;
+        raises PoleError where the denominator evaluates to 0.
 
         c / lead is the correctly rounded quotient, float(Fraction(c, lead)).
         """
@@ -287,6 +288,8 @@ class RationalFunction:
         dv = 0.0
         for c in reversed(den):
             dv = dv * x + c / lead
+        if dv == 0:
+            raise PoleError(f"pole at x = {x}")
         nv = 0.0
         for c in reversed(num):
             nv = nv * x + c / lead

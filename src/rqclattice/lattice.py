@@ -34,7 +34,10 @@ What depends on the brickwork shape alone is built once: each route's plan
 is memoized per (route model, n, t, bc), so geometries that differ only in q
 share it, and is compiled per k and table widths into a :func:`_program`
 (every factor's gather index, shared by all shapes, the axes summed, the
-re-pins), kept for k <= 4.
+re-pins), kept for k <= 4.  The program orders the state's spin axes by the
+step that sums them out, the soonest outermost: long-lived spins sit
+innermost, so numpy runs long inner loops even at k = 2, where every axis has
+length 2, and each step sums its leading axes.
 A call checks the state budget, looks up the tables at q (memoized per (k, q)
 and ring; exact ones are integers over a denominator D, and the swept value
 is divided by D^(number of gates)) and runs :func:`_sweep` on dense numpy
@@ -142,9 +145,9 @@ _INT64_LIMIT = 1 << 62
 # Past that bound the state splits into int64 limbs of at most _LIMB_BITS bits.
 # A limb narrower than _MIN_LIMB_BITS could not take one more product or sum
 # after a carry, so such tables switch to Python ints instead.  So does a value
-# of more than _MAX_LIMBS limbs, or _MAX_LIMBS_K2 at k = 2, where every spin
-# axis has length 2 and numpy walks each limb operation in loops of two
-# entries: Python ints carry such long values faster.
+# of more than _MAX_LIMBS limbs, or _MAX_LIMBS_K2 at k = 2, whose states are
+# small: on the open chain k = 2, t = 4, limbs tie with Python ints at 10 limbs
+# (n = 64) and take 1.2 times as long at 21 (n = 128).
 _LIMB_BITS = 44
 _MIN_LIMB_BITS = 31
 _MAX_LIMBS = 24
@@ -304,26 +307,48 @@ def _program(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]:
 
 @lru_cache(maxsize=1024)
 def _compiled(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Each step of `_program` is (shape, gathers, drops, terms, repin): the
-    spin axes' shape once the entering axis, the last (of size 1 if pinned),
-    is in; each factor's table id and `_gather_index` into its flat table;
-    the axes summed out, with the terms of each sum; and the re-pinned slot."""
+    """Each step of `_program` is (shape, key, axis, gathers, drops, terms,
+    repin), on the state's spin axes ordered by the step that sums them out,
+    the soonest outermost and ties in entry order: their shape once the
+    entering axis is in (of size 1 if pinned); the index `key` that inserts
+    that axis, and the axis, counted from the end; each factor's table id and
+    `_gather_index` into its flat table; the axes summed out, always the
+    leading ones, with the terms of each sum; and the re-pinned axis.  So the
+    spins that live longest sit innermost, factor products walk long
+    contiguous loops and sums reduce over outer axes, even at k = 2, where
+    every axis has length 2."""
+    # the step that sums out each variable, read off the plan's slots, which
+    # hold the live variables in entry order
+    drop_at, slots = {}, []
+    for s, (_, drops) in enumerate(plan.steps):
+        slots.append(s)
+        for i in drops:
+            drop_at[slots[i]] = s
+        slots = [v for i, v in enumerate(slots) if i not in drops]
     order = math.factorial(k)
     kept = order**2 <= _INDEX_CACHED
     gather_index = _gather_index if kept else lru_cache(maxsize=None)(_gather_index.__wrapped__)
-    program, shape = [], ()
-    for (factors, drops), (enters, repin) in zip(plan.steps, plan.pins):
-        shape += (1 if enters else order,)
-        last = len(shape) - 1
+    program, slots, spins, shape = [], [], (), ()
+    for s, ((factors, drops), (enters, repin)) in enumerate(zip(plan.steps, plan.pins)):
+        slots.append(s)
+        at = sum(drop_at[v] <= drop_at[s] for v in spins)
+        spins, shape = spins[:at] + (s,) + spins[at:], shape[:at] + (1 if enters else order,) + shape[at:]
+        axes = {v: i for i, v in enumerate(spins)}
         gathers = tuple(
-            (tid, gather_index(k, widths[tid], *((shape[x], last - x) for x in (a, b, c))))
+            (tid, gather_index(k, widths[tid], *(
+                (shape[axes[slots[x]]], len(spins) - 1 - axes[slots[x]]) for x in (a, b, c))))
             for a, b, c, tid in factors
         )
-        terms = math.prod(shape[i] for i in drops)
-        program.append((shape, gathers, drops, terms, repin))
-        shape = tuple(size for i, size in enumerate(shape) if i not in drops)
-        if repin is not None:
-            shape = shape[:repin] + (1,) + shape[repin + 1 :]
+        slots = [v for i, v in enumerate(slots) if i not in drops]
+        d = len(drops)  # the variables summed out now are the d outermost
+        pin = None if repin is None else spins.index(slots[repin]) - d
+        program.append((
+            shape, (Ellipsis, None) + (slice(None),) * (len(spins) - 1 - at), at - len(spins),
+            gathers, tuple(range(d)), math.prod(shape[:d]), pin,
+        ))
+        spins, shape = spins[d:], shape[d:]
+        if pin is not None:
+            shape = shape[:pin] + (1,) + shape[pin + 1 :]
     return tuple(program)
 
 
@@ -342,8 +367,11 @@ def _gather_index(k: int, width: int, *axes: tuple[int, int]) -> np.ndarray:
 def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[int, ...] | None = None):
     """Contract a plan over dense factor tables by running its `_program`.
 
-    The state has one axis per live variable; the pinned variable's axis has
-    size 1, its one value being the identity (index 0).  float64 tables
+    The state has one axis per live variable, ordered by the step that sums
+    it out, the soonest outermost and ties in entry order; the pinned
+    variable's axis has size 1, its one value being the identity (index 0).
+    A spin enters as a view that inserts its axis, repeated k! times unless
+    pinned, and each sum reduces the leading axes.  float64 tables
     (`bounds` None) give a float.  Integer tables, int64 or object, with
     bounds[i] the largest |entry| of tables[i], give the exact integer as a
     Python int: in int64 while a certified bound on every |entry|, carried in
@@ -403,9 +431,9 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
         bound, top = bound * factor, top * factor
 
     state = np.array(1, dtype=tables[0].dtype)
-    for step, (shape, gathers, drops, terms, repin) in enumerate(program):
+    for step, (shape, key, axis, gathers, drops, terms, repin) in enumerate(program):
         # a pinned axis enters as a view: the state it widens is not used again
-        state = state[..., None] if shape[-1] == 1 else state[..., None].repeat(shape[-1], -1)
+        state = state[key] if shape[axis] == 1 else state[key].repeat(shape[axis], axis)
         for tid, index in gathers:
             if bound is not None:
                 if bound * bounds[tid] < _INT64_LIMIT:

@@ -104,6 +104,14 @@ class TestRationalFunction:
         with pytest.raises(PoleError):
             f.evaluate(1)
 
+    def test_both_evaluations_raise_pole_error_at_a_pole(self):
+        f = RationalFunction.from_ints([1], [-1, 0, 1])
+        with pytest.raises(PoleError):
+            f.evaluate(1)
+        with pytest.raises(PoleError):
+            f.evaluate_float(1.0)
+        assert f.evaluate_float(2.0) == 1 / 3
+
     def test_evaluate_fraction_argument(self):
         f = RF(P(Fraction(1, 3), 2), P(-2, 0, 1))
         assert f.evaluate(Fraction(1, 2)) == Fraction(-16, 21)

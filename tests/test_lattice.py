@@ -272,6 +272,7 @@ class TestFloatBackend:
     # sha256 prefixes of float.hex over every entry of the float plaquette table
     # at q, frozen from the Fraction-coefficient evaluation
     @pytest.mark.parametrize("k, q, digest", [
+        (1, 2, "fd60998e44d3feb9"), (1, 3, "fd60998e44d3feb9"),
         (2, 2, "7147269bdafe5c91"), (2, 3, "62c8dbe793d2a9d5"),
         (2, 5, "a746fc42bc6db794"), (2, 1000, "62ea662c1791fb97"),
         (3, 2, "2769f39cab00455d"), (3, 3, "b79e826d985224ab"),
@@ -607,8 +608,8 @@ class TestPlanner:
 
         def recording(plan, k, widths):  # each step as the sweep runs it
             for step in program(plan, k, widths):
-                shape, gathers, *_ = step
-                entered.append((shape[-1], shape))
+                shape, _, axis, gathers, *_ = step
+                entered.append((shape[axis], shape))
                 # every factor's weights span the step's spin axes at most
                 for _, index in gathers:
                     assert np.broadcast_shapes(index.shape, shape) == shape
@@ -695,7 +696,7 @@ class TestCompiledShapes:
         objects; a k = 5 program keeps neither itself nor its indices."""
 
         def indices(program):
-            return {id(index): index for _, gathers, *_ in program for _, index in gathers}
+            return {id(index): index for _, _, _, gathers, *_ in program for _, index in gathers}
 
         self.clear_caches()
         plans = [lattice._shape_plan(lattice._transfer_model, n, 3, "open") for n in (6, 8)]
@@ -708,10 +709,59 @@ class TestCompiledShapes:
 
         program = lattice._program(plans[0], 5, (120,))
         assert lattice._program(plans[0], 5, (120,)) is not program
-        assert len(indices(program)) < sum(len(gathers) for _, gathers, *_ in program)
+        assert len(indices(program)) < sum(len(gathers) for _, _, _, gathers, *_ in program)
         assert lattice._gather_index.cache_info().currsize == len(kept)
         assert lattice._compiled.cache_info().currsize == 2
 
+    def test_axes_ordered_by_drop_step(self):
+        """Criterion 06 grid on both routes, and the k=2 rings at n = 8..16,
+        t = 3..8 within the default budget.  Placing each step's spin where
+        the program inserts its axis and taking the summed axes off the front
+        keeps the live variables ordered by the step that sums them out, ties
+        in entry order; `key` inserts the axis there; every gather index
+        broadcasts to the step's shape; and the re-pinned axis holds the
+        variable that `_pin_schedule` moves the pin to."""
+        shapes = {(n, t, bc, k) for n, t, k, _, bc in _criterion_06_grid()}
+        shapes |= {(n, t, "periodic", 2) for n in (8, 10, 12, 16) for t in range(3, 9)}
+        routes = ((lattice._transfer_model, lambda order: (order,)), (lattice._direct_model, lambda order: (1, 1)))
+        checked, steps, inner, repinned = 0, 0, 0, 0
+        for (n, t, bc, k), (model, widths) in itertools.product(sorted(shapes), routes):
+            order = math.factorial(k)
+            plan = lattice._shape_plan(model, n, t, bc)
+            if order**plan.peak > lattice.DEFAULT_STATE_BUDGET:
+                continue
+            drop_at, slots = [], []  # the plan's slots hold variables in entry order
+            for s, (_, drops) in enumerate(plan.steps):
+                slots.append(s)
+                drop_at.append(None)
+                for i in drops:
+                    drop_at[slots[i]] = s
+                slots = [v for i, v in enumerate(slots) if i not in drops]
+            _, repins = lattice._pin_schedule(drop_at)
+            program = lattice._program(plan, k, widths(order))
+            assert len(program) == len(plan.steps)
+            spins, shape = [], ()
+            for s, (new_shape, key, axis, gathers, drops, terms, repin) in enumerate(program):
+                spins.insert(len(spins) + 1 + axis, s)
+                assert spins == sorted(spins, key=lambda v: (drop_at[v], v))
+                assert new_shape[axis] == (1 if plan.pins[s][0] else order)
+                assert np.empty(shape)[key].shape == new_shape[:axis] + (1,) + new_shape[len(new_shape) + axis + 1 :]
+                inner += axis == -1
+                for _, index in gathers:
+                    assert np.broadcast_shapes(index.shape, new_shape) == new_shape
+                assert {spins[i] for i in drops} == {v for v in spins if drop_at[v] == s}
+                assert terms == math.prod(new_shape[i] for i in drops)
+                spins, shape = spins[len(drops) :], new_shape[len(drops) :]
+                assert (repin is not None) == (s in repins)
+                if repin is not None:
+                    # the pin moves to the live variable summed out last
+                    assert spins[repin] == max(spins, key=drop_at.__getitem__)
+                    shape = shape[:repin] + (1,) + shape[repin + 1 :]
+                    repinned += 1
+            checked += 1
+            steps += len(program)
+        # some spins enter innermost, as a view, and some before longer-lived ones
+        assert checked > 60 and repinned and 0 < inner < steps
 
 def _dense_sweep(plan, tables, k):
     """The plan's steps with every spin summed over all k! values: no pin.
@@ -743,10 +793,11 @@ def _alive(plan):
 class TestPinnedSweep:
     """The pinned sweep against the dense sweep over the same steps."""
 
-    def test_pinned_equals_dense(self, monkeypatch):
+    def test_pinned_equals_dense(self, monkeypatch, caplog):
         """k=2..4, n=2..8, t=2..3, both boundaries, q in {2, 3}, both routes and
         both rings: every shape whose dense state fits the default budget,
-        which includes the criterion 06 grid."""
+        which includes the criterion 06 grid; and the k=2 rings at t=5,
+        n in {8, 12}, whose exact sweeps split into int64 limbs."""
         sweep = lattice._sweep
         plans = []
 
@@ -767,19 +818,25 @@ class TestPinnedSweep:
             (frame_potential_transfer, {"backend": "float"}),
         ]
         covered = set()
-        for k, n, t, bc, q in itertools.product(
+        rings = ((2, n, 5, "periodic", 2) for n in (8, 12))
+        for k, n, t, bc, q in itertools.chain(itertools.product(
             (2, 3, 4), range(2, 9), (2, 3), ("open", "periodic"), (2, 3)
-        ):
+        ), rings):
             geom = build_geometry(n, q, t, bc)
             budget = lattice.DEFAULT_STATE_BUDGET // math.factorial(k)
             monkeypatch.setenv(lattice.STATE_BUDGET_ENV, str(budget))
             for route, kwargs in runs:
+                caplog.clear()
                 try:
-                    route(geom, k, **kwargs)
+                    with caplog.at_level(logging.DEBUG, logger="rqclattice"):
+                        route(geom, k, **kwargs)
                 except BudgetExceededError:
                     continue
                 covered.add((n, t, k, q, bc))
+                if t == 5 and not kwargs:
+                    assert "limbs at the end" in _ring_records(caplog)[0]
         assert set(_criterion_06_grid()) <= covered and len(covered) > 130
+        assert {(8, 5, 2, 2, "periodic"), (12, 5, 2, 2, "periodic")} <= covered
 
         # one connected stretch each, whose pin takes one spin off every step
         # until it is released
