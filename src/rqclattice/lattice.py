@@ -166,8 +166,9 @@ class _Plan:
     counts the pinned connected stretches, each worth a factor k!.  `order`
     names the candidate elimination order the variables were relabelled by.
     live[s] counts the state axes at step s other than the pinned one, so that
-    state holds (k!)^live[s] entries; `peak` is the largest of them.  A plan
-    compares and hashes by identity: one is kept per route and shape.
+    state holds (k!)^live[s] entries; `peak` is the largest of them.
+    drop_at[v] is the step that sums variable v out.  A plan compares and
+    hashes by identity: one is kept per route and shape.
     """
 
     steps: tuple[tuple[tuple[_Factor, ...], tuple[int, ...]], ...]
@@ -176,6 +177,7 @@ class _Plan:
     order: str
     live: tuple[int, ...]
     peak: int
+    drop_at: tuple[int, ...]
 
 
 def _plan(model, geom: CircuitGeometry, group_order: int, budget: int) -> _Plan:
@@ -248,7 +250,7 @@ def _planned(
         repin = state.index(max(state, key=drop_at.__getitem__)) if s in repins else None
         pins.append((enters, repin))
     stretches = sum(enters for enters, _ in pins)
-    return _Plan(tuple(steps), tuple(pins), stretches, name, live, peak)
+    return _Plan(tuple(steps), tuple(pins), stretches, name, live, peak, tuple(drop_at))
 
 
 def _pin_schedule(drop_at: list[int]) -> tuple[tuple[int, ...], frozenset[int]]:
@@ -317,21 +319,13 @@ def _compiled(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]
     spins that live longest sit innermost, factor products walk long
     contiguous loops and sums reduce over outer axes, even at k = 2, where
     every axis has length 2."""
-    # the step that sums out each variable, read off the plan's slots, which
-    # hold the live variables in entry order
-    drop_at, slots = {}, []
-    for s, (_, drops) in enumerate(plan.steps):
-        slots.append(s)
-        for i in drops:
-            drop_at[slots[i]] = s
-        slots = [v for i, v in enumerate(slots) if i not in drops]
     order = math.factorial(k)
     kept = order**2 <= _INDEX_CACHED
     gather_index = _gather_index if kept else lru_cache(maxsize=None)(_gather_index.__wrapped__)
     program, slots, spins, shape = [], [], (), ()
     for s, ((factors, drops), (enters, repin)) in enumerate(zip(plan.steps, plan.pins)):
         slots.append(s)
-        at = sum(drop_at[v] <= drop_at[s] for v in spins)
+        at = sum(plan.drop_at[v] <= plan.drop_at[s] for v in spins)
         spins, shape = spins[:at] + (s,) + spins[at:], shape[:at] + (1 if enters else order,) + shape[at:]
         axes = {v: i for i, v in enumerate(spins)}
         gathers = tuple(

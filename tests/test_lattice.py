@@ -715,7 +715,8 @@ class TestCompiledShapes:
 
     def test_axes_ordered_by_drop_step(self):
         """Criterion 06 grid on both routes, and the k=2 rings at n = 8..16,
-        t = 3..8 within the default budget.  Placing each step's spin where
+        t = 3..8 within the default budget.  The plan's `drop_at` is the step
+        at which its steps sum each variable out.  Placing each step's spin where
         the program inserts its axis and taking the summed axes off the front
         keeps the live variables ordered by the step that sums them out, ties
         in entry order; `key` inserts the axis there; every gather index
@@ -737,6 +738,7 @@ class TestCompiledShapes:
                 for i in drops:
                     drop_at[slots[i]] = s
                 slots = [v for i, v in enumerate(slots) if i not in drops]
+            assert plan.drop_at == tuple(drop_at)
             _, repins = lattice._pin_schedule(drop_at)
             program = lattice._program(plan, k, widths(order))
             assert len(program) == len(plan.steps)
