@@ -37,17 +37,17 @@ share it, and is compiled per k and table widths into a :func:`_program`
 re-pins), kept for k <= 4.  The program orders the state's spin axes by the
 step that sums them out, the soonest outermost: long-lived spins sit
 innermost, so numpy runs long inner loops even at k = 2, where every axis has
-length 2, and each step sums its leading axes.
+length 2, and each step sums its leading spin axes.
 A call checks the state budget, looks up the tables at q (memoized per (k, q)
 and ring; exact ones are integers over a denominator D, and the swept value
 is divided by D^(number of gates)) and runs :func:`_sweep` on dense numpy
-arrays: float64 for floats; for exact values int64 under a certified
-overflow bound, int64 limbs past it, and Python ints where limbs do not pay,
-so every exact value is the same in any ring.  The weights stay
-independent, so their exact equality on every in-budget geometry is the
-package's central oracle; :func:`_frame_potential_bruteforce` checks both
-against raw enumeration on tiny instances, and the tests keep the unpinned
-sweep as the pinned one's oracle.
+arrays, each state a stack of limbs: float64 for floats; for exact values
+int64 under a certified overflow bound, int64 limbs past it, and Python ints
+where limbs do not pay, so every exact value is the same in any ring.  The
+weights stay independent, so their exact equality on every in-budget geometry
+is the package's central oracle; :func:`_frame_potential_bruteforce` checks
+both against raw enumeration on tiny instances, and the tests keep the
+unpinned sweep as the pinned one's oracle.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ from .weingarten import wg_gram, wg_symbolic
 STATE_BUDGET_ENV = "RQCLATTICE_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 4_000_000
 # both rings hold dense numpy states, but an exact entry grows past int64 into
-# up to _MAX_LIMBS int64 limbs (Python int objects past that, or for tables too
-# wide for limbs), not one 8-byte double, so the float backend affords more states
+# int64 limbs (or Python int objects), not one 8-byte double, so the float
+# backend affords more states
 DEFAULT_FLOAT_STATE_BUDGET = 128_000_000
 
 
@@ -144,13 +144,12 @@ _INT64_LIMIT = 1 << 62
 
 # Past that bound the state splits into int64 limbs of at most _LIMB_BITS bits.
 # A limb narrower than _MIN_LIMB_BITS could not take one more product or sum
-# after a carry, so such tables switch to Python ints instead.  So does a value
-# of more than _MAX_LIMBS limbs, or _MAX_LIMBS_K2 at k = 2, whose states are
-# small: on the open chain k = 2, t = 4, limbs tie with Python ints at 10 limbs
-# (n = 64) and take 1.2 times as long at 21 (n = 128).
+# after a carry, so such tables switch to Python ints instead.  So does a k = 2
+# value of more than _MAX_LIMBS_K2 limbs, whose states are small: on the open
+# chain k = 2, t = 4, limbs tie with Python ints at 10 limbs (n = 64) and take
+# 1.2 times as long at 21 (n = 128).  At k >= 3 limbs stay faster however many.
 _LIMB_BITS = 44
 _MIN_LIMB_BITS = 31
-_MAX_LIMBS = 24
 _MAX_LIMBS_K2 = 8
 
 
@@ -182,12 +181,12 @@ class _Plan:
 
 def _plan(model, geom: CircuitGeometry, group_order: int, budget: int) -> _Plan:
     """The plan of route `model` on the shape of `geom`, its state budget
-    checked.
+    checked: no state may hold more entries, and all together 1024 times more.
 
     The schedule depends on the scopes alone, not on q, k or the number ring,
     so `_shape_plan` keeps one per route and (n, t, bc); the budget needs only
-    its peak and k!, so both routes plan, and every call is checked, before
-    any weight table is looked up.
+    its live counts and k!, so both routes plan, and every call is checked,
+    before any weight table is looked up.
     """
     plan = _shape_plan(model, geom.n, geom.t, geom.spatial_bc)
     if group_order**plan.peak > budget:
@@ -196,6 +195,13 @@ def _plan(model, geom: CircuitGeometry, group_order: int, budget: int) -> _Plan:
             f"contraction state would reach {group_order ** plan.live[s]} > budget "
             f"{budget} at step {s} of the {plan.order} order; raise {STATE_BUDGET_ENV}"
         )
+    if len(plan.live) * group_order**plan.peak > budget << 10:  # no state exceeds the peak
+        work = sum(group_order**m for m in plan.live)
+        if work > budget << 10:
+            raise BudgetExceededError(
+                f"contraction states would hold {work} entries over {len(plan.live)} steps "
+                f"> 1024 x budget {budget}; raise {STATE_BUDGET_ENV}"
+            )
     return plan
 
 
@@ -314,11 +320,11 @@ def _compiled(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]
     the soonest outermost and ties in entry order: their shape once the
     entering axis is in (of size 1 if pinned); the index `key` that inserts
     that axis, and the axis, counted from the end; each factor's table id and
-    `_gather_index` into its flat table; the axes summed out, always the
-    leading ones, with the terms of each sum; and the re-pinned axis.  So the
-    spins that live longest sit innermost, factor products walk long
-    contiguous loops and sums reduce over outer axes, even at k = 2, where
-    every axis has length 2."""
+    `_gather_index` into its flat table; the spin axes summed out, always the
+    leading ones, 1..d after the limb axis, with the terms of each sum; and
+    the re-pinned spin axis.  So the spins that live longest sit innermost,
+    factor products walk long contiguous loops and sums reduce over outer
+    axes, even at k = 2, where every axis has length 2."""
     order = math.factorial(k)
     kept = order**2 <= _INDEX_CACHED
     gather_index = _gather_index if kept else lru_cache(maxsize=None)(_gather_index.__wrapped__)
@@ -338,7 +344,7 @@ def _compiled(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]
         pin = None if repin is None else spins.index(slots[repin]) - d
         program.append((
             shape, (Ellipsis, None) + (slice(None),) * (len(spins) - 1 - at), at - len(spins),
-            gathers, tuple(range(d)), math.prod(shape[:d]), pin,
+            gathers, tuple(range(1, d + 1)), math.prod(shape[:d]), pin,
         ))
         spins, shape = spins[d:], shape[d:]
         if pin is not None:
@@ -350,10 +356,11 @@ def _compiled(plan: _Plan, k: int, widths: tuple[int, ...]) -> tuple[tuple, ...]
 def _gather_index(k: int, width: int, *axes: tuple[int, int]) -> np.ndarray:
     """The flat weight index rel(x_a, x_b) * width + rel(x_a, x_c) of a factor
     on the spin axes a, b, c, each given as (size, number of axes after it),
-    broadcast along them."""
+    broadcast along them after a limb axis of size 1, so that a factor as
+    large as a one-limb state has its shape."""
     rel = group_table(k).rel
     ia, ib, ic = (np.arange(size).reshape((size,) + (1,) * trailing) for size, trailing in axes)
-    index = rel[ia, ib] * width + rel[ia, ic]
+    index = (rel[ia, ib] * width + rel[ia, ic])[None]
     index.setflags(write=False)  # cached arrays are shared by every caller
     return index
 
@@ -361,45 +368,51 @@ def _gather_index(k: int, width: int, *axes: tuple[int, int]) -> np.ndarray:
 def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[int, ...] | None = None):
     """Contract a plan over dense factor tables by running its `_program`.
 
-    The state has one axis per live variable, ordered by the step that sums
-    it out, the soonest outermost and ties in entry order; the pinned
-    variable's axis has size 1, its one value being the identity (index 0).
+    The state is a stack of limbs worth sum_j limb_j 2^(bits j) in every ring,
+    one limb until it splits, then one spin axis per live variable, ordered by
+    the step that sums it out, the soonest first and ties in entry order; the
+    pinned variable's axis has size 1, its one value the identity (index 0).
     A spin enters as a view that inserts its axis, repeated k! times unless
-    pinned, and each sum reduces the leading axes.  float64 tables
-    (`bounds` None) give a float.  Integer tables, int64 or object, with
-    bounds[i] the largest |entry| of tables[i], give the exact integer as a
-    Python int: in int64 while a certified bound on every |entry|, carried in
-    Python ints (times the table's bound at each factor, the number of terms
-    at each sum or re-pin), stays below _INT64_LIMIT.  Only where it would not
-    is the state measured (`_max_abs` before a factor, `_abs_sum` before a sum
-    or re-pin).  If that fails too, the state splits into int64 limbs of
-    `bits` bits on a new leading axis, worth sum_j limb_j 2^(bits j), and
+    pinned, and each sum reduces axes 1..d.  float64 tables (`bounds` None)
+    give a float.  Integer tables, int64 or object, with bounds[i] the largest
+    |entry| of tables[i], give the exact integer as a Python int: in int64
+    while a certified bound on every |entry|, carried in Python ints (times
+    the table's bound at each factor, the number of terms at each sum or
+    re-pin), stays below _INT64_LIMIT.  Only where it would not is the state
+    measured (`_max_abs` before a factor, `_abs_sum` before a sum or re-pin).
+    If that fails too, the stack splits into int64 limbs of `bits` bits, and
     `_carry` runs where the bound per limb needs it; `bits` leaves room for
     one product by the widest entry, or one sum as large as the peak state,
-    after a carry.  Below _MIN_LIMB_BITS bits, or past _MAX_LIMBS limbs
-    (_MAX_LIMBS_K2 at k = 2), state and tables switch to object arrays of
-    Python ints for the rest of the sweep.  The DEBUG record names the ring,
-    the limb width, the step of each switch and the limb count at the end.
+    after a carry.  One switch, `to_object`, joins the limbs into one limb of
+    Python ints and casts the tables, for tables too wide for int64 or for
+    limbs of _MIN_LIMB_BITS bits, and for k = 2 values past _MAX_LIMBS_K2
+    limbs.  The DEBUG record names the ring, the limb width, the step of each
+    switch and the limb count at the end.
     """
     gt = group_table(k)
     program = _program(plan, k, tuple(t.shape[1] for t in tables))
     tables = [t.ravel() for t in tables]
-    bound = None  # a bound on every |entry| (in limbs, every |limb|) in int64
+    state = np.array([1], dtype=tables[0].dtype)
+    bound = None if bounds is None else 1  # a bound on every |limb| in int64
     top = 0  # in limbs, a bound on every |top limb|
     bits = None  # the limb width once the state has split into limbs
-    lead = 0  # the number of leading limb axes of the state, 0 or 1
-    if bounds is None:
-        ring = "float64"
-    elif all(t.dtype == np.int64 for t in tables):
-        ring, bound = "int64 throughout", 1
-    else:
-        ring, tables = "object from the start", [t.astype(object, copy=False) for t in tables]
+    ring = "float64" if bounds is None else "int64 throughout"
+
+    def to_object(record):
+        """Leave int64 for Python ints for the rest of the sweep: join the
+        limbs into one (a lone limb is only cast) and cast the tables."""
+        nonlocal bound, top, bits, state, tables, ring
+        joined = state[-1:].astype(object)
+        for limb in state[-2::-1]:
+            joined = (joined << bits) + limb.astype(object)
+        state, tables = joined, [t.astype(object, copy=False) for t in tables]
+        bound, top, bits, ring = None, 0, None, record
 
     def widen(factor, measure):
         """Bound the state after an operation that grows it by `factor` where
         its bound times `factor` reaches the limit: measure an int64 state,
         split it into limbs or carry its limbs, or leave int64."""
-        nonlocal bound, top, bits, lead, state, tables, ring
+        nonlocal bound, top, bits, state, ring
         if bits is None:
             grown = measure()
             if grown < _INT64_LIMIT:
@@ -409,22 +422,15 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
             widest = max(*bounds, gt.order**plan.peak)
             bits = min(_LIMB_BITS, 61 - widest.bit_length())
             if bits < _MIN_LIMB_BITS:
-                bound, bits, ring = None, None, f"int64, switched to object at step {step}"
-                state = state.astype(object)
-                tables = [t.astype(object) for t in tables]
-                return
-            ring = f"int64, switched to {bits}-bit limbs at step {step}"
-            state, lead, top = state[None], 1, bound
+                return to_object(f"int64, switched to object at step {step}")
+            ring, top = f"int64, switched to {bits}-bit limbs at step {step}", bound
         state, bound, top = _carry(state, bits, bound, top, factor)
-        if len(state) > (_MAX_LIMBS_K2 if k == 2 else _MAX_LIMBS):
-            ring += f", to object at step {step}"
-            state = _join_limbs(state, bits)
-            bound, top, bits, lead = None, 0, None, 0
-            tables = [t.astype(object) for t in tables]
-            return
+        if k == 2 and len(state) > _MAX_LIMBS_K2:
+            return to_object(f"{ring}, to object at step {step}")
         bound, top = bound * factor, top * factor
 
-    state = np.array(1, dtype=tables[0].dtype)
+    if bounds is not None and any(t.dtype != np.int64 for t in tables):
+        to_object("object from the start")
     for step, (shape, key, axis, gathers, drops, terms, repin) in enumerate(program):
         # a pinned axis enters as a view: the state it widens is not used again
         state = state[key] if shape[axis] == 1 else state[key].repeat(shape[axis], axis)
@@ -435,21 +441,20 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
                 else:
                     widen(bounds[tid], lambda: _max_abs(state) * bounds[tid])
             np.multiply(state, tables[tid][index], out=state)
-        if drops:  # summing out every axis returns a scalar, not a 0-d array
+        if drops:
             if bound is not None:
                 if bound * terms < _INT64_LIMIT:
                     bound, top = bound * terms, top * terms
                 else:
                     widen(terms, lambda: _abs_sum(state, drops))
-            summed = np.add.reduce(state, axis=tuple(lead + i for i in drops) if lead else drops)
-            state = summed if type(summed) is np.ndarray else np.asarray(summed, dtype=state.dtype)
+            state = np.add.reduce(state, axis=drops)
         if repin is not None:
             if bound is not None:  # each entry sums k! distinct entries
                 if bound * gt.order < _INT64_LIMIT:
                     bound, top = bound * gt.order, top * gt.order
                 else:
-                    widen(gt.order, lambda: _abs_sum(state, tuple(range(state.ndim))))
-            state = _repin(state, repin, k, lead)
+                    widen(gt.order, lambda: _abs_sum(state, tuple(range(1, state.ndim))))
+            state = _repin(state, repin, k)
 
     if bits is not None:
         ring += f" ({len(state)} limbs at the end)"
@@ -463,11 +468,8 @@ def _sweep(plan: _Plan, tables: tuple[np.ndarray, ...], k: int, bounds: tuple[in
                 "sweep: %s order, %d steps, peak %d (%d states), ring %s",
                 plan.order, len(plan.steps), plan.peak, gt.order**plan.peak, ring,
             )
-    if bits is not None:
-        value = sum(limb << (bits * j) for j, limb in enumerate(state.tolist()))
-    else:
-        value = state[()] if bounds is None else int(state[()])
-    return value * gt.order**plan.stretches
+    low, *high = state.tolist()
+    return sum((limb << (bits * j) for j, limb in enumerate(high, 1)), low) * gt.order**plan.stretches
 
 
 def _carry(
@@ -505,14 +507,6 @@ def _carry(
     return state, max(low, top), top
 
 
-def _join_limbs(state: np.ndarray, bits: int) -> np.ndarray:
-    """The object array sum_j state[j] 2^(bits j) of Python ints."""
-    value = state[-1].astype(object)
-    for limb in state[-2::-1]:
-        value = (value << bits) + limb.astype(object)
-    return value
-
-
 def _max_abs(state: np.ndarray) -> int:
     """The largest |entry| of an int64 state, from two reductions."""
     return max(int(state.max()), -int(state.min()))
@@ -538,9 +532,9 @@ def _abs_sum(state: np.ndarray, axes: tuple[int, ...]) -> int:
     return math.ceil(peak * (1 + state.size * 2.0**-50))
 
 
-def _repin(state: np.ndarray, slot: int, k: int, lead: int = 0) -> np.ndarray:
-    """Pin spin axis `slot` of a state whose old pin was just summed out; the
-    `lead` axes before the spin axes (limbs) are carried through.
+def _repin(state: np.ndarray, slot: int, k: int) -> np.ndarray:
+    """Pin spin axis `slot` of a stack of limbs whose old pin was just summed
+    out; the leading limb axis is carried through.
 
     The state holds T(x) = F(id, x) of an invariant F(p, x) whose pinned spin
     p is summed out, so that the sum is G(x) = sum_p T(p^-1 x); G is kept at
@@ -548,21 +542,21 @@ def _repin(state: np.ndarray, slot: int, k: int, lead: int = 0) -> np.ndarray:
     at most _CHUNK entries.
     """
     order = group_table(k).order
-    head, spins = state.shape[:lead], state.shape[lead:]
-    flat = state.reshape(head + (-1,))
+    limbs, spins = state.shape[0], state.shape[1:]
+    flat = state.reshape(limbs, -1)
     # small shapes recur, and a state of at most _INDEX_CACHED entries per limb
     # is one chunk, so its index is cached; a large state's are built and not kept
-    index = _repin_index if flat.shape[-1] <= _INDEX_CACHED else _repin_index.__wrapped__
+    index = _repin_index if flat.shape[1] <= _INDEX_CACHED else _repin_index.__wrapped__
     chunk = max(1, _CHUNK * order // state.size)
     out = None
     for start in range(0, order, chunk):
         rows = index(k, len(spins), slot, start, min(start + chunk, order))
-        part = np.add.reduce(flat[:, rows] if lead else flat[rows], axis=lead)
+        part = np.add.reduce(flat.take(rows, axis=1), axis=1)
         if out is None:
             out = part
         else:
             out += part
-    return out.reshape(head + spins[:slot] + (1,) + spins[slot + 1 :])
+    return out.reshape((limbs,) + spins[:slot] + (1,) + spins[slot + 1 :])
 
 
 @lru_cache(maxsize=None)

@@ -350,6 +350,43 @@ class TestGuards:
             with pytest.raises(BudgetExceededError):
                 frame_potential_transfer(g, 3, backend=backend)
 
+    def test_all_states_together_within_1024_budgets(self, monkeypatch):
+        """The transfer plan of k=2, n=2, t=1100 holds 4391 entries over its
+        1099 steps with a peak of 4: a budget of 4 admits the peak and refuses
+        the total, one of 5 admits both."""
+        g = build_geometry(2, 2, 1100, "open")
+        value = frame_potential_transfer(g, 2).value
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "4")
+        with pytest.raises(BudgetExceededError, match="hold 4391 entries over 1099 steps > 1024 x budget 4"):
+            frame_potential_transfer(g, 2)
+        monkeypatch.setenv(lattice.STATE_BUDGET_ENV, "5")
+        assert frame_potential_transfer(g, 2).value == value
+
+    def test_long_chain_refused_before_weight_tables(self, monkeypatch):
+        """k=6 on a 2-qudit chain at t=65537, the gate cap: every state fits
+        the default budget, but all of them together hold 6.8e10 entries
+        (direct) and 3.4e10 (transfer).  Both exact routes refuse it after
+        planning and before any table is looked up; the state budget raises
+        this check too."""
+
+        def no_tables(*args):
+            raise AssertionError("weight table looked up")
+
+        monkeypatch.setattr(lattice, "_gram_tables", no_tables)
+        monkeypatch.setattr(lattice, "_plaquette_table", no_tables)
+        g = build_geometry(2, 3, 65537, "open")
+        try:
+            for route, entries in ((frame_potential_direct, 67946688721), (frame_potential_transfer, 33972826321)):
+                with pytest.raises(BudgetExceededError) as exc:
+                    route(g, 6)
+                assert f"hold {entries} entries" in str(exc.value)
+                assert lattice.STATE_BUDGET_ENV in str(exc.value)
+            monkeypatch.setenv(lattice.STATE_BUDGET_ENV, str(-(-entries // 1024)))
+            with pytest.raises(AssertionError, match="weight table looked up"):
+                frame_potential_transfer(g, 6)
+        finally:  # the two plans hold about 70 MB
+            lattice._shape_plan.cache_clear()
+
     def test_each_distinct_plaquette_weight_evaluated_once(self, monkeypatch):
         # once per (k, q), however many requests use it
         from rqclattice.exact import RationalFunction
@@ -610,14 +647,15 @@ class TestPlanner:
             for step in program(plan, k, widths):
                 shape, _, axis, gathers, *_ = step
                 entered.append((shape[axis], shape))
-                # every factor's weights span the step's spin axes at most
+                # every factor's weights span the step's spin axes at most,
+                # after a limb axis of size 1
                 for _, index in gathers:
-                    assert np.broadcast_shapes(index.shape, shape) == shape
+                    assert np.broadcast_shapes(index.shape, (1,) + shape) == (1,) + shape
                 yield step
 
-        def recording_repin(state, slot, k, lead=0):
-            out = repin(state, slot, k, lead)
-            limbs = math.prod(state.shape[:lead])
+        def recording_repin(state, slot, k):
+            out = repin(state, slot, k)
+            limbs = len(state)  # the leading axis
             repinned.append((state.size // limbs, out.size // limbs))
             return out
 
@@ -640,7 +678,7 @@ class TestPlanner:
                 route(geom, k)
                 plan = plans[-1]
                 # the program's shapes are the spin axes, alive[s] of them;
-                # limbs, where the state splits, sit on an axis before them
+                # the limbs, one until the state splits, sit on an axis before them
                 assert [len(shape) for _, shape in entered] == _alive(plan)
                 in_limbs += bool(carried)
                 sizes = [math.prod(shape) for _, shape in entered]
@@ -749,10 +787,12 @@ class TestCompiledShapes:
                 assert new_shape[axis] == (1 if plan.pins[s][0] else order)
                 assert np.empty(shape)[key].shape == new_shape[:axis] + (1,) + new_shape[len(new_shape) + axis + 1 :]
                 inner += axis == -1
-                for _, index in gathers:
-                    assert np.broadcast_shapes(index.shape, new_shape) == new_shape
-                assert {spins[i] for i in drops} == {v for v in spins if drop_at[v] == s}
-                assert terms == math.prod(new_shape[i] for i in drops)
+                for _, index in gathers:  # after a limb axis of size 1
+                    assert np.broadcast_shapes(index.shape, (1,) + new_shape) == (1,) + new_shape
+                # the limb axis comes first, so the d spin axes summed are 1..d
+                assert drops == tuple(range(1, len(drops) + 1))
+                assert {spins[i - 1] for i in drops} == {v for v in spins if drop_at[v] == s}
+                assert terms == math.prod(new_shape[i - 1] for i in drops)
                 spins, shape = spins[len(drops) :], new_shape[len(drops) :]
                 assert (repin is not None) == (s in repins)
                 if repin is not None:
@@ -877,22 +917,23 @@ class TestIntegerRing:
         [
             # small signed weights: no measurement
             (TWICE, [3, -2], "int64 throughout", []),
-            # the second factor's bound 2^80 is measured, and fails too
+            # the second factor's bound 2^80 is measured, and fails too; every
+            # state is a stack of limbs, one here, on its leading axis
             (TWICE, [2**40, -(2**40) + 7], "int64, switched to object at step 1",
-             [("max_abs", (1, 2))]),
+             [("max_abs", (1, 1, 2))]),
             # the sum's bound 2 * 2^61 is measured, and fails too: the |entries|
             # add up to 2^62 whatever their signs
             (TWICE[:1], [2**61, -(2**61) + 5], "int64, switched to object at step 1",
-             [("abs_sum", (1, 2), (0, 1))]),
+             [("abs_sum", (1, 1, 2), (1, 2))]),
             (TWICE[:1], [2**61, 2**61 - 1], "int64, switched to object at step 1",
-             [("abs_sum", (1, 2), (0, 1))]),
+             [("abs_sum", (1, 1, 2), (1, 2))]),
             # the sum's bound 6 * 2^61 is not, but the measured one keeps int64
             (TWICE[:1], [2**61, 1, -1, 2, 0, -3], "int64 throughout",
-             [("abs_sum", (1, 6), (0, 1))]),
+             [("abs_sum", (1, 1, 6), (1, 2))]),
             # the sum over the old pin adds one term; the re-pin's bound
-            # k! * 2^61 is measured on the whole state, and fails too
+            # k! * 2^61 is measured on every spin axis, and fails too
             (PATH, [2**61, -(2**61)], "int64, switched to object at step 1",
-             [("abs_sum", (2,), (0,))]),
+             [("abs_sum", (1, 2), (1,))]),
             # an entry of 2^62 or more starts the sweep in Python ints
             (TWICE, [2**62, -1], "object from the start", []),
             (PATH, [-(2**62), 1], "object from the start", []),
@@ -988,6 +1029,8 @@ class TestIntegerRing:
             # the heavy shapes CI checks against the float backend
             (16, 2, 4, "open", 3, "int64, switched to 44-bit limbs at step 21 (4 limbs at the end)"),
             (8, 2, 3, "open", 4, "int64, switched to 42-bit limbs at step 8 (3 limbs at the end)"),
+            # at k >= 3 a value stays in limbs however many it needs
+            (112, 2, 4, "open", 3, "int64, switched to 44-bit limbs at step 21 (26 limbs at the end)"),
         ],
     )
     def test_heavy_shapes_equal_the_object_ring(self, monkeypatch, caplog, n, q, t, bc, k, ring):
